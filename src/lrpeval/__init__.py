@@ -8,6 +8,7 @@ from .matching import (
     GroundTruth,
     MatchResult,
     hungarian,
+    label_classes,
     label_detections,
     match_greedy,
     match_optimal,
@@ -20,8 +21,8 @@ from .lrp import (
     lrp_components,
     lrp_total,
 )
-from .sweep import MoLrpReport, SweepResult, molrp, olrp_at_tau_sweep, sweep_class, threshold_grid
-from .ap import RPCurve, ap, map_over_taus, rp_curve
+from .sweep import MoLrpReport, SweepResult, molrp, sweep_class, sweep_labels, threshold_grid
+from .ap import RPCurve, ap, curve_from_labels, rp_curve
 from .video import (
     FrameDetections,
     StreamDetection,
@@ -53,10 +54,10 @@ from .dataio import (
 __all__ = [
     "BoundingBox", "area", "iou", "iou_distance",
     "Detection", "GroundTruth", "MatchResult",
-    "hungarian", "label_detections", "match_greedy", "match_optimal",
+    "hungarian", "label_classes", "label_detections", "match_greedy", "match_optimal",
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
-    "MoLrpReport", "SweepResult", "molrp", "olrp_at_tau_sweep", "sweep_class", "threshold_grid",
-    "RPCurve", "ap", "map_over_taus", "rp_curve",
+    "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
+    "RPCurve", "ap", "curve_from_labels", "rp_curve",
     "FrameDetections", "StreamDetection", "StreamResult", "Tubelet",
     "bayes_update", "link_frames", "run_stream", "stream_to_detections",
     "Dataset", "EvalReport", "SchemaError",

@@ -5,7 +5,10 @@ descending score order, which is equivalent to sweeping the score
 threshold through every value. Precision is max-interpolated (each point
 takes the highest precision at any equal-or-higher recall) and AP is the
 area under the interpolated step curve, either exactly ("continuous") or
-sampled on an 11-point or 101-point recall grid.
+sampled on an 11-point or 101-point recall grid. The curve comes from the
+same greedy labeling at tau that feeds the class's threshold sweep
+(`sweep.sweep_labels`): callers label each (class, tau) once with
+`matching.label_classes` and feed both consumers.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lrp import UndefinedLrp
-from .matching import ClassId, Detection, GroundTruth, check_tau, count_real, label_detections
+from .matching import ClassId, Detection, DetectionLabel, GroundTruth, label_classes
 
 AP_VARIANTS = ("continuous", "pascal11", "coco101")
 
@@ -41,19 +43,22 @@ def rp_curve(
     class_id: ClassId,
     tau: float,
 ) -> RPCurve:
-    """Build the recall-precision curve of one class.
+    """Build the recall-precision curve of one class."""
+    ((_, _, labels, n_real),) = label_classes(gts, dets, (class_id,), (tau,))
+    return curve_from_labels(labels, n_real, class_id, tau)
 
-    Detections absorbed by ignore regions contribute no point. Requires
-    at least one non-ignored ground truth, otherwise recall is undefined.
+
+def curve_from_labels(
+    labels: Sequence[DetectionLabel], n_real: int, class_id: ClassId, tau: float
+) -> RPCurve:
+    """Recall-precision curve from one class's greedy labels at tau.
+
+    n_real is the class's count of non-ignored ground truths; it must be
+    positive, otherwise recall is undefined. Detections absorbed by
+    ignore regions contribute no point.
     """
-    check_tau(tau)
-    class_gts = [g for g in gts if g.class_id == class_id]
-    class_dets = [d for d in dets if d.class_id == class_id]
-    n_gt = count_real(class_gts)
-    if n_gt == 0:
+    if n_real == 0:
         raise ValueError(f"class {class_id!r} has no ground truth; recall is undefined")
-
-    labels = label_detections(class_gts, class_dets, tau)
     points = []
     tp = fp = 0
     for lab in labels:
@@ -63,7 +68,7 @@ def rp_curve(
             tp += 1
         else:
             fp += 1
-        points.append((tp / n_gt, tp / (tp + fp), lab.score))
+        points.append((tp / n_real, tp / (tp + fp), lab.score))
 
     interp = [0.0] * len(points)
     running = 0.0
@@ -106,30 +111,3 @@ def ap(curve: RPCurve, variant: str = "coco101") -> float:
     grid = [i / steps for i in range(steps + 1)]
     return sum(_interp_at(curve, r, recalls) for r in grid) / len(grid)
 
-
-def map_over_taus(
-    gts: Sequence[GroundTruth],
-    dets: Sequence[Detection],
-    class_ids: Sequence[ClassId],
-    taus: Sequence[float],
-    variant: str = "coco101",
-) -> float:
-    """Mean AP over classes and IoU thresholds.
-
-    Classes without ground truth cannot be scored and are skipped; the
-    caller can detect exclusions by comparing against class_ids. Raises
-    when no class is scorable at all.
-    """
-    if not taus:
-        raise ValueError("need at least one tau")
-    per_class = []
-    for cid in class_ids:
-        class_gts = [g for g in gts if g.class_id == cid]
-        if count_real(class_gts) == 0:
-            continue
-        class_dets = [d for d in dets if d.class_id == cid]
-        values = [ap(rp_curve(class_gts, class_dets, cid, tau), variant) for tau in taus]
-        per_class.append(sum(values) / len(values))
-    if not per_class:
-        raise UndefinedLrp("no class has ground truth; mean AP is undefined")
-    return sum(per_class) / len(per_class)

@@ -24,16 +24,17 @@ from .dataio import (
     load_ground_truth,
     load_stream,
     load_thresholds,
-    report_to_dict,
     save_stream,
     save_thresholds,
     threshold_rows,
+    _fmt4,
     _open_out,
+    _round4,
 )
-from .ap import rp_curve
+from .ap import curve_from_labels
 from .lrp import UndefinedLrp
-from .matching import count_real
-from .sweep import DEFAULT_GRID_STEP, molrp, sweep_class
+from .matching import label_classes
+from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels
 from .video import DEFAULT_ALPHA, DEFAULT_COST_CUTOFF, run_stream, stream_to_detections
 
 EXIT_OK = 0
@@ -96,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (default: json)")
-    p_eval.add_argument("--workers", type=int, default=1,
-                        help="parallel per-class evaluation workers (default: 1)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="per-class optimal LRP at one or more taus")
@@ -176,80 +175,73 @@ def cmd_eval(args) -> int:
         tau_list=parse_tau_list(args.tau_list),
         grid_step=args.grid_step,
         ap_variant=args.ap_variant,
-        workers=args.workers,
     )
     export_report(report, args.output, args.format)
     return EXIT_OK
 
 
-_SWEEP_FIELDS = ["class_id", "class_name", "tau", "evaluable",
-                 "olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star"]
+_SWEEP_VALUES = ("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star")
+_SWEEP_FIELDS = ["class_id", "class_name", "tau", "evaluable", *_SWEEP_VALUES]
 
 
-def cmd_sweep(args) -> int:
+def _labeled_classes(args):
+    """Load the inputs and label every (class, tau) of --taus once, one
+    tau at a time so that tables come out in tau-major order."""
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
     taus = parse_tau_list(args.taus) if args.taus else (args.tau,)
+    labeled = (
+        item
+        for tau in taus
+        for item in label_classes(dataset.ground_truths, dets, dataset.class_ids(), (tau,))
+    )
+    return dataset, labeled
+
+
+def cmd_sweep(args) -> int:
+    dataset, labeled = _labeled_classes(args)
     names = dataset.category_names()
-    rows = []
-    any_evaluable = False
-    for tau in taus:
-        for cid in dataset.class_ids():
-            result = sweep_class(dataset.ground_truths, dets, cid, tau, args.grid_step)
-            any_evaluable = any_evaluable or result.evaluable
-            rows.append({
-                "class_id": cid,
-                "class_name": names[cid],
-                "tau": tau,
-                "evaluable": result.evaluable,
-                "olrp": result.olrp,
-                "olrp_iou": result.olrp_iou,
-                "olrp_fp": result.olrp_fp,
-                "olrp_fn": result.olrp_fn,
-                "s_star": result.s_star,
-            })
-    if not any_evaluable:
+    results = [
+        sweep_labels(labels, n_real, cid, tau, args.grid_step)
+        for tau, cid, labels, n_real in labeled
+    ]
+    if not any(r.evaluable for r in results):
         raise UndefinedLrp("no class has anything to evaluate")
     with _open_out(args.output) as fh:
         if args.format == "json":
-            json.dump({"schema": "lrp_sweep_v1", "rows": _rounded_rows(rows)}, fh, indent=2)
+            rows = [
+                {
+                    "class_id": r.class_id,
+                    "class_name": names[r.class_id],
+                    "tau": _round4(r.tau),
+                    "evaluable": r.evaluable,
+                    **{k: _round4(getattr(r, k)) for k in _SWEEP_VALUES},
+                }
+                for r in results
+            ]
+            json.dump({"schema": "lrp_sweep_v1", "rows": rows}, fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_SWEEP_FIELDS)
-            for row in rows:
+            for r in results:
                 writer.writerow([
-                    row["class_id"], row["class_name"], f"{row['tau']:.4f}",
-                    str(row["evaluable"]).lower(),
-                    *(("" if row[k] is None else f"{row[k]:.4f}")
-                      for k in ("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star")),
+                    r.class_id, names[r.class_id], f"{r.tau:.4f}", str(r.evaluable).lower(),
+                    *(_fmt4(getattr(r, k)) for k in _SWEEP_VALUES),
                 ])
     return EXIT_OK
 
 
-def _rounded_rows(rows):
-    out = []
-    for row in rows:
-        out.append({
-            k: (round(v, 4) if isinstance(v, float) else v) for k, v in row.items()
-        })
-    return out
-
-
 def cmd_curves(args) -> int:
-    dataset = load_ground_truth(args.gt)
-    dets = load_detections(args.det, dataset)
-    taus = parse_tau_list(args.taus) if args.taus else (args.tau,)
+    _, labeled = _labeled_classes(args)
     items = []
     any_evaluable = False
-    for tau in taus:
-        for cid in dataset.class_ids():
-            sweep = sweep_class(dataset.ground_truths, dets, cid, tau, args.grid_step)
-            any_evaluable = any_evaluable or sweep.evaluable
-            items.append(sweep)
-            class_gts = [g for g in dataset.ground_truths if g.class_id == cid]
-            if not args.no_rp and count_real(class_gts) > 0:
-                items.append(rp_curve(dataset.ground_truths, dets, cid, tau))
+    for tau, cid, labels, n_real in labeled:
+        sweep = sweep_labels(labels, n_real, cid, tau, args.grid_step)
+        any_evaluable = any_evaluable or sweep.evaluable
+        items.append(sweep)
+        if not args.no_rp and n_real > 0:
+            items.append(curve_from_labels(labels, n_real, cid, tau))
     if not any_evaluable:
         raise UndefinedLrp("no class has anything to evaluate")
     export_curves(items, args.output)
@@ -289,9 +281,8 @@ def cmd_compare(args) -> int:
             for row in doc["classes"]:
                 writer.writerow([
                     row["class_id"], row["class_name"],
-                    *(("" if row[k] is None else f"{row[k]:.4f}")
-                      for k in ("olrp_a", "olrp_b", "olrp_delta",
-                                "s_star_a", "s_star_b", "ap_a", "ap_b")),
+                    *(_fmt4(row[k]) for k in ("olrp_a", "olrp_b", "olrp_delta",
+                                              "s_star_a", "s_star_b", "ap_a", "ap_b")),
                 ])
     return EXIT_OK
 
@@ -305,23 +296,20 @@ def _comparison_doc(a, b, args) -> dict:
         classes.append({
             "class_id": ra.class_id,
             "class_name": ra.class_name,
-            "olrp_a": _r4(ra.olrp), "olrp_b": _r4(rb.olrp), "olrp_delta": _r4(delta),
-            "s_star_a": _r4(ra.s_star), "s_star_b": _r4(rb.s_star),
-            "ap_a": _r4(ra.ap_coco101), "ap_b": _r4(rb.ap_coco101),
+            "olrp_a": _round4(ra.olrp), "olrp_b": _round4(rb.olrp),
+            "olrp_delta": _round4(delta),
+            "s_star_a": _round4(ra.s_star), "s_star_b": _round4(rb.s_star),
+            "ap_a": _round4(ra.ap_coco101), "ap_b": _round4(rb.ap_coco101),
         })
     return {
         "schema": "lrp_compare_v1",
         "config": {"tau": args.tau, "grid_step": args.grid_step},
         "classes": classes,
         "summary": {
-            "molrp_a": _r4(a.molrp), "molrp_b": _r4(b.molrp),
-            "mean_ap_a": _r4(a.mean_ap), "mean_ap_b": _r4(b.mean_ap),
+            "molrp_a": _round4(a.molrp), "molrp_b": _round4(b.molrp),
+            "mean_ap_a": _round4(a.mean_ap), "mean_ap_b": _round4(b.mean_ap),
         },
     }
-
-
-def _r4(value):
-    return None if value is None else round(value, 4)
 
 
 def cmd_stream(args) -> int:
@@ -353,11 +341,11 @@ def cmd_stream(args) -> int:
         row = {
             "class_id": cid,
             "class_name": names[cid],
-            "olrp_raw": _r4(raw_eval[cid].olrp),
-            "olrp_general": _r4(general_eval[cid].olrp),
+            "olrp_raw": _round4(raw_eval[cid].olrp),
+            "olrp_general": _round4(general_eval[cid].olrp),
         }
         if specific_eval is not None:
-            row["olrp_class_specific"] = _r4(specific_eval[cid].olrp)
+            row["olrp_class_specific"] = _round4(specific_eval[cid].olrp)
         classes.append(row)
     doc = {
         "schema": "lrp_stream_compare_v1",
@@ -370,10 +358,10 @@ def cmd_stream(args) -> int:
         },
         "classes": classes,
         "summary": {
-            "molrp_raw": _r4(raw_report.molrp),
-            "molrp_general": _r4(general_report.molrp),
+            "molrp_raw": _round4(raw_report.molrp),
+            "molrp_general": _round4(general_report.molrp),
             "molrp_class_specific": (
-                _r4(specific_report.molrp) if specific_report is not None else None
+                _round4(specific_report.molrp) if specific_report is not None else None
             ),
         },
     }

@@ -15,21 +15,19 @@ import csv
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ap import AP_VARIANTS, RPCurve, ap, map_over_taus, rp_curve
+from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
 from .geometry import BoundingBox
-from .lrp import UndefinedLrp
-from .matching import ClassId, Detection, GroundTruth, count_real
+from .matching import ClassId, Detection, GroundTruth, label_classes
 from .sweep import (
     DEFAULT_GRID_STEP,
     MoLrpReport,
     SweepResult,
     aggregate_molrp,
-    sweep_class,
+    sweep_labels,
 )
 from .video import FrameDetections, StreamDetection
 
@@ -75,6 +73,8 @@ class Dataset:
 
 
 def _require(record: Mapping, key: str, where: str):
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where}: must be a JSON object")
     if key not in record:
         raise SchemaError(f"{where}.{key}: missing required field")
     return record[key]
@@ -83,11 +83,22 @@ def _require(record: Mapping, key: str, where: str):
 def _parse_bbox(raw, where: str) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, width, height], got {raw!r}")
+    for k, v in enumerate(raw):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{where}[{k}]: must be a number, got {v!r}")
     x, y, w, h = raw
     try:
         return BoundingBox.from_xywh(float(x), float(y), float(w), float(h))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _id_kind(value) -> str | None:
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return None
 
 
 def load_ground_truth(path) -> Dataset:
@@ -109,8 +120,17 @@ def load_ground_truth(path) -> Dataset:
 
     categories = []
     category_ids = set()
+    id_kind = None
     for i, cat in enumerate(data.get("categories", [])):
         cat_id = _require(cat, "id", f"categories[{i}]")
+        # Category ids are sorted, so they must all be numbers or all strings.
+        kind = _id_kind(cat_id)
+        if kind is None or kind != (id_kind or kind):
+            raise SchemaError(
+                f"categories[{i}].id: category ids must be all numbers or all strings, "
+                f"got {cat_id!r}"
+            )
+        id_kind = kind
         if cat_id in category_ids:
             raise SchemaError(f"categories[{i}].id: duplicate category id {cat_id!r}")
         category_ids.add(cat_id)
@@ -162,7 +182,7 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
         if cat_id not in category_ids:
             raise SchemaError(f"{where}.category_id: unknown category id {cat_id!r}")
         score = _require(rec, "score", where)
-        if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
             raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
         box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
         dets.append(Detection(img_id, cat_id, box, float(score)))
@@ -272,8 +292,7 @@ def threshold_rows(
     """
     names = names or {}
     rows = []
-    for cid in sorted(report.per_class, key=str):
-        result = report.per_class[cid]
+    for cid, result in report.per_class.items():
         if not result.evaluable:
             continue
         warning = None
@@ -363,50 +382,37 @@ def build_report(
     tau_list: Sequence[float] = DEFAULT_TAU_LIST,
     grid_step: float = DEFAULT_GRID_STEP,
     ap_variant: str = "coco101",
-    workers: int = 1,
 ) -> EvalReport:
     """Evaluate detections against a dataset: per-class sweep optima, AP
-    variants at tau, and the tau-averaged mean AP over tau_list."""
+    variants at tau, and the tau-averaged mean AP over tau_list.
+
+    Each (class, tau) in {tau} and tau_list is labeled once; the labels at
+    tau feed both the sweep and the AP variants.
+    """
     if ap_variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {ap_variant!r}")
-    gts = dataset.ground_truths
     class_ids = dataset.class_ids()
     names = dataset.category_names()
 
-    def evaluate_class(cid: ClassId):
-        class_gts = [g for g in gts if g.class_id == cid]
-        class_dets = [d for d in detections if d.class_id == cid]
-        sweep = sweep_class(class_gts, class_dets, cid, tau, grid_step)
-        aps = {v: None for v in AP_VARIANTS}
-        tau_avg_ap = None
-        if count_real(class_gts) > 0:
-            curve = rp_curve(class_gts, class_dets, cid, tau)
-            aps = {v: ap(curve, v) for v in AP_VARIANTS}
-            per_tau = [
-                ap(rp_curve(class_gts, class_dets, cid, t), ap_variant) for t in tau_list
-            ]
-            tau_avg_ap = sum(per_tau) / len(per_tau)
-        return cid, class_gts, class_dets, sweep, aps, tau_avg_ap
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate_class, class_ids))
-    else:
-        evaluated = [evaluate_class(cid) for cid in class_ids]
-
     rows = []
     per_class_sweeps: dict[ClassId, SweepResult] = {}
-    per_class_tau_ap = []
-    for cid, class_gts, class_dets, sweep, aps, tau_avg_ap in evaluated:
-        per_class_sweeps[cid] = sweep
-        if tau_avg_ap is not None:
-            per_class_tau_ap.append(tau_avg_ap)
+    ap_by_tau: dict[ClassId, dict[float, float]] = {cid: {} for cid in class_ids}
+    for t, cid, labels, n_real in label_classes(
+        dataset.ground_truths, detections, class_ids, dict.fromkeys((tau, *tau_list))
+    ):
+        curve = curve_from_labels(labels, n_real, cid, t) if n_real else None
+        if curve is not None and t in tau_list:
+            ap_by_tau[cid][t] = ap(curve, ap_variant)
+        if t != tau:
+            continue
+        per_class_sweeps[cid] = sweep = sweep_labels(labels, n_real, cid, tau, grid_step)
+        aps = {v: None if curve is None else ap(curve, v) for v in AP_VARIANTS}
         rows.append(
             ClassReportRow(
                 class_id=cid,
                 class_name=names[cid],
-                n_gt=count_real(class_gts),
-                n_det=len(class_dets),
+                n_gt=n_real,
+                n_det=len(labels),
                 evaluable=sweep.evaluable,
                 olrp=sweep.olrp,
                 olrp_iou=sweep.olrp_iou,
@@ -418,6 +424,9 @@ def build_report(
                 ap_coco101=aps["coco101"],
             )
         )
+    per_class_tau_ap = [
+        sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
+    ]
 
     summary = aggregate_molrp(per_class_sweeps, tau)
     if per_class_tau_ap:

@@ -131,15 +131,12 @@ class DasaParams:
 
     p: float = 1.0
     c: float = 0.5
-    base_distance: str = "one_minus_iou"
 
     def __post_init__(self):
         if self.p < 1.0:
             raise ValueError(f"norm parameter p must be >= 1, got {self.p}")
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"cutoff c must be in (0, 1], got {self.c}")
-        if self.base_distance != "one_minus_iou":
-            raise ValueError(f"unsupported base distance {self.base_distance!r}")
 
 
 def dasa(xs: Sequence[BoundingBox], ys: Sequence[BoundingBox], params: DasaParams) -> float:

@@ -10,7 +10,7 @@ set-distance machinery and its symmetry/optimality property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -148,6 +148,35 @@ def label_detections(
 def count_real(gts: Sequence[GroundTruth]) -> int:
     """Number of non-ignored ground truths."""
     return sum(1 for g in gts if not g.ignore)
+
+
+def label_classes(
+    gts: Sequence[GroundTruth],
+    dets: Sequence[Detection],
+    class_ids: Sequence[ClassId],
+    taus: Sequence[float],
+) -> Iterator[tuple[float, ClassId, list[DetectionLabel], int]]:
+    """Greedy labels of every (class, tau) pair, each labeled exactly once.
+
+    Ground truths and detections are grouped by class in one pass;
+    records of classes outside class_ids are skipped. Yields
+    (tau, class_id, labels, n_real) for each class in order, then each
+    tau in order, where n_real counts the class's non-ignored ground
+    truths and label indices refer to the class's records in input order.
+    Repeated taus are labeled again, once per occurrence. Class-major
+    order keeps one class's records hot in cache across its taus.
+    """
+    class_gts: dict[ClassId, list[GroundTruth]] = {cid: [] for cid in class_ids}
+    class_dets: dict[ClassId, list[Detection]] = {cid: [] for cid in class_ids}
+    for records, groups in ((gts, class_gts), (dets, class_dets)):
+        for record in records:
+            group = groups.get(record.class_id)
+            if group is not None:
+                group.append(record)
+    n_real = {cid: count_real(group) for cid, group in class_gts.items()}
+    for cid in class_ids:
+        for tau in taus:
+            yield tau, cid, label_detections(class_gts[cid], class_dets[cid], tau), n_real[cid]
 
 
 def result_from_labels(labels: Sequence[DetectionLabel], n_real_gts: int) -> MatchResult:

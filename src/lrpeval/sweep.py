@@ -5,7 +5,9 @@ The score domain is discretized into a fixed grid (0.01 steps by default,
 optimal LRP is the minimum over the defined samples. Greedy matching
 labels are prefix-stable, so one labeling pass at tau serves the whole
 grid and thresholds sharing the same retained detection set produce
-bitwise-identical breakdowns.
+bitwise-identical breakdowns. The same labels also build the class's
+recall-precision curve (`ap.curve_from_labels`): callers label each
+(class, tau) once with `matching.label_classes` and feed both consumers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts
-from .matching import ClassId, Detection, GroundTruth, check_tau, count_real, label_detections
+from .matching import ClassId, Detection, DetectionLabel, GroundTruth, label_classes
 
 DEFAULT_GRID_STEP = 0.01
 
@@ -61,15 +63,6 @@ class SweepResult:
     olrp_fn: float | None
 
 
-def _class_subset(
-    gts: Sequence[GroundTruth], dets: Sequence[Detection], class_id: ClassId
-) -> tuple[list[GroundTruth], list[Detection]]:
-    return (
-        [g for g in gts if g.class_id == class_id],
-        [d for d in dets if d.class_id == class_id],
-    )
-
-
 def sweep_class(
     gts: Sequence[GroundTruth],
     dets: Sequence[Detection],
@@ -78,11 +71,20 @@ def sweep_class(
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> SweepResult:
     """Sweep the score-threshold grid for one class and pick its optimum."""
-    check_tau(tau)
+    ((_, _, labels, n_real),) = label_classes(gts, dets, (class_id,), (tau,))
+    return sweep_labels(labels, n_real, class_id, tau, grid_step)
+
+
+def sweep_labels(
+    labels: Sequence[DetectionLabel],
+    n_real: int,
+    class_id: ClassId,
+    tau: float,
+    grid_step: float = DEFAULT_GRID_STEP,
+) -> SweepResult:
+    """Sweep the grid over one class's greedy labels at tau; n_real is
+    the class's count of non-ignored ground truths."""
     grid = threshold_grid(grid_step)
-    class_gts, class_dets = _class_subset(gts, dets, class_id)
-    labels = label_detections(class_gts, class_dets, tau)
-    n_real = count_real(class_gts)
 
     # Prefix accumulators over the descending-score label order. The
     # running loc-error sum is stored once per prefix so equal prefixes
@@ -93,13 +95,10 @@ def sweep_class(
     cum_tp = [0] * (n + 1)
     cum_ign = [0] * (n + 1)
     cum_loc = [0.0] * (n + 1)
-    tp_pairs_full = []
     for i, lab in enumerate(labels):
         cum_tp[i + 1] = cum_tp[i] + (lab.kind == "tp")
         cum_ign[i + 1] = cum_ign[i] + (lab.kind == "ignored")
         cum_loc[i + 1] = cum_loc[i] + ((1.0 - lab.iou) if lab.kind == "tp" else 0.0)
-        if lab.kind == "tp":
-            tp_pairs_full.append((lab.det_index, lab.gt_index, lab.iou))
 
     samples = []
     for s in grid:
@@ -169,7 +168,8 @@ def molrp(
 ) -> MoLrpReport:
     """Sweep every class and average the per-class optima."""
     per_class = {
-        cid: sweep_class(gts, dets, cid, tau, grid_step) for cid in class_ids
+        cid: sweep_labels(labels, n_real, cid, tau, grid_step)
+        for _, cid, labels, n_real in label_classes(gts, dets, class_ids, (tau,))
     }
     return aggregate_molrp(per_class, tau)
 
@@ -191,13 +191,3 @@ def aggregate_molrp(per_class: dict[ClassId, SweepResult], tau: float) -> MoLrpR
         not_evaluable=tuple(cid for cid, r in per_class.items() if not r.evaluable),
     )
 
-
-def olrp_at_tau_sweep(
-    gts: Sequence[GroundTruth],
-    dets: Sequence[Detection],
-    class_id: ClassId,
-    taus: Sequence[float],
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> list[tuple[float, SweepResult]]:
-    """Independent score sweep of one class at each requested tau."""
-    return [(tau, sweep_class(gts, dets, class_id, tau, grid_step)) for tau in taus]

@@ -6,11 +6,11 @@ from lrpeval import (
     BoundingBox,
     Detection,
     GroundTruth,
-    UndefinedLrp,
     ap,
-    map_over_taus,
+    build_report,
     rp_curve,
 )
+from lrpeval.dataio import Category, Dataset, ImageInfo
 from lrpeval.synth import reference_detectors
 from oracles import integrate_rp_points, random_boxes, rematch_rp_points
 
@@ -149,6 +149,12 @@ class TestAp:
         assert ap(curve, "coco101") == pytest.approx(cont, abs=0.02)
 
 
+def map_over_taus(gts, dets, class_ids, taus):
+    """Mean AP over classes and taus, as the evaluation report computes it."""
+    dataset = Dataset((ImageInfo(0),), tuple(Category(c, str(c)) for c in class_ids), tuple(gts))
+    return build_report(dataset, dets, tau_list=taus).mean_ap
+
+
 class TestMapOverTaus:
     TAUS = tuple(i / 100 for i in range(50, 100, 5))
 
@@ -180,6 +186,6 @@ class TestMapOverTaus:
         ]
         assert map_over_taus(gts, dets, [1, 2], self.TAUS) == 1.0
 
-    def test_no_scorable_class_raises(self):
-        with pytest.raises(UndefinedLrp):
-            map_over_taus([], [Detection(0, 1, box_at(0), 0.8)], [1], self.TAUS)
+    def test_no_scorable_class_leaves_mean_ap_unset(self, caplog):
+        assert map_over_taus([], [Detection(0, 1, box_at(0), 0.8)], [1], self.TAUS) is None
+        assert "mean AP left unset" in caplog.text

@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from lrpeval import BoundingBox, Detection, GroundTruth, sweep_class
-from lrpeval.cli import main, parse_tau_list
+from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Category, Dataset, ImageInfo, save_ground_truth, save_stream
 from lrpeval.synth import StreamClassSpec, generate_stream, reference_detectors
 
@@ -37,6 +39,10 @@ def write_fixture(tmp_path, name, gts, dets, categories=None):
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
     return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
+
+
+def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
+    return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
 
 
 class TestParseTauList:
@@ -111,6 +117,14 @@ class TestEval:
         assert code == 2
         assert "detections[0].score" in capsys.readouterr().err
 
+    def test_non_object_detection_exits_2(self, tmp_path, capsys):
+        gt_path, _ = write_fixture(tmp_path, "p", [GroundTruth(0, 1, box_at(0))], [])
+        det = tmp_path / "det.json"
+        det.write_text("[1, 2]")
+        code = main(["eval", "--gt", gt_path, "--det", str(det)])
+        assert code == 2
+        assert "detections[0]: must be a JSON object" in capsys.readouterr().err
+
     def test_nothing_evaluable_exits_3(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps({"images": [], "annotations": [], "categories": [{"id": 1, "name": "x"}]}))
@@ -134,14 +148,6 @@ class TestEval:
         code = main(["eval", "--gt", gt_path, "--det", det_path, "--format", "csv", "--output", str(out)])
         assert code == 0
         assert out.read_text().startswith("# lrp_report_v1")
-
-    def test_workers_flag_gives_same_bytes(self, tmp_path):
-        gts, dets = reference_detectors()["tradeoff"]
-        gt_path, det_path = write_fixture(tmp_path, "t", gts, dets)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", str(a)]) == 0
-        assert main(["eval", "--gt", gt_path, "--det", det_path, "--workers", "4", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -225,6 +231,17 @@ class TestThresholdsCommand:
         oracle = {cid: sweep_class(gts, dets, cid, 0.5).s_star for cid in (1, 2)}
         assert emitted == oracle == {1: 0.30, 2: 0.80}
 
+    def test_rows_follow_class_id_order(self, tmp_path):
+        gts = [GroundTruth(0, c, box_at(c)) for c in range(1, 13)]
+        dets = [Detection(0, c, box_at(c), 0.5) for c in range(1, 13)]
+        gt_path, det_path = write_fixture(tmp_path, "twelve", gts, dets)
+        thr, report = tmp_path / "thr.json", tmp_path / "report.json"
+        assert main(["thresholds", "--gt", gt_path, "--det", det_path, "--output", str(thr)]) == 0
+        assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", str(report)]) == 0
+        rows = [row["class_id"] for row in json.loads(thr.read_text())["thresholds"]]
+        assert rows == list(range(1, 13))
+        assert rows == [row["class_id"] for row in json.loads(report.read_text())["classes"]]
+
     def test_empty_detections_warn_and_zero(self, tmp_path, capsys):
         gt_path, det_path = write_fixture(tmp_path, "e", [GroundTruth(0, 1, box_at(0))], [])
         out = tmp_path / "thr.json"
@@ -235,6 +252,40 @@ class TestThresholdsCommand:
         assert doc["thresholds"][0]["olrp"] == 1.0
         assert "no detections" in doc["thresholds"][0]["warning"]
         assert "no detections" in capsys.readouterr().err
+
+
+class TestLabelOnce:
+    """Every command labels each (class, tau) it reports exactly once."""
+
+    CLASSES = (1, 2, 3)
+
+    @pytest.mark.parametrize("argv, taus", [
+        (["eval"], (0.5, *parse_tau_list(DEFAULT_TAU_RANGE))),
+        (["eval", "--tau", "0.7", "--tau-list", "0.5,0.6"], (0.7, 0.5, 0.6)),
+        (["curves", "--taus", "0.5,0.75"], (0.5, 0.75)),
+        (["sweep", "--taus", "0.5,0.75"], (0.5, 0.75)),
+        (["thresholds"], (0.5,)),
+    ], ids=["eval", "eval-tau-outside-list", "curves", "sweep", "thresholds"])
+    def test_each_class_and_tau_labeled_once(self, tmp_path, monkeypatch, argv, taus):
+        gts, dets = [], []
+        for c in self.CLASSES:
+            for i in range(3):
+                gts.append(GroundTruth(i, c, box_at(c)))
+                dets.append(Detection(i, c, shrunk(box_at(c), 0.6 + i / 10), 0.3 + i / 10))
+                dets.append(Detection(i, c, box_at(c + 10), 0.5))
+        gt_path, det_path = write_fixture(tmp_path, "three", gts, dets)
+        # lrpeval.ap is shadowed by the function ap, so reach modules via sys.modules
+        matching = sys.modules["lrpeval.matching"]
+        real, calls = matching.label_detections, Counter()
+
+        def counting(gts, dets, tau):
+            calls[((gts or dets)[0].class_id, tau)] += 1
+            return real(gts, dets, tau)
+
+        monkeypatch.setattr(matching, "label_detections", counting)
+        out = str(tmp_path / "out")
+        assert main([*argv, "--gt", gt_path, "--det", det_path, "--output", out]) == 0
+        assert calls == {(c, t): 1 for c in self.CLASSES for t in taus}
 
 
 class TestCompare:

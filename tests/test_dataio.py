@@ -98,6 +98,19 @@ class TestLoadGroundTruth:
         with pytest.raises(SchemaError, match=r"annotations\[0\].category_id.*42"):
             load_ground_truth(path)
 
+    def test_mixed_category_id_types_rejected(self, tmp_path):
+        path = minimal_gt(tmp_path, categories=[{"id": 3, "name": "cat"}, {"id": "dog"}])
+        with pytest.raises(SchemaError, match=r"categories\[1\]\.id: category ids must be all"):
+            load_ground_truth(path)
+
+    def test_bool_bbox_coordinate_rejected(self, tmp_path):
+        path = minimal_gt(
+            tmp_path,
+            annotations=[{"id": 1, "image_id": 1, "category_id": 3, "bbox": [0, True, 5, 5]}],
+        )
+        with pytest.raises(SchemaError, match=r"annotations\[0\]\.bbox\[1\]: must be a number"):
+            load_ground_truth(path)
+
     def test_out_of_image_box_warns_but_loads(self, tmp_path, caplog):
         path = minimal_gt(
             tmp_path,
@@ -130,6 +143,15 @@ class TestLoadDetections:
             [{"image_id": 1, "category_id": 3, "bbox": [0, 0, 5, 5], "score": 1.5}],
         )
         with pytest.raises(SchemaError, match=r"detections\[0\].score"):
+            load_detections(path, ds)
+
+    def test_bool_score_rejected(self, tmp_path):
+        ds = load_ground_truth(minimal_gt(tmp_path))
+        path = write_json(
+            tmp_path / "det.json",
+            [{"image_id": 1, "category_id": 3, "bbox": [0, 0, 5, 5], "score": True}],
+        )
+        with pytest.raises(SchemaError, match=r"detections\[0\]\.score"):
             load_detections(path, ds)
 
     def test_unknown_ids_named(self, tmp_path):
@@ -306,10 +328,6 @@ class TestBuildAndExportReport:
         doc = report_to_dict(report)
         assert all("s_star" in row for row in doc["classes"])
         assert len(doc["classes"]) == 2
-
-    def test_workers_do_not_change_the_report(self):
-        ds, dets = trio_dataset()
-        assert build_report(ds, dets, workers=4) == build_report(ds, dets, workers=1)
 
 
 class TestExportCurves:

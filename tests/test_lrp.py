@@ -194,8 +194,6 @@ class TestDasa:
             DasaParams(c=0.0)
         with pytest.raises(ValueError):
             DasaParams(c=1.5)
-        with pytest.raises(ValueError):
-            DasaParams(base_distance="euclidean")
 
 
 class TestMetricModeProperties:

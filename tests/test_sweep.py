@@ -10,7 +10,6 @@ from lrpeval import (
     lrp_components,
     match_greedy,
     molrp,
-    olrp_at_tau_sweep,
     sweep_class,
     threshold_grid,
 )
@@ -214,14 +213,14 @@ class TestOlrpAtTau:
     def test_perfect_detector_is_zero_at_every_tau(self):
         gts = [GroundTruth(0, 1, box_at(0))]
         dets = [Detection(0, 1, box_at(0), 0.8)]
-        for tau, result in olrp_at_tau_sweep(gts, dets, 1, [0.5, 0.75, 0.9]):
-            assert result.olrp == 0.0, f"tau={tau}"
+        for tau in (0.5, 0.75, 0.9):
+            assert sweep_class(gts, dets, 1, tau).olrp == 0.0, f"tau={tau}"
 
     def test_loose_boxes_flip_to_fp_above_their_overlap(self):
         # all TPs at IoU 0.55: validated at tau 0.5, pure FP from tau 0.6 on
         gts = [GroundTruth(0, 1, box_at(i)) for i in range(2)]
         dets = [Detection(0, 1, shrunk(box_at(i), 0.55), 0.9 - i / 10) for i in range(2)]
-        results = dict(olrp_at_tau_sweep(gts, dets, 1, [0.5, 0.6, 0.75]))
+        results = {tau: sweep_class(gts, dets, 1, tau) for tau in (0.5, 0.6, 0.75)}
         assert results[0.5].olrp < 1.0
         assert results[0.6].olrp == 1.0
         assert results[0.75].olrp == 1.0
@@ -234,5 +233,5 @@ class TestOlrpAtTau:
             for i in range(6)
         ]
         taus = [0.5, 0.6, 0.7, 0.8, 0.9]
-        values = [r.olrp for _, r in olrp_at_tau_sweep(gts, dets, 1, taus)]
+        values = [sweep_class(gts, dets, 1, tau).olrp for tau in taus]
         assert values == sorted(values)
