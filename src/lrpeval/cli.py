@@ -9,7 +9,6 @@ Identical invocations on identical inputs write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -24,12 +23,12 @@ from .dataio import (
     load_ground_truth,
     load_stream,
     load_thresholds,
+    round_row,
     save_stream,
     save_thresholds,
     threshold_rows,
-    _fmt4,
-    _open_out,
-    _round4,
+    write_csv,
+    write_json,
 )
 from .ap import curve_from_labels
 from .lrp import UndefinedLrp
@@ -180,10 +179,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_VALUES = ("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star")
-_SWEEP_FIELDS = ["class_id", "class_name", "tau", "evaluable", *_SWEEP_VALUES]
-
-
 def _labeled_classes(args):
     """Load the inputs and label every (class, tau) of --taus once, one
     tau at a time so that tables come out in tau-major order."""
@@ -207,28 +202,20 @@ def cmd_sweep(args) -> int:
     ]
     if not any(r.evaluable for r in results):
         raise UndefinedLrp("no class has anything to evaluate")
-    with _open_out(args.output) as fh:
-        if args.format == "json":
-            rows = [
-                {
-                    "class_id": r.class_id,
-                    "class_name": names[r.class_id],
-                    "tau": _round4(r.tau),
-                    "evaluable": r.evaluable,
-                    **{k: _round4(getattr(r, k)) for k in _SWEEP_VALUES},
-                }
-                for r in results
-            ]
-            json.dump({"schema": "lrp_sweep_v1", "rows": rows}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SWEEP_FIELDS)
-            for r in results:
-                writer.writerow([
-                    r.class_id, names[r.class_id], f"{r.tau:.4f}", str(r.evaluable).lower(),
-                    *(_fmt4(getattr(r, k)) for k in _SWEEP_VALUES),
-                ])
+    rows = [
+        round_row({
+            "class_id": r.class_id,
+            "class_name": names[r.class_id],
+            "tau": r.tau,
+            "evaluable": r.evaluable,
+            **r.optimum(),
+        })
+        for r in results
+    ]
+    if args.format == "json":
+        write_json({"schema": "lrp_sweep_v1", "rows": rows}, args.output)
+    else:
+        write_csv(rows, args.output)
     return EXIT_OK
 
 
@@ -267,48 +254,36 @@ def cmd_compare(args) -> int:
             dataset, dets, tau=args.tau, tau_list=tau_list, grid_step=args.grid_step
         )
     doc = _comparison_doc(reports["a"], reports["b"], args)
-    with _open_out(args.output) as fh:
-        if args.format == "json":
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([
-                "class_id", "class_name",
-                "olrp_a", "olrp_b", "olrp_delta",
-                "s_star_a", "s_star_b", "ap_a", "ap_b",
-            ])
-            for row in doc["classes"]:
-                writer.writerow([
-                    row["class_id"], row["class_name"],
-                    *(_fmt4(row[k]) for k in ("olrp_a", "olrp_b", "olrp_delta",
-                                              "s_star_a", "s_star_b", "ap_a", "ap_b")),
-                ])
+    if args.format == "json":
+        write_json(doc, args.output)
+    else:
+        write_csv(doc["classes"], args.output)
     return EXIT_OK
 
 
 def _comparison_doc(a, b, args) -> dict:
     classes = []
     for ra, rb in zip(a.rows, b.rows):
+        sa, sb = ra.sweep, rb.sweep
         delta = None
-        if ra.olrp is not None and rb.olrp is not None:
-            delta = rb.olrp - ra.olrp
-        classes.append({
-            "class_id": ra.class_id,
+        if sa.olrp is not None and sb.olrp is not None:
+            delta = sb.olrp - sa.olrp
+        classes.append(round_row({
+            "class_id": sa.class_id,
             "class_name": ra.class_name,
-            "olrp_a": _round4(ra.olrp), "olrp_b": _round4(rb.olrp),
-            "olrp_delta": _round4(delta),
-            "s_star_a": _round4(ra.s_star), "s_star_b": _round4(rb.s_star),
-            "ap_a": _round4(ra.ap_coco101), "ap_b": _round4(rb.ap_coco101),
-        })
+            "olrp_a": sa.olrp, "olrp_b": sb.olrp,
+            "olrp_delta": delta,
+            "s_star_a": sa.s_star, "s_star_b": sb.s_star,
+            "ap_a": ra.ap_coco101, "ap_b": rb.ap_coco101,
+        }))
     return {
         "schema": "lrp_compare_v1",
         "config": {"tau": args.tau, "grid_step": args.grid_step},
         "classes": classes,
-        "summary": {
-            "molrp_a": _round4(a.molrp), "molrp_b": _round4(b.molrp),
-            "mean_ap_a": _round4(a.mean_ap), "mean_ap_b": _round4(b.mean_ap),
-        },
+        "summary": round_row({
+            "molrp_a": a.lrp.molrp, "molrp_b": b.lrp.molrp,
+            "mean_ap_a": a.mean_ap, "mean_ap_b": b.mean_ap,
+        }),
     }
 
 
@@ -318,35 +293,34 @@ def cmd_stream(args) -> int:
     class_ids = dataset.class_ids()
     names = dataset.category_names()
 
-    def evaluate(dets):
-        report = molrp(dataset.ground_truths, dets, class_ids, args.tau, args.grid_step)
-        return {cid: report.per_class[cid] for cid in class_ids}, report
+    def evaluate(frames):
+        dets = stream_to_detections(frames)
+        return molrp(dataset.ground_truths, dets, class_ids, args.tau, args.grid_step)
 
-    raw_eval, raw_report = evaluate(stream_to_detections(frames))
-    general = run_stream(frames, {}, args.alpha, args.cost_cutoff, args.threshold)
-    general_eval, general_report = evaluate(stream_to_detections(general.frames))
+    raw = evaluate(frames)
+    general_run = run_stream(frames, {}, args.alpha, args.cost_cutoff, args.threshold)
+    general = evaluate(general_run.frames)
 
-    specific = None
-    specific_eval = specific_report = None
+    specific_run = specific = None
     if args.thresholds_file:
         thresholds = load_thresholds(args.thresholds_file)
-        specific = run_stream(frames, thresholds, args.alpha, args.cost_cutoff, args.threshold)
-        specific_eval, specific_report = evaluate(stream_to_detections(specific.frames))
+        specific_run = run_stream(frames, thresholds, args.alpha, args.cost_cutoff, args.threshold)
+        specific = evaluate(specific_run.frames)
 
     if args.filtered_output:
-        save_stream((specific or general).frames, args.filtered_output)
+        save_stream((specific_run or general_run).frames, args.filtered_output)
 
     classes = []
     for cid in class_ids:
         row = {
             "class_id": cid,
             "class_name": names[cid],
-            "olrp_raw": _round4(raw_eval[cid].olrp),
-            "olrp_general": _round4(general_eval[cid].olrp),
+            "olrp_raw": raw.per_class[cid].olrp,
+            "olrp_general": general.per_class[cid].olrp,
         }
-        if specific_eval is not None:
-            row["olrp_class_specific"] = _round4(specific_eval[cid].olrp)
-        classes.append(row)
+        if specific is not None:
+            row["olrp_class_specific"] = specific.per_class[cid].olrp
+        classes.append(round_row(row))
     doc = {
         "schema": "lrp_stream_compare_v1",
         "config": {
@@ -357,17 +331,13 @@ def cmd_stream(args) -> int:
             "thresholds_file": args.thresholds_file,
         },
         "classes": classes,
-        "summary": {
-            "molrp_raw": _round4(raw_report.molrp),
-            "molrp_general": _round4(general_report.molrp),
-            "molrp_class_specific": (
-                _round4(specific_report.molrp) if specific_report is not None else None
-            ),
-        },
+        "summary": round_row({
+            "molrp_raw": raw.molrp,
+            "molrp_general": general.molrp,
+            "molrp_class_specific": None if specific is None else specific.molrp,
+        }),
     }
-    with _open_out(args.output) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, args.output)
     return EXIT_OK
 
 

@@ -16,8 +16,8 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
 from .geometry import BoundingBox
@@ -80,11 +80,43 @@ def _require(record: Mapping, key: str, where: str):
     return record[key]
 
 
+def _require_id(record: Mapping, key: str, where: str):
+    """A required field that is used as a dictionary key."""
+    value = _require(record, key, where)
+    if not isinstance(value, Hashable):
+        raise SchemaError(f"{where}.{key}: must be a number or a string, got {value!r}")
+    return value
+
+
+def _require_known(record: Mapping, key: str, where: str, known, what: str):
+    """A required id field that must name one of the known ids."""
+    value = _require(record, key, where)
+    try:
+        if value in known:
+            return value
+    except TypeError:  # unhashable: an array or an object
+        pass
+    raise SchemaError(f"{where}.{key}: unknown {what} id {value!r}")
+
+
+def _array(record: Mapping, key: str, where: str = "") -> list:
+    """An optional array field; absent means empty."""
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        path = f"{where}.{key}" if where else key
+        raise SchemaError(f"{path}: must be an array, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_bbox(raw, where: str) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise SchemaError(f"{where}: bbox must be [x, y, width, height], got {raw!r}")
     for k, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise SchemaError(f"{where}[{k}]: must be a number, got {v!r}")
     x, y, w, h = raw
     try:
@@ -96,7 +128,7 @@ def _parse_bbox(raw, where: str) -> BoundingBox:
 def _id_kind(value) -> str | None:
     if isinstance(value, str):
         return "string"
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return "number"
     return None
 
@@ -110,18 +142,21 @@ def load_ground_truth(path) -> Dataset:
 
     images = []
     image_ids = set()
-    for i, img in enumerate(data.get("images", [])):
-        img_id = _require(img, "id", f"images[{i}]")
+    for i, img in enumerate(_array(data, "images")):
+        img_id = _require_id(img, "id", f"images[{i}]")
         if img_id in image_ids:
             raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
         image_ids.add(img_id)
+        for key in ("width", "height"):
+            if img.get(key) is not None and not _is_number(img[key]):
+                raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
         images.append(ImageInfo(img_id, img.get("width"), img.get("height")))
     image_by_id = {im.id: im for im in images}
 
     categories = []
     category_ids = set()
     id_kind = None
-    for i, cat in enumerate(data.get("categories", [])):
+    for i, cat in enumerate(_array(data, "categories")):
         cat_id = _require(cat, "id", f"categories[{i}]")
         # Category ids are sorted, so they must all be numbers or all strings.
         kind = _id_kind(cat_id)
@@ -137,14 +172,10 @@ def load_ground_truth(path) -> Dataset:
         categories.append(Category(cat_id, str(cat.get("name", cat_id))))
 
     gts = []
-    for i, ann in enumerate(data.get("annotations", [])):
+    for i, ann in enumerate(_array(data, "annotations")):
         where = f"annotations[{i}]"
-        img_id = _require(ann, "image_id", where)
-        if img_id not in image_ids:
-            raise SchemaError(f"{where}.image_id: unknown image id {img_id!r}")
-        cat_id = _require(ann, "category_id", where)
-        if cat_id not in category_ids:
-            raise SchemaError(f"{where}.category_id: unknown category id {cat_id!r}")
+        img_id = _require_known(ann, "image_id", where, image_ids, "image")
+        cat_id = _require_known(ann, "category_id", where, category_ids, "category")
         raw_bbox = _require(ann, "bbox", where)
         try:
             box = _parse_bbox(raw_bbox, f"{where}.bbox")
@@ -175,14 +206,10 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
     dets = []
     for i, rec in enumerate(data):
         where = f"detections[{i}]"
-        img_id = _require(rec, "image_id", where)
-        if img_id not in image_ids:
-            raise SchemaError(f"{where}.image_id: unknown image id {img_id!r}")
-        cat_id = _require(rec, "category_id", where)
-        if cat_id not in category_ids:
-            raise SchemaError(f"{where}.category_id: unknown category id {cat_id!r}")
+        img_id = _require_known(rec, "image_id", where, image_ids, "image")
+        cat_id = _require_known(rec, "category_id", where, category_ids, "category")
         score = _require(rec, "score", where)
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+        if not _is_number(score) or not 0.0 <= score <= 1.0:
             raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
         box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
         dets.append(Detection(img_id, cat_id, box, float(score)))
@@ -200,7 +227,7 @@ def save_detections(dets: Sequence[Detection], path) -> None:
         }
         for d in dets
     ]
-    _dump_json(records, path)
+    write_json(records, path)
 
 
 def save_ground_truth(dataset: Dataset, path) -> None:
@@ -221,7 +248,7 @@ def save_ground_truth(dataset: Dataset, path) -> None:
         ],
         "categories": [{"id": c.id, "name": c.name} for c in dataset.categories],
     }
-    _dump_json(doc, path)
+    write_json(doc, path)
 
 
 def load_stream(path) -> list[FrameDetections]:
@@ -232,22 +259,27 @@ def load_stream(path) -> list[FrameDetections]:
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
     frames = []
-    for i, frame in enumerate(data["frames"]):
+    for i, frame in enumerate(_array(data, "frames")):
         where = f"frames[{i}]"
         index = _require(frame, "frame_index", where)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise SchemaError(f"{where}.frame_index: must be an integer, got {index!r}")
         dets = []
-        for j, rec in enumerate(frame.get("detections", [])):
+        for j, rec in enumerate(_array(frame, "detections", where)):
             dwhere = f"{where}.detections[{j}]"
-            class_id = _require(rec, "class_id", dwhere)
+            class_id = _require_id(rec, "class_id", dwhere)
             box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
             raw_scores = _require(rec, "class_scores", dwhere)
             if not isinstance(raw_scores, list):
                 raise SchemaError(f"{dwhere}.class_scores: must be an array")
+            for k, v in enumerate(raw_scores):
+                if not _is_number(v):
+                    raise SchemaError(f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}")
             try:
                 dets.append(StreamDetection(class_id, box, tuple(float(v) for v in raw_scores)))
             except ValueError as exc:
                 raise SchemaError(f"{dwhere}.class_scores: {exc}") from exc
-        frames.append(FrameDetections(int(index), tuple(dets)))
+        frames.append(FrameDetections(index, tuple(dets)))
     return frames
 
 
@@ -268,7 +300,7 @@ def save_stream(frames: Sequence[FrameDetections], path) -> None:
             for frame in frames
         ]
     }
-    _dump_json(doc, path)
+    write_json(doc, path)
 
 
 @dataclass(frozen=True)
@@ -310,18 +342,9 @@ def save_thresholds(rows: Sequence[ThresholdRow], tau: float, path) -> None:
     doc = {
         "schema": THRESHOLDS_SCHEMA,
         "tau": tau,
-        "thresholds": [
-            {
-                "class_id": r.class_id,
-                "class_name": r.class_name,
-                "s_star": round(r.s_star, 4),
-                "olrp": round(r.olrp, 4),
-                "warning": r.warning,
-            }
-            for r in rows
-        ],
+        "thresholds": [round_row(asdict(r)) for r in rows],
     }
-    _dump_json(doc, path)
+    write_json(doc, path)
 
 
 def load_thresholds(path) -> dict[ClassId, float]:
@@ -330,26 +353,24 @@ def load_thresholds(path) -> dict[ClassId, float]:
     if not isinstance(data, dict) or data.get("schema") != THRESHOLDS_SCHEMA:
         raise SchemaError(f"root: expected a {THRESHOLDS_SCHEMA} document")
     out = {}
-    for i, rec in enumerate(data.get("thresholds", [])):
-        cid = _require(rec, "class_id", f"thresholds[{i}]")
-        out[cid] = float(_require(rec, "s_star", f"thresholds[{i}]"))
+    for i, rec in enumerate(_array(data, "thresholds")):
+        cid = _require_id(rec, "class_id", f"thresholds[{i}]")
+        s_star = _require(rec, "s_star", f"thresholds[{i}]")
+        if not _is_number(s_star) or not 0.0 <= s_star <= 1.0:
+            raise SchemaError(f"thresholds[{i}].s_star: must be a number in [0, 1], got {s_star!r}")
+        out[cid] = float(s_star)
     return out
 
 
 @dataclass(frozen=True)
 class ClassReportRow:
-    """One class of an evaluation report."""
+    """One class of an evaluation report: its sweep at the report's tau
+    plus the counts and AP variants the sweep does not hold."""
 
-    class_id: ClassId
     class_name: str
     n_gt: int
     n_det: int
-    evaluable: bool
-    olrp: float | None
-    olrp_iou: float | None
-    olrp_fp: float | None
-    olrp_fn: float | None
-    s_star: float | None
+    sweep: SweepResult
     ap_continuous: float | None
     ap_pascal11: float | None
     ap_coco101: float | None
@@ -357,22 +378,16 @@ class ClassReportRow:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-class rows plus the summary means; every summary value is
-    recomputable from the rows."""
+    """Per-class rows, the class-mean LRP report over their sweeps, and
+    the tau-averaged mean AP."""
 
     tau: float
     grid_step: float
     ap_variant: str
     tau_list: tuple[float, ...]
     rows: tuple[ClassReportRow, ...]
-    molrp: float
-    molrp_iou: float | None
-    molrp_fp: float | None
-    molrp_fn: float | None
+    lrp: MoLrpReport
     mean_ap: float | None
-    s_star_min: float
-    s_star_max: float
-    not_evaluable: tuple[ClassId, ...]
 
 
 def build_report(
@@ -406,62 +421,33 @@ def build_report(
         if t != tau:
             continue
         per_class_sweeps[cid] = sweep = sweep_labels(labels, n_real, cid, tau, grid_step)
-        aps = {v: None if curve is None else ap(curve, v) for v in AP_VARIANTS}
-        rows.append(
-            ClassReportRow(
-                class_id=cid,
-                class_name=names[cid],
-                n_gt=n_real,
-                n_det=len(labels),
-                evaluable=sweep.evaluable,
-                olrp=sweep.olrp,
-                olrp_iou=sweep.olrp_iou,
-                olrp_fp=sweep.olrp_fp,
-                olrp_fn=sweep.olrp_fn,
-                s_star=sweep.s_star,
-                ap_continuous=aps["continuous"],
-                ap_pascal11=aps["pascal11"],
-                ap_coco101=aps["coco101"],
-            )
-        )
+        aps = {f"ap_{v}": None if curve is None else ap(curve, v) for v in AP_VARIANTS}
+        rows.append(ClassReportRow(names[cid], n_real, len(labels), sweep, **aps))
     per_class_tau_ap = [
         sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]
 
-    summary = aggregate_molrp(per_class_sweeps, tau)
+    lrp = aggregate_molrp(per_class_sweeps, tau)
     if per_class_tau_ap:
         mean_ap = sum(per_class_tau_ap) / len(per_class_tau_ap)
     else:
         logger.warning("no class has ground truth; mean AP left unset")
         mean_ap = None
-
-    return EvalReport(
-        tau=tau,
-        grid_step=grid_step,
-        ap_variant=ap_variant,
-        tau_list=tuple(tau_list),
-        rows=tuple(rows),
-        molrp=summary.molrp,
-        molrp_iou=summary.molrp_iou,
-        molrp_fp=summary.molrp_fp,
-        molrp_fn=summary.molrp_fn,
-        mean_ap=mean_ap,
-        s_star_min=summary.s_star_min,
-        s_star_max=summary.s_star_max,
-        not_evaluable=summary.not_evaluable,
-    )
+    return EvalReport(tau, grid_step, ap_variant, tuple(tau_list), tuple(rows), lrp, mean_ap)
 
 
-def _round4(value: float | None) -> float | None:
-    return None if value is None else round(value, 4)
-
-
-def _fmt4(value: float | None) -> str:
-    return "" if value is None else f"{value:.4f}"
+def round_row(row: Mapping) -> dict:
+    """A copy of a table row with every real at 4 decimal places; the
+    class id is kept as given."""
+    return {
+        k: round(v, 4) if isinstance(v, float) and k != "class_id" else v
+        for k, v in row.items()
+    }
 
 
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready form of a report, reals at 4 decimal places."""
+    lrp = report.lrp
     return {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -471,33 +457,29 @@ def report_to_dict(report: EvalReport) -> dict:
             "tau_list": list(report.tau_list),
         },
         "classes": [
-            {
-                "class_id": r.class_id,
+            round_row({
+                "class_id": r.sweep.class_id,
                 "class_name": r.class_name,
                 "n_gt": r.n_gt,
                 "n_det": r.n_det,
-                "evaluable": r.evaluable,
-                "olrp": _round4(r.olrp),
-                "olrp_iou": _round4(r.olrp_iou),
-                "olrp_fp": _round4(r.olrp_fp),
-                "olrp_fn": _round4(r.olrp_fn),
-                "s_star": _round4(r.s_star),
-                "ap_continuous": _round4(r.ap_continuous),
-                "ap_pascal11": _round4(r.ap_pascal11),
-                "ap_coco101": _round4(r.ap_coco101),
-            }
+                "evaluable": r.sweep.evaluable,
+                **r.sweep.optimum(),
+                "ap_continuous": r.ap_continuous,
+                "ap_pascal11": r.ap_pascal11,
+                "ap_coco101": r.ap_coco101,
+            })
             for r in report.rows
         ],
-        "summary": {
-            "molrp": _round4(report.molrp),
-            "molrp_iou": _round4(report.molrp_iou),
-            "molrp_fp": _round4(report.molrp_fp),
-            "molrp_fn": _round4(report.molrp_fn),
-            "mean_ap": _round4(report.mean_ap),
-            "s_star_min": _round4(report.s_star_min),
-            "s_star_max": _round4(report.s_star_max),
-            "not_evaluable": [str(c) for c in report.not_evaluable],
-        },
+        "summary": round_row({
+            "molrp": lrp.molrp,
+            "molrp_iou": lrp.molrp_iou,
+            "molrp_fp": lrp.molrp_fp,
+            "molrp_fn": lrp.molrp_fn,
+            "mean_ap": report.mean_ap,
+            "s_star_min": lrp.s_star_min,
+            "s_star_max": lrp.s_star_max,
+            "not_evaluable": [str(c) for c in lrp.not_evaluable],
+        }),
     }
 
 _REPORT_CSV_FIELDS = [
@@ -509,36 +491,33 @@ _REPORT_CSV_FIELDS = [
 
 
 def export_report(report: EvalReport, path, fmt: str = "json") -> None:
-    """Write a report as JSON or CSV with stable field ordering."""
-    if fmt == "json":
-        _dump_json(report_to_dict(report), path)
-        return
-    if fmt != "csv":
+    """Write a report as JSON or CSV with stable field ordering; the CSV
+    ends with a summary row of the class means."""
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}; expected json or csv")
-    with _open_out(path) as fh:
-        fh.write(
-            f"# {REPORT_SCHEMA} tau={report.tau:.4f} grid_step={report.grid_step:.4f} "
-            f"ap_variant={report.ap_variant} "
-            f"tau_list={','.join(f'{t:.2f}' for t in report.tau_list)}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_CSV_FIELDS)
-        for r in report.rows:
-            writer.writerow([
-                r.class_id, r.class_name, r.n_gt, r.n_det, str(r.evaluable).lower(),
-                _fmt4(r.olrp), _fmt4(r.olrp_iou), _fmt4(r.olrp_fp), _fmt4(r.olrp_fn),
-                _fmt4(r.s_star),
-                _fmt4(r.ap_continuous), _fmt4(r.ap_pascal11), _fmt4(r.ap_coco101),
-                "", "", "",
-            ])
-        writer.writerow([
-            "", "summary", sum(r.n_gt for r in report.rows),
-            sum(r.n_det for r in report.rows), "",
-            _fmt4(report.molrp), _fmt4(report.molrp_iou), _fmt4(report.molrp_fp),
-            _fmt4(report.molrp_fn), "",
-            "", "", "",
-            _fmt4(report.mean_ap), _fmt4(report.s_star_min), _fmt4(report.s_star_max),
-        ])
+    doc = report_to_dict(report)
+    if fmt == "json":
+        write_json(doc, path)
+        return
+    classes, summary = doc["classes"], doc["summary"]
+    summary_row = {
+        "class_name": "summary",
+        "n_gt": sum(r["n_gt"] for r in classes),
+        "n_det": sum(r["n_det"] for r in classes),
+        "olrp": summary["molrp"],
+        "olrp_iou": summary["molrp_iou"],
+        "olrp_fp": summary["molrp_fp"],
+        "olrp_fn": summary["molrp_fn"],
+        "mean_ap": summary["mean_ap"],
+        "s_star_min": summary["s_star_min"],
+        "s_star_max": summary["s_star_max"],
+    }
+    preamble = (
+        f"# {REPORT_SCHEMA} tau={report.tau:.4f} grid_step={report.grid_step:.4f} "
+        f"ap_variant={report.ap_variant} "
+        f"tau_list={','.join(f'{t:.2f}' for t in report.tau_list)}\n"
+    )
+    write_csv([*classes, summary_row], path, _REPORT_CSV_FIELDS, preamble)
 
 
 CURVE_CSV_FIELDS = [
@@ -555,33 +534,67 @@ def export_curves(items: Iterable[SweepResult | RPCurve], path) -> None:
     flagged on exactly one record); recall-precision curves yield one
     record per point with the detection score in the s column.
     """
+    write_csv(_curve_records(items), path, CURVE_CSV_FIELDS)
+
+
+def _curve_records(items: Iterable[SweepResult | RPCurve]):
+    for item in items:
+        if isinstance(item, SweepResult):
+            for sample in item.samples:
+                bd = sample.breakdown
+                if bd is None:
+                    continue
+                yield {
+                    "class_id": item.class_id, "tau": item.tau, "source": "sweep", "s": sample.s,
+                    "recall": None if bd.fn_component is None else 1.0 - bd.fn_component,
+                    "precision": None if bd.fp_component is None else 1.0 - bd.fp_component,
+                    "lrp_total": bd.total, "lrp_iou": bd.loc_component,
+                    "lrp_fp": bd.fp_component, "lrp_fn": bd.fn_component,
+                    "is_optimal": item.evaluable and sample.s == item.s_star,
+                }
+        elif isinstance(item, RPCurve):
+            for recall, precision, score in item.points:
+                yield {
+                    "class_id": item.class_id, "tau": item.tau, "source": "rp", "s": score,
+                    "recall": recall, "precision": precision,
+                }
+        else:
+            raise TypeError(f"cannot export {type(item).__name__} as curve data")
+
+
+def _cell(value):
+    """The one CSV cell rule: reals at 4 decimal places, None empty,
+    bools lower-case, anything else as given."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return value
+
+
+def write_csv(rows: Iterable[Mapping], path, fields: Sequence[str] | None = None,
+              preamble: str = "") -> None:
+    """Write rows as CSV: preamble, a header of fields (default: the keys
+    of rows[0]), then one line per row with missing fields left empty.
+    The class_id column is written as given, every other cell by `_cell`."""
+    fields = list(rows[0]) if fields is None else fields
     with _open_out(path) as fh:
+        fh.write(preamble)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVE_CSV_FIELDS)
-        for item in items:
-            if isinstance(item, SweepResult):
-                for sample in item.samples:
-                    bd = sample.breakdown
-                    if bd is None:
-                        continue
-                    recall = None if bd.fn_component is None else 1.0 - bd.fn_component
-                    precision = None if bd.fp_component is None else 1.0 - bd.fp_component
-                    writer.writerow([
-                        item.class_id, f"{item.tau:.4f}", "sweep", f"{sample.s:.4f}",
-                        _fmt4(recall), _fmt4(precision),
-                        _fmt4(bd.total), _fmt4(bd.loc_component),
-                        _fmt4(bd.fp_component), _fmt4(bd.fn_component),
-                        str(item.evaluable and sample.s == item.s_star).lower(),
-                    ])
-            elif isinstance(item, RPCurve):
-                for (recall, precision, score) in item.points:
-                    writer.writerow([
-                        item.class_id, f"{item.tau:.4f}", "rp", _fmt4(score),
-                        _fmt4(recall), _fmt4(precision),
-                        "", "", "", "", "",
-                    ])
-            else:
-                raise TypeError(f"cannot export {type(item).__name__} as curve data")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow(
+                [row.get(k) if k == "class_id" else _cell(row.get(k)) for k in fields]
+            )
+
+
+def write_json(obj, path) -> None:
+    """Write obj as indented JSON plus a final newline; "-" is stdout."""
+    with _open_out(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 @contextmanager
@@ -592,9 +605,3 @@ def _open_out(path):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
-
-
-def _dump_json(obj, path) -> None:
-    with _open_out(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

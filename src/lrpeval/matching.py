@@ -50,6 +50,13 @@ class GroundTruth:
 
     `ignore` marks crowd-style regions: they never count as false
     negatives and absorb detections that overlap them at IoU >= tau.
+
+    Absorption deliberately uses the same overlap rule as a true-positive
+    match (IoU against tau). COCO's evaluation (pycocotools `COCOeval`)
+    measures crowd overlap by intersection over the detection's area
+    instead, so a small box anywhere inside a large crowd region is
+    ignored there; here it stays a false positive unless it covers the
+    region well enough to count as a detection of it.
     """
 
     image_id: ImageId
@@ -105,7 +112,10 @@ def label_detections(
     IoU, provided that IoU reaches tau (equal-IoU candidates resolve to
     the lowest ground-truth index). A detection that fails but overlaps
     an ignore region at IoU >= tau is labeled "ignored" and dropped from
-    all counting; the rest are false positives.
+    all counting; the rest are false positives. Crowd regions are thus
+    judged by the one overlap rule that decides TPs, not by COCO's
+    intersection over detection area (see `GroundTruth`): a 10x10 box
+    inside a 50x50 crowd region has IoU 0.04 and stays "fp" at tau 0.5.
 
     Labels are prefix-stable: truncating the detection list at any score
     threshold leaves the surviving labels unchanged, which is what makes

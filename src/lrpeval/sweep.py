@@ -62,6 +62,13 @@ class SweepResult:
     olrp_fp: float | None
     olrp_fn: float | None
 
+    def optimum(self) -> dict[str, float | None]:
+        """oLRP, its three components and s*, keyed as in reports."""
+        return {
+            "olrp": self.olrp, "olrp_iou": self.olrp_iou, "olrp_fp": self.olrp_fp,
+            "olrp_fn": self.olrp_fn, "s_star": self.s_star,
+        }
+
 
 def sweep_class(
     gts: Sequence[GroundTruth],

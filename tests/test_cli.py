@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import random
 import sys
 from collections import Counter
 
@@ -308,6 +310,80 @@ class TestCompare:
         assert doc["summary"]["molrp_a"] == 0.5
 
 
+
+def _set(path, value):
+    """A mutation that sets doc[path[0]][path[1]]... to value."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+class TestMalformedInputs:
+    """Malformed inputs exit 2 with the offending field path, never with
+    a traceback and never by being silently accepted."""
+
+    def base_docs(self):
+        return {
+            "gt": {
+                "images": [{"id": 0, "width": 100, "height": 100}],
+                "annotations": [{"id": 1, "image_id": 0, "category_id": "a",
+                                 "bbox": [0, 0, 10, 10], "iscrowd": 0}],
+                "categories": [{"id": "a", "name": "a"}],
+            },
+            "det": [{"image_id": 0, "category_id": "a", "bbox": [0, 0, 10, 10], "score": 0.9}],
+            "stream": {"frames": [{"frame_index": 0, "detections": [
+                {"class_id": "a", "bbox": [0, 0, 10, 10], "class_scores": [0.9, 0.1]},
+            ]}]},
+            "thr": {"schema": "lrp_thresholds_v1", "tau": 0.5,
+                    "thresholds": [{"class_id": "a", "s_star": 0.5}]},
+        }
+
+    @pytest.mark.parametrize("command, doc, mutate, field", [
+        ("eval", "gt", _set(["images", 0, "id"], [1]), "images[0].id"),
+        ("eval", "gt", _set(["images", 0, "width"], "100"), "images[0].width"),
+        ("eval", "gt", _set(["images", 0, "height"], "100"), "images[0].height"),
+        ("eval", "det", _set([0, "image_id"], [0]), "detections[0].image_id"),
+        ("eval", "gt", _set(["annotations"], {}), "annotations"),
+        ("stream", "stream", _set(["frames"], 5), "frames"),
+        ("stream", "stream", _set(["frames", 0, "detections"], 5), "frames[0].detections"),
+        ("stream", "stream", _set(["frames", 0, "frame_index"], 1.7), "frames[0].frame_index"),
+        ("stream", "stream", _set(["frames", 0, "frame_index"], True), "frames[0].frame_index"),
+        ("stream", "stream", _set(["frames", 0, "frame_index"], "3"), "frames[0].frame_index"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_scores"], [True, False]),
+         "frames[0].detections[0].class_scores[0]"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_id"], ["a"]),
+         "frames[0].detections[0].class_id"),
+        ("stream", "thr", _set(["thresholds", 0, "s_star"], "abc"), "thresholds[0].s_star"),
+        ("stream", "thr", _set(["thresholds", 0, "s_star"], True), "thresholds[0].s_star"),
+        ("stream", "thr", _set(["thresholds", 0, "s_star"], 1.5), "thresholds[0].s_star"),
+        ("stream", "thr", _set(["thresholds"], 5), "thresholds"),
+    ], ids=[
+        "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
+        "annotations-not-array",
+        "frames-not-array", "detections-not-array",
+        "float-frame-index", "bool-frame-index", "string-frame-index",
+        "bool-class-scores", "unhashable-stream-class-id",
+        "string-s-star", "bool-s-star", "s-star-above-one", "thresholds-not-array",
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
+        docs = self.base_docs()
+        mutate(docs[doc])
+        paths = {}
+        for name, content in docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        if command == "eval":
+            argv = ["eval", "--gt", paths["gt"], "--det", paths["det"]]
+        else:
+            argv = ["stream", "--stream", paths["stream"], "--gt", paths["gt"],
+                    "--thresholds-file", paths["thr"]]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}:" in err
+
 def stream_fixture(tmp_path):
     specs = [
         StreamClassSpec("low", n_objects=2, tp_score=0.42),
@@ -419,3 +495,206 @@ class TestStreamCommand:
         severed_score = max(severed_doc["frames"][1]["detections"][0]["class_scores"])
         assert severed_score == 1.0
         assert linked_score != severed_score
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path.name
+
+
+def golden_fixture(tmp_path, class_ids):
+    """Seeded multi-class inputs for every command, written with plain
+    json so that the inputs do not depend on lrpeval's writers."""
+    rng = random.Random(7)
+    images, annotations, results_a, results_b = [], [], [], []
+    for image_id in range(6):
+        images.append({"id": image_id, "width": 400, "height": 400})
+        for k, cid in enumerate(class_ids[:3]):
+            for j in range(1 + (image_id + k) % 3):
+                x, y = 20 + 120 * j + rng.uniform(0, 20), 30 + 100 * k + rng.uniform(0, 20)
+                w, h = rng.uniform(30, 60), rng.uniform(30, 60)
+                crowd = int(rng.random() < 0.15)
+                annotations.append({
+                    "id": len(annotations) + 1, "image_id": image_id, "category_id": cid,
+                    "bbox": [x, y, w, h], "iscrowd": crowd,
+                })
+                for results, spread in ((results_a, 6.0), (results_b, 14.0)):
+                    if rng.random() < 0.85:
+                        dx, dy = rng.uniform(-spread, spread), rng.uniform(-spread, spread)
+                        results.append({
+                            "image_id": image_id, "category_id": cid,
+                            "bbox": [max(0.0, x + dx), max(0.0, y + dy), w, h],
+                            "score": round(rng.uniform(0.3, 1.0), 3),
+                        })
+            for results in (results_a, results_b):
+                results.append({
+                    "image_id": image_id, "category_id": cid,
+                    "bbox": [rng.uniform(0, 300), rng.uniform(0, 300), 40, 40],
+                    "score": round(rng.uniform(0.0, 0.7), 3),
+                })
+    # class_ids[3] has ground truth but no detections; class_ids[4] has neither.
+    annotations.append({
+        "id": len(annotations) + 1, "image_id": 0, "category_id": class_ids[3],
+        "bbox": [300, 300, 50, 50], "iscrowd": 0,
+    })
+    categories = [{"id": cid, "name": f"class-{cid}"} for cid in class_ids]
+    doc = {"images": images, "annotations": annotations, "categories": categories}
+
+    frames, stream_annotations = [], []
+    for f in range(8):
+        dets = []
+        for k, cid in enumerate(class_ids[:3]):
+            box = [40 + 5 * f, 50 + 110 * k, 50, 50]
+            stream_annotations.append({
+                "id": len(stream_annotations) + 1, "image_id": f, "category_id": cid,
+                "bbox": box, "iscrowd": 0,
+            })
+            peak = round(rng.uniform(0.35, 0.9), 2)
+            scores = [round((1.0 - peak) / 2, 3)] * 3
+            scores[k] = round(1.0 - 2 * scores[k - 1], 3)
+            dets.append({"class_id": cid, "bbox": [box[0] + rng.uniform(-3, 3), box[1], 50, 50],
+                         "class_scores": scores})
+        fp_class = class_ids[f % 3]
+        dets.append({"class_id": fp_class, "bbox": [300, 300 - 10 * f, 40, 40],
+                     "class_scores": [0.4, 0.3, 0.3]})
+        frames.append({"frame_index": f, "detections": dets})
+    stream_doc = {
+        "images": [{"id": f} for f in range(8)],
+        "annotations": stream_annotations,
+        "categories": categories,
+    }
+    thresholds = {
+        "schema": "lrp_thresholds_v1", "tau": 0.5,
+        "thresholds": [{"class_id": cid, "s_star": s} for cid, s in zip(class_ids, (0.3, 0.6, 0.45))],
+    }
+    return {
+        "gt": write_json(tmp_path / "gt.json", doc),
+        "det_a": write_json(tmp_path / "det_a.json", results_a),
+        "det_b": write_json(tmp_path / "det_b.json", results_b),
+        "stream": write_json(tmp_path / "stream.json", {"frames": frames}),
+        "stream_gt": write_json(tmp_path / "stream_gt.json", stream_doc),
+        "thr": write_json(tmp_path / "thr.json", thresholds),
+    }
+
+
+GOLDEN_RUNS = {
+    "eval.json": ["eval", "--gt", "{gt}", "--det", "{det_a}"],
+    "eval-args.json": ["eval", "--gt", "{gt}", "--det", "{det_a}", "--tau", "0.6",
+                       "--tau-list", "0.5,0.6,0.6,0.8", "--ap-variant", "pascal11"],
+    "eval-args.csv": ["eval", "--gt", "{gt}", "--det", "{det_a}", "--tau", "0.6",
+                      "--tau-list", "0.5,0.6,0.6,0.8", "--ap-variant", "pascal11",
+                      "--format", "csv"],
+    "sweep.csv": ["sweep", "--gt", "{gt}", "--det", "{det_a}", "--taus", "0.5,0.75"],
+    "sweep.json": ["sweep", "--gt", "{gt}", "--det", "{det_a}", "--taus", "0.5,0.75",
+                   "--format", "json"],
+    "curves.csv": ["curves", "--gt", "{gt}", "--det", "{det_a}", "--taus", "0.5,0.75"],
+    "curves-no-rp.csv": ["curves", "--gt", "{gt}", "--det", "{det_a}", "--no-rp"],
+    "thresholds.json": ["thresholds", "--gt", "{gt}", "--det", "{det_a}"],
+    "compare.json": ["compare", "--gt", "{gt}", "--det-a", "{det_a}", "--det-b", "{det_b}"],
+    "compare.csv": ["compare", "--gt", "{gt}", "--det-a", "{det_a}", "--det-b", "{det_b}",
+                    "--tau-list", "0.5,0.75", "--format", "csv"],
+    "stream.json": ["stream", "--stream", "{stream}", "--gt", "{stream_gt}",
+                    "--thresholds-file", "{thr}", "--filtered-output", "filtered.json"],
+}
+
+# sha256 of every output above (plus the filtered stream) per id kind.
+GOLDEN_SHA256 = {
+    "int": {
+        "eval.json":
+            "5b0069901b6e3856e3172528f9a719516b5676452a49e3b38f437502f5800eed",
+        "eval-args.json":
+            "fa7ec808b1af821b1a97424bc95953a36e0b2881d695e8bc954e4f7d15dcae4f",
+        "eval-args.csv":
+            "bb3f6d24804f412b8c262acc89dd7b5d8fe598ef7990a081ffa06d96dd6676e8",
+        "sweep.csv":
+            "aa7b62639a9e4bc9b52dcf5498b41b8a7bdace140d0983c5302d395a41ff8e74",
+        "sweep.json":
+            "8e4716f7628d96d24c560947058b523b02e23744fff4d06869229daf611983a0",
+        "curves.csv":
+            "3bf87d6229978909e67da8c01c29bba8256ad4806d58c82b5d9a0b4411e98a58",
+        "curves-no-rp.csv":
+            "d249219f777cb519e1f9c15537639849e639cfaaab9fac3f026de45880bd05e4",
+        "thresholds.json":
+            "228b567e36d05bb532529e67bd8a7fe9e9401a56e7046d3c2aa5d54e96bd83c0",
+        "compare.json":
+            "58577438d87b02d0e0352b0cc2ce656459ad73f5dc6e7a511429ea26c6e63f45",
+        "compare.csv":
+            "0af15913b82ade9586bc31f402ad578f692208d0042f7fe2ef6ff9f3f9058036",
+        "stream.json":
+            "22d98b9392b1120ea2dbb055bfea736b149834c5834c9c5e2f6d2bb57cdf7f4a",
+        "filtered.json":
+            "488e4d1d95b3fb60f07b1228f50d80c388e59d2701fe2f4647a250ba88f96b38",
+    },
+    "float": {
+        "eval.json":
+            "d0aba4009cd1b43c60fb30c76bf84a3c00bcaf7780762e6e42754f2a052f7bc2",
+        "eval-args.json":
+            "3b5fdd5587a631efd27256ce5b09d25fa908f54dfed5b2d1401ef65aab8190f5",
+        "eval-args.csv":
+            "fba2bcd806b2f4265d63ad371e8e06b2e7e90ff830ed8b966de199459eee1ce9",
+        "sweep.csv":
+            "4f40f413c496e659d8e5460b4dff934cbbc3f7bf2f9bb5281f56d39d6f55ba8c",
+        "sweep.json":
+            "1f7a280a02152c2e1c8f45c3b00b8af53c3d75ddd4aea72c77fb8d56b4207f5c",
+        "curves.csv":
+            "461f59e3fcb3e8e04ca775ebe432a2923cb561c2d3a733e7b5a98b21452b0b3d",
+        "curves-no-rp.csv":
+            "42e8bc0f44bfaf02808920ee0c02c95c30ee7afce5a2801deffe4cb888b8c974",
+        "thresholds.json":
+            "6edf09bed42bb26bbc87dd394d0adf83ea34f2605435a7c5938943e7caf0b75d",
+        "compare.json":
+            "19755690f33f7f91fbcf91b3215c687ad5f75d958604b3d957efb7607f675dcc",
+        "compare.csv":
+            "766fa6944be6ec939090742ba345ba5f4440cf328593c8f225943bf8346131ee",
+        "stream.json":
+            "78b1425992bc112af861989c6ab51200ec3fbf440c54f1bed2bbb8a99de84ffe",
+        "filtered.json":
+            "3c9fede14cc48aa3effcce7b79d24ae50834f1ebe4f620c4ba651707a47d221d",
+    },
+    "str": {
+        "eval.json":
+            "3ed07bfab75bd7aef107f713c80695d933ed120b3342b6528e00e1c077cc3ede",
+        "eval-args.json":
+            "ce2c377adc4a22b4e7bd43b8173e63224e247206162336614b683b0ff31f9b29",
+        "eval-args.csv":
+            "b8e3e4460ea689651cec08b65bfac3ac6bf885c23741dd5a1dde60ee1e203859",
+        "sweep.csv":
+            "7d2babc5720f9d2c4936edbef8050d7038c9250069fe1a39d10b0408be55bf3e",
+        "sweep.json":
+            "d6eb4a68d2681aaec4873241536cb998d668bebd87025da8efd5533c2c8b0e7e",
+        "curves.csv":
+            "545aedafc6f781cce68692533e4153b541593165ccdddf0c01948ac52dbea9d8",
+        "curves-no-rp.csv":
+            "6b19d20685b4725f2d0a768d09d590214b86487bbc6685dd9b6bd509d66caf54",
+        "thresholds.json":
+            "224e77e61a4d902efe23b245a38004a889b0ed10d25540eb180677f37648d52f",
+        "compare.json":
+            "0797ea05d2d2550f61cd76ac55b393a74bce2eff48b9d0f5f6a75ac70a31d061",
+        "compare.csv":
+            "62fc3a9a711dce18817751e1bfdb1847e2e49fd5df6c4e1c7d920bf46a685122",
+        "stream.json":
+            "2bc0dee6f2cd888518b64e3cf4604df75a98f0df4cde061db7ccee07f3c74106",
+        "filtered.json":
+            "51c0103db54b7311a6447ecdd46ee55bf964ce6157ffa95693bf1a7de4048606",
+    },
+}
+
+
+class TestGoldenBytes:
+    """Every command's output bytes, pinned: numeric, float and string
+    category ids, every format and the non-default evaluation options."""
+
+    @pytest.mark.parametrize("kind, class_ids", [
+        ("int", [1, 2, 3, 4, 12]),
+        ("float", [1.5, 2.0, 10.25, 11.0, 30.5]),
+        ("str", ["bike", "car", "person", "train", "truck"]),
+    ])
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch, kind, class_ids):
+        monkeypatch.chdir(tmp_path)
+        paths = golden_fixture(tmp_path, class_ids)
+        digests = {}
+        for name, argv in GOLDEN_RUNS.items():
+            assert main([a.format(**paths) for a in argv] + ["--output", name]) == 0, name
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        digests["filtered.json"] = hashlib.sha256((tmp_path / "filtered.json").read_bytes()).hexdigest()
+        assert digests == GOLDEN_SHA256[kind]

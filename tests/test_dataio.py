@@ -259,10 +259,10 @@ class TestBuildAndExportReport:
         box = BoundingBox(0, 0, 10, 10)
         ds = Dataset((ImageInfo(0),), (Category(1, "obj"),), (GroundTruth(0, 1, box),))
         report = build_report(ds, [Detection(0, 1, box, 0.9)])
-        assert report.molrp == 0.0
+        assert report.lrp.molrp == 0.0
         assert report.mean_ap == 1.0
         assert report.rows[0].ap_continuous == 1.0
-        assert report.rows[0].s_star == 0.90
+        assert report.rows[0].sweep.s_star == 0.90
 
     def test_json_export_round_trip(self, tmp_path):
         ds, dets = trio_dataset()
@@ -273,9 +273,9 @@ class TestBuildAndExportReport:
         assert loaded["schema"] == "lrp_report_v1"
         assert loaded["config"]["tau"] == 0.5
         row = loaded["classes"][0]
-        assert row["olrp"] == round(report.rows[0].olrp, 4)
+        assert row["olrp"] == round(report.rows[0].sweep.olrp, 4)
         assert row["s_star"] == 0.8
-        assert loaded["summary"]["molrp"] == round(report.molrp, 4)
+        assert loaded["summary"]["molrp"] == round(report.lrp.molrp, 4)
         assert loaded["summary"]["mean_ap"] == round(report.mean_ap, 4)
 
     def test_csv_export_has_four_decimals_and_summary(self, tmp_path):
@@ -305,7 +305,7 @@ class TestBuildAndExportReport:
         for raw, expected in zip(rows[1:], report.rows):
             for field in ("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star"):
                 text = raw[header.index(field)]
-                value = getattr(expected, field.replace("olrp_iou", "olrp_iou"))
+                value = getattr(expected.sweep, field.replace("olrp_iou", "olrp_iou"))
                 if value is None:
                     assert text == ""
                 else:

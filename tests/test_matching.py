@@ -182,6 +182,37 @@ class TestMatchGreedy:
                 assert (lab.kind, lab.gt_index, lab.iou) == (exp.kind, exp.gt_index, exp.iou)
 
 
+class TestCrowdRegion:
+    """Crowd regions absorb by IoU >= tau, the rule that decides TPs, not
+    by COCO's intersection over detection area (IoD)."""
+
+    CROWD = GroundTruth(0, 1, BoundingBox(0.0, 0.0, 50.0, 50.0), ignore=True)
+
+    def kinds(self, box, tau=0.5):
+        return [lab.kind for lab in label_detections([self.CROWD], [det(0, 0.9, box=box)], tau)]
+
+    def test_small_box_inside_crowd_stays_fp(self):
+        # 10x10 inside 50x50: IoD = 100 / 100 = 1.0, IoU = 100 / 2500 = 0.04
+        assert self.kinds(BoundingBox(20.0, 20.0, 30.0, 30.0)) == ["fp"]
+
+    def test_box_covering_crowd_is_ignored(self):
+        # 40x50 inside 50x50: IoU = 2000 / 2500 = 0.8 >= 0.5
+        assert self.kinds(BoundingBox(5.0, 0.0, 45.0, 50.0)) == ["ignored"]
+
+    def test_iou_exactly_tau_is_ignored(self):
+        # 50x25 inside 50x50: IoU = 1250 / 2500 = 0.5, closed at tau
+        assert self.kinds(BoundingBox(0.0, 0.0, 50.0, 25.0)) == ["ignored"]
+        assert self.kinds(BoundingBox(0.0, 0.0, 50.0, 25.0), tau=0.51) == ["fp"]
+
+    def test_crowd_absorbs_only_what_no_real_gt_takes(self):
+        # a real GT on the same spot takes the detection first
+        real = GroundTruth(0, 1, BoundingBox(5.0, 0.0, 45.0, 50.0))
+        labels = label_detections(
+            [self.CROWD, real], [det(0, 0.9, box=BoundingBox(5.0, 0.0, 45.0, 50.0))], 0.5
+        )
+        assert [(lab.kind, lab.gt_index) for lab in labels] == [("tp", 1)]
+
+
 class TestHungarian:
     def test_two_by_two(self):
         assert hungarian([[1, 2], [2, 4]]) == [(0, 1), (1, 0)]
