@@ -169,7 +169,10 @@ def load_ground_truth(path) -> Dataset:
         if cat_id in category_ids:
             raise SchemaError(f"categories[{i}].id: duplicate category id {cat_id!r}")
         category_ids.add(cat_id)
-        categories.append(Category(cat_id, str(cat.get("name", cat_id))))
+        name = cat.get("name", str(cat_id))
+        if not isinstance(name, str):
+            raise SchemaError(f"categories[{i}].name: must be a string, got {name!r}")
+        categories.append(Category(cat_id, name))
 
     gts = []
     for i, ann in enumerate(_array(data, "annotations")):
@@ -190,7 +193,10 @@ def load_ground_truth(path) -> Dataset:
                 "annotation id %s extends outside image %s; kept as annotated",
                 ann.get("id", "?"), img_id,
             )
-        gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(ann.get("iscrowd", 0))))
+        crowd = ann.get("iscrowd", 0)
+        if not isinstance(crowd, int) or crowd not in (0, 1):
+            raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
+        gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
 
     return Dataset(tuple(images), tuple(categories), tuple(gts))
 
@@ -259,6 +265,7 @@ def load_stream(path) -> list[FrameDetections]:
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
     frames = []
+    n_bins = None  # every class distribution has one bin per class
     for i, frame in enumerate(_array(data, "frames")):
         where = f"frames[{i}]"
         index = _require(frame, "frame_index", where)
@@ -275,6 +282,12 @@ def load_stream(path) -> list[FrameDetections]:
             for k, v in enumerate(raw_scores):
                 if not _is_number(v):
                     raise SchemaError(f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}")
+            if n_bins is not None and len(raw_scores) != n_bins:
+                raise SchemaError(
+                    f"{dwhere}.class_scores: has {len(raw_scores)} entries, "
+                    f"earlier detections have {n_bins}"
+                )
+            n_bins = len(raw_scores)
             try:
                 dets.append(StreamDetection(class_id, box, tuple(float(v) for v in raw_scores)))
             except ValueError as exc:

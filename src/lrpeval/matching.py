@@ -10,10 +10,8 @@ set-distance machinery and its symmetry/optimality property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterator, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BoundingBox, iou, iou_distance
 
@@ -101,6 +99,76 @@ def _single_class(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> None
         raise ValueError(f"matching is per class; got mixed classes {sorted(map(str, classes))}")
 
 
+@dataclass(frozen=True)
+class IouTable:
+    """The tau-independent part of greedy labeling for one class.
+
+    order lists detection indices by descending score, ties broken by
+    ascending input index. For the detection at each position,
+    candidates holds (IoU, ground-truth index) for every non-ignored
+    ground truth of its image, sorted by descending IoU and then
+    ascending index (IoU 0 included, since tau 0 is valid), and crowd_iou
+    its best IoU with an ignore region of its image (-1 if there is none).
+    """
+
+    dets: Sequence[Detection]
+    n_gts: int
+    order: list[int]
+    candidates: list[list[tuple[float, int]]]
+    crowd_iou: list[float]
+
+
+def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable:
+    """Detection order and every same-image IoU of one class, computed once
+    so that labeling at any number of taus reuses them."""
+    _single_class(gts, dets)
+    real_by_image: dict[ImageId, list[int]] = {}
+    ignore_by_image: dict[ImageId, list[int]] = {}
+    for gi, gt in enumerate(gts):
+        target = ignore_by_image if gt.ignore else real_by_image
+        target.setdefault(gt.image_id, []).append(gi)
+
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    candidates = []
+    crowd_iou = []
+    for di in order:
+        box, image_id = dets[di].box, dets[di].image_id
+        # Pairs are built in ascending GT index and the sort is stable, so
+        # equal IoUs keep the lowest index first.
+        pairs = [(iou(box, gts[gi].box), gi) for gi in real_by_image.get(image_id, ())]
+        pairs.sort(key=itemgetter(0), reverse=True)
+        candidates.append(pairs)
+        crowd_iou.append(
+            max((iou(box, gts[gi].box) for gi in ignore_by_image.get(image_id, ())), default=-1.0)
+        )
+    return IouTable(dets, len(gts), order, candidates, crowd_iou)
+
+
+def label_at_tau(table: IouTable, tau: float) -> list[DetectionLabel]:
+    """Greedy labels of one class at tau from its IoU table.
+
+    In score order, each detection takes its first unclaimed candidate if
+    that IoU reaches tau; otherwise it is "ignored" when its best crowd
+    IoU reaches tau, else "fp".
+    """
+    check_tau(tau)
+    dets = table.dets
+    claimed = [False] * table.n_gts
+    labels: list[DetectionLabel] = []
+    for di, pairs, crowd in zip(table.order, table.candidates, table.crowd_iou):
+        for overlap, gi in pairs:
+            if not claimed[gi]:
+                break
+        else:
+            overlap = -1.0
+        if overlap >= tau:
+            claimed[gi] = True
+            labels.append(DetectionLabel(di, dets[di].score, "tp", gi, overlap))
+        else:
+            labels.append(DetectionLabel(di, dets[di].score, "ignored" if crowd >= tau else "fp"))
+    return labels
+
+
 def label_detections(
     gts: Sequence[GroundTruth], dets: Sequence[Detection], tau: float
 ) -> list[DetectionLabel]:
@@ -121,38 +189,7 @@ def label_detections(
     threshold leaves the surviving labels unchanged, which is what makes
     a single labeling pass serve every threshold of a sweep.
     """
-    check_tau(tau)
-    _single_class(gts, dets)
-
-    real_by_image: dict[ImageId, list[int]] = {}
-    ignore_by_image: dict[ImageId, list[int]] = {}
-    for gi, gt in enumerate(gts):
-        target = ignore_by_image if gt.ignore else real_by_image
-        target.setdefault(gt.image_id, []).append(gi)
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    claimed = [False] * len(gts)
-    labels: list[DetectionLabel] = []
-    for di in order:
-        det = dets[di]
-        best_iou = -1.0
-        best_gt = -1
-        for gi in real_by_image.get(det.image_id, ()):
-            if claimed[gi]:
-                continue
-            overlap = iou(det.box, gts[gi].box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_gt = gi
-        if best_gt >= 0 and best_iou >= tau:
-            claimed[best_gt] = True
-            labels.append(DetectionLabel(di, det.score, "tp", best_gt, best_iou))
-            continue
-        absorbed = any(
-            iou(det.box, gts[gi].box) >= tau for gi in ignore_by_image.get(det.image_id, ())
-        )
-        labels.append(DetectionLabel(di, det.score, "ignored" if absorbed else "fp"))
-    return labels
+    return label_at_tau(iou_table(gts, dets), tau)
 
 
 def count_real(gts: Sequence[GroundTruth]) -> int:
@@ -173,8 +210,8 @@ def label_classes(
     (tau, class_id, labels, n_real) for each class in order, then each
     tau in order, where n_real counts the class's non-ignored ground
     truths and label indices refer to the class's records in input order.
-    Repeated taus are labeled again, once per occurrence. Class-major
-    order keeps one class's records hot in cache across its taus.
+    Each class's IoU table is built once and serves all its taus;
+    repeated taus are labeled again, once per occurrence.
     """
     class_gts: dict[ClassId, list[GroundTruth]] = {cid: [] for cid in class_ids}
     class_dets: dict[ClassId, list[Detection]] = {cid: [] for cid in class_ids}
@@ -183,10 +220,11 @@ def label_classes(
             group = groups.get(record.class_id)
             if group is not None:
                 group.append(record)
-    n_real = {cid: count_real(group) for cid, group in class_gts.items()}
     for cid in class_ids:
+        table = iou_table(class_gts[cid], class_dets[cid])
+        n_real = count_real(class_gts[cid])
         for tau in taus:
-            yield tau, cid, label_detections(class_gts[cid], class_dets[cid], tau), n_real[cid]
+            yield tau, cid, label_at_tau(table, tau), n_real
 
 
 def result_from_labels(labels: Sequence[DetectionLabel], n_real_gts: int) -> MatchResult:
@@ -225,8 +263,12 @@ def hungarian(cost) -> list[tuple[int, int]]:
 
     Accepts any finite rectangular matrix and returns min(rows, cols)
     pairs sorted by row index. Solved in O(n^3) via scipy's augmenting
-    path implementation.
+    path implementation. NumPy and SciPy load on the first call, so
+    commands that never assign do not pay for importing them.
     """
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     arr = np.asarray(cost, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"cost must be a 2-d matrix, got shape {arr.shape}")
@@ -252,6 +294,8 @@ def match_optimal(
     matrix so that swapping the arguments always yields the mirror image
     of the same pairing, even when several assignments tie on total cost.
     """
+    import numpy as np
+
     check_tau(tau)
     n, m = len(xs), len(ys)
     if n == 0 or m == 0:

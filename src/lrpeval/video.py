@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox
 from .matching import ClassId, Detection, hungarian
 
 DEFAULT_ALPHA = 0.7
@@ -84,17 +84,38 @@ def bayes_update(prior: float, likelihood: float) -> float:
     return joint / (joint + (1.0 - p) * (1.0 - q))
 
 
-def _l1(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    if len(a) != len(b):
-        raise ValueError(f"class score vectors differ in length: {len(a)} vs {len(b)}")
-    return sum(abs(x - y) for x, y in zip(a, b))
+def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float):
+    """Matrix of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all
+    (prev, curr) pairs: box distance blended with class-distribution
+    distance, in [0, 1]. Every cell takes the float steps of the scalar
+    formula in the same order, the L1 sum accumulated bin by bin."""
+    import numpy as np
 
+    n_bins = len(prev[0].class_scores)
+    for det in (*prev, *curr):
+        if len(det.class_scores) != n_bins:
+            raise ValueError(
+                f"class score vectors differ in length: {n_bins} vs {len(det.class_scores)}"
+            )
 
-def link_cost(prev: StreamDetection, curr: StreamDetection, alpha: float) -> float:
-    """Blend of box distance and class-distribution distance, in [0, 1]."""
-    return alpha * (1.0 - iou(prev.box, curr.box)) + (1.0 - alpha) * 0.5 * _l1(
-        prev.class_scores, curr.class_scores
-    )
+    def rows(dets):
+        return np.array(
+            [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max, *d.class_scores) for d in dets],
+            dtype=float,
+        )
+
+    # Features on axis 1: x_min, y_min, x_max, y_max, then the class bins.
+    p, c = rows(prev)[:, :, None], rows(curr).T[None, :, :]
+    iw = np.minimum(p[:, 2], c[:, 2]) - np.maximum(p[:, 0], c[:, 0])
+    ih = np.minimum(p[:, 3], c[:, 3]) - np.maximum(p[:, 1], c[:, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    area_p = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
+    area_c = (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
+    overlap = inter / (area_p + area_c - inter)
+    l1 = np.zeros_like(overlap)
+    for k in range(4, 4 + n_bins):
+        l1 += np.abs(p[:, k] - c[:, k])
+    return alpha * (1.0 - overlap) + (1.0 - alpha) * 0.5 * l1
 
 
 def link_frames(
@@ -109,10 +130,8 @@ def link_frames(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not prev.detections or not curr.detections:
         return []
-    cost = [
-        [link_cost(p, c, alpha) for c in curr.detections] for p in prev.detections
-    ]
-    return [(i, j) for i, j in hungarian(cost) if cost[i][j] <= cost_cutoff]
+    cost = _link_costs(prev.detections, curr.detections, alpha)
+    return [(i, j) for i, j in hungarian(cost) if cost[i, j] <= cost_cutoff]
 
 
 def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:

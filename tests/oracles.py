@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values by brute force (rasterization,
-permutation enumeration, per-threshold re-matching) so the tested code
-paths are checked against genuinely separate computations.
+permutation enumeration, per-threshold re-matching, a full scan per
+detection, scalar link costs) so the tested code paths are checked
+against genuinely separate computations.
 """
 
 import itertools
@@ -11,7 +12,8 @@ import random
 import numpy as np
 
 from lrpeval import BoundingBox, LrpBreakdown, match_greedy
-from lrpeval.matching import count_real
+from lrpeval.geometry import iou
+from lrpeval.matching import DetectionLabel, count_real
 
 
 def grid_area(box: BoundingBox, step: float) -> float:
@@ -126,3 +128,53 @@ def integrate_rp_points(points, variant: str) -> float:
         return total
     steps = 10 if variant == "pascal11" else 100
     return sum(at(i / steps) for i in range(steps + 1)) / (steps + 1)
+
+
+def label_detections(gts, dets, tau):
+    """Greedy labels of one class at tau by a full scan per detection: in
+    score order (ties by input index), the unclaimed same-image real GT
+    with the highest IoU (ties to the lowest index) becomes a TP if that
+    IoU reaches tau; else "ignored" if some same-image crowd region
+    reaches tau, else "fp"."""
+    real_by_image = {}
+    ignore_by_image = {}
+    for gi, gt in enumerate(gts):
+        target = ignore_by_image if gt.ignore else real_by_image
+        target.setdefault(gt.image_id, []).append(gi)
+
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    claimed = [False] * len(gts)
+    labels = []
+    for di in order:
+        det = dets[di]
+        best_iou = -1.0
+        best_gt = -1
+        for gi in real_by_image.get(det.image_id, ()):
+            if claimed[gi]:
+                continue
+            overlap = iou(det.box, gts[gi].box)
+            if overlap > best_iou:
+                best_iou = overlap
+                best_gt = gi
+        if best_gt >= 0 and best_iou >= tau:
+            claimed[best_gt] = True
+            labels.append(DetectionLabel(di, det.score, "tp", best_gt, best_iou))
+            continue
+        absorbed = any(
+            iou(det.box, gts[gi].box) >= tau for gi in ignore_by_image.get(det.image_id, ())
+        )
+        labels.append(DetectionLabel(di, det.score, "ignored" if absorbed else "fp"))
+    return labels
+
+
+def _l1(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"class score vectors differ in length: {len(a)} vs {len(b)}")
+    return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def link_cost(prev, curr, alpha):
+    """Blend of box distance and class-distribution distance, in [0, 1]."""
+    return alpha * (1.0 - iou(prev.box, curr.box)) + (1.0 - alpha) * 0.5 * _l1(
+        prev.class_scores, curr.class_scores
+    )

@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import lrpeval
 from lrpeval import BoundingBox, Detection, GroundTruth, sweep_class
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Category, Dataset, ImageInfo, save_ground_truth, save_stream
@@ -257,7 +261,8 @@ class TestThresholdsCommand:
 
 
 class TestLabelOnce:
-    """Every command labels each (class, tau) it reports exactly once."""
+    """Every command labels each (class, tau) it reports exactly once, and
+    eval and thresholds build each class's IoU table exactly once."""
 
     CLASSES = (1, 2, 3)
 
@@ -278,16 +283,46 @@ class TestLabelOnce:
         gt_path, det_path = write_fixture(tmp_path, "three", gts, dets)
         # lrpeval.ap is shadowed by the function ap, so reach modules via sys.modules
         matching = sys.modules["lrpeval.matching"]
-        real, calls = matching.label_detections, Counter()
+        build, label = matching.iou_table, matching.label_at_tau
+        table_class, tables, calls = {}, Counter(), Counter()
 
-        def counting(gts, dets, tau):
-            calls[((gts or dets)[0].class_id, tau)] += 1
-            return real(gts, dets, tau)
+        def counting_table(gts, dets):
+            table = build(gts, dets)
+            table_class[id(table)] = (gts or dets)[0].class_id
+            tables[table_class[id(table)]] += 1
+            return table
 
-        monkeypatch.setattr(matching, "label_detections", counting)
+        def counting_label(table, tau):
+            calls[(table_class[id(table)], tau)] += 1
+            return label(table, tau)
+
+        monkeypatch.setattr(matching, "iou_table", counting_table)
+        monkeypatch.setattr(matching, "label_at_tau", counting_label)
         out = str(tmp_path / "out")
         assert main([*argv, "--gt", gt_path, "--det", det_path, "--output", out]) == 0
         assert calls == {(c, t): 1 for c in self.CLASSES for t in taus}
+        # sweep and curves print tau-major tables, so they group once per tau
+        if argv[0] in ("eval", "thresholds"):
+            assert tables == {c: 1 for c in self.CLASSES}
+
+
+class TestImportCost:
+    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path):
+        gts, dets = reference_detectors()["half_recall"]
+        gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
+        argv = ["eval", "--gt", gt_path, "--det", det_path, "--output", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from lrpeval.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        src = str(Path(lrpeval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestCompare:
@@ -360,6 +395,11 @@ class TestMalformedInputs:
         ("stream", "thr", _set(["thresholds", 0, "s_star"], True), "thresholds[0].s_star"),
         ("stream", "thr", _set(["thresholds", 0, "s_star"], 1.5), "thresholds[0].s_star"),
         ("stream", "thr", _set(["thresholds"], 5), "thresholds"),
+        ("eval", "gt", _set(["annotations", 0, "iscrowd"], "0"), "annotations[0].iscrowd"),
+        ("eval", "gt", _set(["categories", 0, "name"], ["x"]), "categories[0].name"),
+        ("stream", "stream", lambda doc: doc["frames"].append({"frame_index": 1, "detections": [
+            {"class_id": "a", "bbox": [0, 0, 10, 10], "class_scores": [0.5, 0.3, 0.2]},
+        ]}), "frames[1].detections[0].class_scores"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -367,6 +407,7 @@ class TestMalformedInputs:
         "float-frame-index", "bool-frame-index", "string-frame-index",
         "bool-class-scores", "unhashable-stream-class-id",
         "string-s-star", "bool-s-star", "s-star-above-one", "thresholds-not-array",
+        "string-iscrowd", "list-category-name", "class-scores-length-mismatch",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()

@@ -3,16 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lrpeval import (
     BoundingBox,
     Detection,
     GroundTruth,
     hungarian,
+    label_classes,
     match_greedy,
     match_optimal,
 )
-from lrpeval.matching import label_detections
+from lrpeval.matching import count_real, label_detections
 from oracles import brute_force_assignment_cost, random_boxes
 
 
@@ -211,6 +215,41 @@ class TestCrowdRegion:
             [self.CROWD, real], [det(0, 0.9, box=BoundingBox(5.0, 0.0, 45.0, 50.0))], 0.5
         )
         assert [(lab.kind, lab.gt_index) for lab in labels] == [("tp", 1)]
+
+
+_GRID_BOXES = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
+)
+
+
+@st.composite
+def labeling_scenes(draw):
+    """Two classes over three images. Boxes come from a small pool, so
+    duplicated boxes (equal IoUs) and tied scores are common."""
+    box = st.sampled_from(draw(st.lists(_GRID_BOXES, min_size=1, max_size=5)))
+    image, cls = st.integers(0, 2), st.sampled_from(("a", "b"))
+    crowd = st.sampled_from((False, False, True))
+    gts = draw(st.lists(st.builds(GroundTruth, image, cls, box, crowd), max_size=12))
+    score = st.sampled_from((0.2, 0.5, 0.9))
+    dets = draw(st.lists(st.builds(Detection, image, cls, box, score), max_size=14))
+    taus = draw(st.lists(st.sampled_from((0.0, 0.5, 0.999)), min_size=1, max_size=4))
+    return gts, dets, taus
+
+
+class TestLabelClassesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(labeling_scenes())
+    def test_matches_full_scan_reference_at_every_class_and_tau(self, scene):
+        gts, dets, taus = scene
+        expected = []
+        for cid in ("a", "b"):
+            class_gts = [g for g in gts if g.class_id == cid]
+            class_dets = [d for d in dets if d.class_id == cid]
+            for tau in taus:
+                labels = oracles.label_detections(class_gts, class_dets, tau)
+                expected.append((tau, cid, labels, count_real(class_gts)))
+        assert list(label_classes(gts, dets, ("a", "b"), taus)) == expected
 
 
 class TestHungarian:

@@ -1,19 +1,22 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpeval import (
     BoundingBox,
     FrameDetections,
     StreamDetection,
     bayes_update,
+    hungarian,
     link_frames,
     molrp,
     run_stream,
     stream_to_detections,
 )
 from lrpeval.synth import StreamClassSpec, generate_stream
-from lrpeval.video import link_cost
+from oracles import link_cost
 
 
 def sd(class_id, box, score, n_slots=3, slot=0):
@@ -118,6 +121,39 @@ class TestLinkFrames:
         b = FrameDetections(1, (StreamDetection(2, box_at(0), (0.0, 1.0)),))
         assert link_frames(a, b, alpha=1.0) == [(0, 0)]
         assert link_frames(a, b, alpha=0.0) == []
+
+    def test_mismatched_class_score_lengths_raise(self):
+        a = FrameDetections(0, (StreamDetection(1, box_at(0), (1.0, 0.0)),))
+        b = FrameDetections(1, (StreamDetection(1, box_at(0), (1.0, 0.0, 0.0)),))
+        with pytest.raises(ValueError, match="differ in length: 2 vs 3"):
+            link_frames(a, b)
+
+
+# Corners on a 5-pixel grid with sides of 5 or 10: disjoint, touching,
+# overlapping and identical boxes are all common.
+_CORNER = st.sampled_from((0.0, 5.0, 10.0, 15.0))
+_SIDE = st.sampled_from((5.0, 10.0))
+_GRID_BOXES = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), _CORNER, _CORNER, _SIDE, _SIDE
+)
+_DISTRIBUTIONS = st.sampled_from(
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0), (0.2, 0.3, 0.5), (0.7, 0.1, 0.2))
+)
+_FRAME = st.lists(st.builds(StreamDetection, st.just(1), _GRID_BOXES, _DISTRIBUTIONS),
+                  min_size=1, max_size=6)
+
+
+class TestLinkFramesProperty:
+    # Cutoff 0.5 equals many grid costs exactly, so any drift in a cost shows.
+    @settings(max_examples=300, deadline=None)
+    @given(_FRAME, _FRAME, st.sampled_from((0.0, 0.7, 1.0)),
+           st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    def test_matches_hungarian_over_reference_costs(self, prev, curr, alpha, cutoff):
+        cost = [[link_cost(p, c, alpha) for c in curr] for p in prev]
+        expected = [(i, j) for i, j in hungarian(cost) if cost[i][j] <= cutoff]
+        got = link_frames(FrameDetections(0, tuple(prev)), FrameDetections(1, tuple(curr)),
+                          alpha, cutoff)
+        assert got == expected
 
 
 class TestRunStream:
