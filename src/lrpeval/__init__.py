@@ -10,7 +10,6 @@ from .matching import (
     hungarian,
     label_classes,
     label_detections,
-    match_greedy,
     match_optimal,
 )
 from .lrp import (
@@ -54,7 +53,7 @@ from .dataio import (
 __all__ = [
     "BoundingBox", "area", "iou", "iou_distance",
     "Detection", "GroundTruth", "MatchResult",
-    "hungarian", "label_classes", "label_detections", "match_greedy", "match_optimal",
+    "hungarian", "label_classes", "label_detections", "match_optimal",
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
     "RPCurve", "ap", "curve_from_labels", "rp_curve",

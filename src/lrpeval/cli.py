@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 
 from .dataio import (
     DEFAULT_TAU,
@@ -56,10 +57,8 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _add_io_args(sub, with_detections=True):
-    sub.add_argument("--gt", required=True, help="COCO-style annotation JSON")
-    if with_detections:
-        sub.add_argument("--det", required=True, help="COCO-style detection results JSON")
+def _add_shared_args(sub, tau_list=False):
+    """The evaluation flags every command takes; --tau-list on request."""
     sub.add_argument(
         "--tau", type=float, default=DEFAULT_TAU,
         help=f"IoU validation threshold (default: {DEFAULT_TAU})",
@@ -72,6 +71,18 @@ def _add_io_args(sub, with_detections=True):
         "--output", default="-",
         help="output path; '-' writes to standard output (default: -)",
     )
+    if tau_list:
+        sub.add_argument(
+            "--tau-list", default=DEFAULT_TAU_RANGE,
+            help=(f"taus averaged into mean AP, as start:step:stop or a comma list "
+                  f"(default: {DEFAULT_TAU_RANGE})"),
+        )
+
+
+def _add_io_args(sub, tau_list=False):
+    sub.add_argument("--gt", required=True, help="COCO-style annotation JSON")
+    sub.add_argument("--det", required=True, help="COCO-style detection results JSON")
+    _add_shared_args(sub, tau_list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,11 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="full evaluation report (oLRP, components, s*, AP, moLRP, mAP)")
-    _add_io_args(p_eval)
-    p_eval.add_argument(
-        "--tau-list", default=DEFAULT_TAU_RANGE,
-        help=f"taus averaged into mean AP, as start:step:stop or a comma list (default: {DEFAULT_TAU_RANGE})",
-    )
+    _add_io_args(p_eval, tau_list=True)
     p_eval.add_argument(
         "--ap-variant", choices=("continuous", "pascal11", "coco101"), default="coco101",
         help="AP integration rule (default: coco101)",
@@ -126,16 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--gt", required=True, help="COCO-style annotation JSON")
     p_cmp.add_argument("--det-a", required=True, help="first detection results JSON")
     p_cmp.add_argument("--det-b", required=True, help="second detection results JSON")
-    p_cmp.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                       help=f"IoU validation threshold (default: {DEFAULT_TAU})")
-    p_cmp.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
-                       help=f"score-threshold grid resolution (default: {DEFAULT_GRID_STEP})")
-    p_cmp.add_argument("--tau-list", default=DEFAULT_TAU_RANGE,
-                       help=f"taus averaged into mean AP (default: {DEFAULT_TAU_RANGE})")
+    _add_shared_args(p_cmp, tau_list=True)
     p_cmp.add_argument("--format", choices=("json", "csv"), default="json",
                        help="comparison format (default: json)")
-    p_cmp.add_argument("--output", default="-",
-                       help="output path; '-' writes to standard output (default: -)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_stream = sub.add_parser(
@@ -152,14 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"box-overlap weight in the linking cost (default: {DEFAULT_ALPHA})")
     p_stream.add_argument("--cost-cutoff", type=float, default=DEFAULT_COST_CUTOFF,
                           help=f"linking cost above which pairs sever (default: {DEFAULT_COST_CUTOFF})")
-    p_stream.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                          help=f"IoU threshold for stream evaluation (default: {DEFAULT_TAU})")
-    p_stream.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP,
-                          help=f"score-threshold grid resolution (default: {DEFAULT_GRID_STEP})")
+    _add_shared_args(p_stream)
     p_stream.add_argument("--filtered-output", default=None,
                           help="write the filtered stream fixture here")
-    p_stream.add_argument("--output", default="-",
-                          help="comparison table path; '-' writes to standard output (default: -)")
     p_stream.set_defaults(func=cmd_stream)
 
     return parser
@@ -179,27 +174,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _labeled_classes(args):
-    """Load the inputs and label every (class, tau) of --taus once, one
-    tau at a time so that tables come out in tau-major order."""
+def _per_class_and_tau(args, consume):
+    """Load the inputs, label every (class, tau) of --taus once, and return
+    the dataset plus consume(labels, n_real, class_id, tau) for each pair
+    in tau-major order, the order of the printed tables."""
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
     taus = parse_tau_list(args.taus) if args.taus else (args.tau,)
-    labeled = (
-        item
-        for tau in taus
-        for item in label_classes(dataset.ground_truths, dets, dataset.class_ids(), (tau,))
-    )
-    return dataset, labeled
+    # label_classes runs class-major so that each class's IoU table serves
+    # all its taus; consuming the labels as they come keeps them out of memory.
+    labeled = label_classes(dataset.ground_truths, dets, dataset.class_ids(), taus)
+    results = [consume(labels, n_real, cid, tau) for tau, cid, labels, n_real in labeled]
+    return dataset, [r for j in range(len(taus)) for r in results[j::len(taus)]]
 
 
 def cmd_sweep(args) -> int:
-    dataset, labeled = _labeled_classes(args)
+    dataset, results = _per_class_and_tau(args, partial(sweep_labels, grid_step=args.grid_step))
     names = dataset.category_names()
-    results = [
-        sweep_labels(labels, n_real, cid, tau, args.grid_step)
-        for tau, cid, labels, n_real in labeled
-    ]
     if not any(r.evaluable for r in results):
         raise UndefinedLrp("no class has anything to evaluate")
     rows = [
@@ -220,18 +211,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    _, labeled = _labeled_classes(args)
-    items = []
-    any_evaluable = False
-    for tau, cid, labels, n_real in labeled:
+    def curves(labels, n_real, cid, tau):
         sweep = sweep_labels(labels, n_real, cid, tau, args.grid_step)
-        any_evaluable = any_evaluable or sweep.evaluable
-        items.append(sweep)
-        if not args.no_rp and n_real > 0:
-            items.append(curve_from_labels(labels, n_real, cid, tau))
-    if not any_evaluable:
+        if args.no_rp or n_real == 0:
+            return [sweep]
+        return [sweep, curve_from_labels(labels, n_real, cid, tau)]
+
+    _, blocks = _per_class_and_tau(args, curves)
+    if not any(block[0].evaluable for block in blocks):
         raise UndefinedLrp("no class has anything to evaluate")
-    export_curves(items, args.output)
+    export_curves([item for block in blocks for item in block], args.output)
     return EXIT_OK
 
 
@@ -288,8 +277,8 @@ def _comparison_doc(a, b, args) -> dict:
 
 
 def cmd_stream(args) -> int:
-    frames = load_stream(args.stream)
     dataset = load_ground_truth(args.gt)
+    frames = load_stream(args.stream, dataset)
     class_ids = dataset.class_ids()
     names = dataset.category_names()
 
@@ -303,7 +292,7 @@ def cmd_stream(args) -> int:
 
     specific_run = specific = None
     if args.thresholds_file:
-        thresholds = load_thresholds(args.thresholds_file)
+        thresholds = load_thresholds(args.thresholds_file, dataset)
         specific_run = run_stream(frames, thresholds, args.alpha, args.cost_cutoff, args.threshold)
         specific = evaluate(specific_run.frames)
 

@@ -17,7 +17,7 @@ import logging
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
 from .geometry import BoundingBox
@@ -81,22 +81,20 @@ def _require(record: Mapping, key: str, where: str):
 
 
 def _require_id(record: Mapping, key: str, where: str):
-    """A required field that is used as a dictionary key."""
+    """A required field that is used as a dictionary key: a number or a
+    string (a bool would collide with the ids 0 and 1)."""
     value = _require(record, key, where)
-    if not isinstance(value, Hashable):
+    if _id_kind(value) is None:
         raise SchemaError(f"{where}.{key}: must be a number or a string, got {value!r}")
     return value
 
 
 def _require_known(record: Mapping, key: str, where: str, known, what: str):
     """A required id field that must name one of the known ids."""
-    value = _require(record, key, where)
-    try:
-        if value in known:
-            return value
-    except TypeError:  # unhashable: an array or an object
-        pass
-    raise SchemaError(f"{where}.{key}: unknown {what} id {value!r}")
+    value = _require_id(record, key, where)
+    if value not in known:
+        raise SchemaError(f"{where}.{key}: unknown {what} id {value!r}")
+    return value
 
 
 def _array(record: Mapping, key: str, where: str = "") -> list:
@@ -257,13 +255,15 @@ def save_ground_truth(dataset: Dataset, path) -> None:
     write_json(doc, path)
 
 
-def load_stream(path) -> list[FrameDetections]:
+def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     """Load a stream fixture: {frames: [{frame_index, detections:
-    [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h]."""
+    [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
+    class_id one of the dataset's categories."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
+    category_ids = {c.id for c in dataset.categories}
     frames = []
     n_bins = None  # every class distribution has one bin per class
     for i, frame in enumerate(_array(data, "frames")):
@@ -274,7 +274,7 @@ def load_stream(path) -> list[FrameDetections]:
         dets = []
         for j, rec in enumerate(_array(frame, "detections", where)):
             dwhere = f"{where}.detections[{j}]"
-            class_id = _require_id(rec, "class_id", dwhere)
+            class_id = _require_known(rec, "class_id", dwhere, category_ids, "category")
             box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
             raw_scores = _require(rec, "class_scores", dwhere)
             if not isinstance(raw_scores, list):
@@ -360,14 +360,17 @@ def save_thresholds(rows: Sequence[ThresholdRow], tau: float, path) -> None:
     write_json(doc, path)
 
 
-def load_thresholds(path) -> dict[ClassId, float]:
+def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
+    """Load per-class thresholds, each class_id one of the dataset's
+    categories."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema") != THRESHOLDS_SCHEMA:
         raise SchemaError(f"root: expected a {THRESHOLDS_SCHEMA} document")
+    category_ids = {c.id for c in dataset.categories}
     out = {}
     for i, rec in enumerate(_array(data, "thresholds")):
-        cid = _require_id(rec, "class_id", f"thresholds[{i}]")
+        cid = _require_known(rec, "class_id", f"thresholds[{i}]", category_ids, "category")
         s_star = _require(rec, "s_star", f"thresholds[{i}]")
         if not _is_number(s_star) or not 0.0 <= s_star <= 1.0:
             raise SchemaError(f"thresholds[{i}].s_star: must be a number in [0, 1], got {s_star!r}")

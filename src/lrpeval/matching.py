@@ -227,37 +227,6 @@ def label_classes(
             yield tau, cid, label_at_tau(table, tau), n_real
 
 
-def result_from_labels(labels: Sequence[DetectionLabel], n_real_gts: int) -> MatchResult:
-    """Fold per-detection labels into a MatchResult."""
-    tp_pairs = tuple(
-        (lab.det_index, lab.gt_index, lab.iou) for lab in labels if lab.kind == "tp"
-    )
-    n_tp = len(tp_pairs)
-    n_fp = sum(1 for lab in labels if lab.kind == "fp")
-    return MatchResult(tp_pairs, n_tp, n_fp, n_real_gts - n_tp)
-
-
-def match_greedy(
-    gts: Sequence[GroundTruth], dets: Sequence[Detection], s: float, tau: float
-) -> MatchResult:
-    """Greedy matching of the detections with score >= s against gts.
-
-    The score comparison is closed so the s = 0 endpoint of a sweep
-    retains every detection. Indices in the result refer to the full
-    `dets` argument, including detections filtered out by s.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"score threshold must be in [0, 1], got {s}")
-    kept_indices = [i for i, d in enumerate(dets) if d.score >= s]
-    kept = [dets[i] for i in kept_indices]
-    labels = label_detections(gts, kept, tau)
-    remapped = [
-        DetectionLabel(kept_indices[lab.det_index], lab.score, lab.kind, lab.gt_index, lab.iou)
-        for lab in labels
-    ]
-    return result_from_labels(remapped, count_real(gts))
-
-
 def hungarian(cost) -> list[tuple[int, int]]:
     """Optimal row-to-column assignment minimizing total cost.
 

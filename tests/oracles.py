@@ -11,9 +11,9 @@ import random
 
 import numpy as np
 
-from lrpeval import BoundingBox, LrpBreakdown, match_greedy
+from lrpeval import BoundingBox, LrpBreakdown, MatchResult
 from lrpeval.geometry import iou
-from lrpeval.matching import DetectionLabel, count_real
+from lrpeval.matching import DetectionLabel
 
 
 def grid_area(box: BoundingBox, step: float) -> float:
@@ -86,19 +86,33 @@ def weighted_form_total(bd: LrpBreakdown) -> float:
     return total / bd.z
 
 
+def rematch(gts, dets, s, tau):
+    """Greedy match of one class's detections with score >= s, labeled
+    from scratch by the full-scan `label_detections` below. tp_pairs hold
+    (detection index, GT index, IoU) in score order, indices referring to
+    the `dets` argument."""
+    kept = [i for i, d in enumerate(dets) if d.score >= s]
+    labels = label_detections(gts, [dets[i] for i in kept], tau)
+    tp_pairs = tuple(
+        (kept[lab.det_index], lab.gt_index, lab.iou) for lab in labels if lab.kind == "tp"
+    )
+    n_fp = sum(lab.kind == "fp" for lab in labels)
+    n_real = sum(not g.ignore for g in gts)
+    return MatchResult(tp_pairs, len(tp_pairs), n_fp, n_real - len(tp_pairs))
+
+
 def rematch_rp_points(gts, dets, class_id, tau):
     """(recall, precision) at every distinct score threshold, each point
     produced by a full re-match of the thresholded detections."""
     class_gts = [g for g in gts if g.class_id == class_id]
     class_dets = [d for d in dets if d.class_id == class_id]
-    n_gt = count_real(class_gts)
     points = []
     for t in sorted({d.score for d in class_dets}, reverse=True):
-        m = match_greedy(class_gts, class_dets, s=t, tau=tau)
+        m = rematch(class_gts, class_dets, s=t, tau=tau)
         n_eval = m.n_tp + m.n_fp
         if n_eval == 0:
             continue
-        points.append((m.n_tp / n_gt, m.n_tp / n_eval))
+        points.append((m.n_tp / (m.n_tp + m.n_fn), m.n_tp / n_eval))
     return points
 
 

@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import BoundingBox
-from .matching import ClassId, Detection, GroundTruth
-from .video import FrameDetections, StreamDetection
+from lrpeval.geometry import BoundingBox
+from lrpeval.matching import ClassId, Detection, GroundTruth
+from lrpeval.video import FrameDetections, StreamDetection
 
 REFERENCE_CLASS = 1
 

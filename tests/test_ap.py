@@ -11,8 +11,8 @@ from lrpeval import (
     rp_curve,
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo
-from lrpeval.synth import reference_detectors
 from oracles import integrate_rp_points, random_boxes, rematch_rp_points
+from synth import reference_detectors
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:

@@ -14,7 +14,7 @@ import lrpeval
 from lrpeval import BoundingBox, Detection, GroundTruth, sweep_class
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Category, Dataset, ImageInfo, save_ground_truth, save_stream
-from lrpeval.synth import StreamClassSpec, generate_stream, reference_detectors
+from synth import StreamClassSpec, generate_stream, reference_detectors
 
 
 def write_fixture(tmp_path, name, gts, dets, categories=None):
@@ -261,8 +261,8 @@ class TestThresholdsCommand:
 
 
 class TestLabelOnce:
-    """Every command labels each (class, tau) it reports exactly once, and
-    eval and thresholds build each class's IoU table exactly once."""
+    """Every command labels each (class, tau) it reports exactly once and
+    builds each class's IoU table exactly once."""
 
     CLASSES = (1, 2, 3)
 
@@ -301,9 +301,7 @@ class TestLabelOnce:
         out = str(tmp_path / "out")
         assert main([*argv, "--gt", gt_path, "--det", det_path, "--output", out]) == 0
         assert calls == {(c, t): 1 for c in self.CLASSES for t in taus}
-        # sweep and curves print tau-major tables, so they group once per tau
-        if argv[0] in ("eval", "thresholds"):
-            assert tables == {c: 1 for c in self.CLASSES}
+        assert tables == {c: 1 for c in self.CLASSES}
 
 
 class TestImportCost:
@@ -323,6 +321,14 @@ class TestImportCost:
                              text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+
+class TestExports:
+    def test_every_public_name_resolves(self):
+        assert [name for name in lrpeval.__all__ if not hasattr(lrpeval, name)] == []
+        namespace = {}
+        exec("from lrpeval import *", namespace)
+        assert set(lrpeval.__all__) <= set(namespace)
 
 
 class TestCompare:
@@ -400,6 +406,16 @@ class TestMalformedInputs:
         ("stream", "stream", lambda doc: doc["frames"].append({"frame_index": 1, "detections": [
             {"class_id": "a", "bbox": [0, 0, 10, 10], "class_scores": [0.5, 0.3, 0.2]},
         ]}), "frames[1].detections[0].class_scores"),
+        ("eval", "gt", _set(["images", 0, "id"], True), "images[0].id"),
+        ("eval", "gt", _set(["images", 0, "id"], None), "images[0].id"),
+        ("eval", "gt", _set(["annotations", 0, "image_id"], False), "annotations[0].image_id"),
+        ("eval", "det", _set([0, "image_id"], False), "detections[0].image_id"),
+        ("eval", "gt", lambda doc: (_set(["categories", 0, "id"], 1)(doc),
+                                    _set(["annotations", 0, "category_id"], True)(doc)),
+         "annotations[0].category_id"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_id"], 7),
+         "frames[0].detections[0].class_id"),
+        ("stream", "thr", _set(["thresholds", 0, "class_id"], "b"), "thresholds[0].class_id"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -408,6 +424,8 @@ class TestMalformedInputs:
         "bool-class-scores", "unhashable-stream-class-id",
         "string-s-star", "bool-s-star", "s-star-above-one", "thresholds-not-array",
         "string-iscrowd", "list-category-name", "class-scores-length-mismatch",
+        "bool-image-id", "null-image-id", "bool-annotation-image-id", "bool-det-image-id",
+        "bool-annotation-category-id", "unknown-stream-class-id", "unknown-thresholds-class-id",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()

@@ -26,8 +26,8 @@ from lrpeval import (
     threshold_rows,
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo, report_to_dict
-from lrpeval.synth import reference_detectors
 from lrpeval.video import FrameDetections, StreamDetection
+from synth import reference_detectors
 
 
 def write_json(path, obj):
@@ -183,6 +183,11 @@ class TestLoadDetections:
         assert again == dets
 
 
+def with_categories(*ids):
+    """A dataset that declares the given category ids and nothing else."""
+    return Dataset((), tuple(Category(c, str(c)) for c in ids), ())
+
+
 class TestStreamIO:
     def test_round_trip(self, tmp_path):
         frames = [
@@ -197,7 +202,7 @@ class TestStreamIO:
         ]
         path = tmp_path / "stream.json"
         save_stream(frames, path)
-        assert load_stream(path) == frames
+        assert load_stream(path, with_categories("a", "b")) == frames
 
     def test_bad_distribution_names_field(self, tmp_path):
         doc = {
@@ -212,12 +217,12 @@ class TestStreamIO:
         }
         path = write_json(tmp_path / "stream.json", doc)
         with pytest.raises(SchemaError, match=r"frames\[0\].detections\[0\].class_scores"):
-            load_stream(path)
+            load_stream(path, with_categories("a"))
 
     def test_missing_frames_key(self, tmp_path):
         path = write_json(tmp_path / "stream.json", {"video": []})
         with pytest.raises(SchemaError, match="frames"):
-            load_stream(path)
+            load_stream(path, with_categories("a"))
 
 
 class TestThresholds:
@@ -227,7 +232,7 @@ class TestThresholds:
         rows = threshold_rows(report, {1: "obj"})
         path = tmp_path / "thr.json"
         save_thresholds(rows, 0.5, path)
-        loaded = load_thresholds(path)
+        loaded = load_thresholds(path, with_categories(1))
         assert loaded == {1: 0.80}
 
     def test_zero_detection_class_forced_to_zero_with_warning(self, tmp_path, caplog):
@@ -244,7 +249,7 @@ class TestThresholds:
     def test_rejects_other_documents(self, tmp_path):
         path = write_json(tmp_path / "thr.json", {"schema": "other", "thresholds": []})
         with pytest.raises(SchemaError):
-            load_thresholds(path)
+            load_thresholds(path, with_categories(1))
 
 
 def trio_dataset():

@@ -13,8 +13,8 @@ from lrpeval import (
     GroundTruth,
     hungarian,
     label_classes,
-    match_greedy,
     match_optimal,
+    sweep_class,
 )
 from lrpeval.matching import count_real, label_detections
 from oracles import brute_force_assignment_cost, random_boxes
@@ -32,100 +32,106 @@ def det(i, score, image_id=0, class_id=1, box=None):
     return Detection(image_id, class_id, box or box_at(i), score)
 
 
+def counts(gts, labels):
+    """(TP, FP, FN) of one class's greedy labels."""
+    n_tp = sum(lab.kind == "tp" for lab in labels)
+    return n_tp, sum(lab.kind == "fp" for lab in labels), count_real(gts) - n_tp
+
+
+def tp_pairs(labels):
+    return [(lab.det_index, lab.gt_index, lab.iou) for lab in labels if lab.kind == "tp"]
+
+
+def sample_at(result, s):
+    (sample,) = [x for x in result.samples if x.s == s]
+    return sample.breakdown
+
+
 class TestMatchGreedy:
     def test_half_recall_scene(self):
         # four objects, two perfect detections
         gts = [gt(i) for i in range(4)]
         dets = [det(0, 0.9), det(1, 0.8)]
-        m = match_greedy(gts, dets, s=0.5, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (2, 0, 2)
-        assert all(overlap == 1.0 for _, _, overlap in m.tp_pairs)
+        labels = label_detections(gts, dets, tau=0.5)
+        assert counts(gts, labels) == (2, 0, 2)
+        assert all(overlap == 1.0 for _, _, overlap in tp_pairs(labels))
 
     def test_empty_inputs(self):
-        m = match_greedy([], [], s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 0, 0)
-        assert m.tp_pairs == ()
+        assert label_detections([], [], tau=0.5) == []
 
     def test_score_order_decides_double_detection(self):
         gts = [gt(0)]
         dets = [det(0, 0.6), det(0, 0.9)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (1, 1, 0)
-        assert m.tp_pairs[0][0] == 1  # the higher-scored detection claimed the box
+        labels = label_detections(gts, dets, tau=0.5)
+        assert counts(gts, labels) == (1, 1, 0)
+        assert tp_pairs(labels)[0][0] == 1  # the higher-scored detection claimed the box
 
     def test_brute_force_confirms_score_order(self):
         # against both processing orders: the higher scored one must win
         gts = [gt(0)]
         for high_first in (True, False):
             dets = [det(0, 0.9), det(0, 0.6)] if high_first else [det(0, 0.6), det(0, 0.9)]
-            m = match_greedy(gts, dets, s=0.0, tau=0.5)
+            labels = label_detections(gts, dets, tau=0.5)
             winner = 0 if high_first else 1
-            assert m.tp_pairs[0][0] == winner
+            assert tp_pairs(labels)[0][0] == winner
 
     def test_score_threshold_is_closed(self):
         gts = [gt(0)]
         dets = [det(0, 0.5)]
-        m = match_greedy(gts, dets, s=0.5, tau=0.5)
-        assert m.n_tp == 1
+        assert sample_at(sweep_class(gts, dets, 1, tau=0.5), 0.5).n_tp == 1
 
     def test_detection_below_s_discarded(self):
         gts = [gt(0)]
         dets = [det(0, 0.49)]
-        m = match_greedy(gts, dets, s=0.5, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 0, 1)
+        bd = sample_at(sweep_class(gts, dets, 1, tau=0.5), 0.5)
+        assert (bd.n_tp, bd.n_fp, bd.n_fn) == (0, 0, 1)
 
     def test_iou_below_tau_is_fp(self):
         gts = [gt(0)]
         low_overlap = BoundingBox(0.0, 0.0, 4.0, 10.0)  # IoU 0.4 with box 0
         dets = [det(0, 0.9, box=low_overlap)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 1, 1)
+        assert counts(gts, label_detections(gts, dets, tau=0.5)) == (0, 1, 1)
 
     def test_iou_exactly_tau_is_tp(self):
         gts = [gt(0)]
         half = BoundingBox(0.0, 0.0, 5.0, 10.0)  # IoU exactly 0.5
-        m = match_greedy(gts, [det(0, 0.9, box=half)], s=0.0, tau=0.5)
-        assert m.n_tp == 1
+        labels = label_detections(gts, [det(0, 0.9, box=half)], tau=0.5)
+        assert counts(gts, labels)[0] == 1
 
     def test_matching_is_per_image(self):
         gts = [gt(0, image_id="a")]
         dets = [det(0, 0.9, image_id="b")]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 1, 1)
+        assert counts(gts, label_detections(gts, dets, tau=0.5)) == (0, 1, 1)
 
     def test_rejects_mixed_classes(self):
         with pytest.raises(ValueError, match="mixed classes"):
-            match_greedy([gt(0, class_id=1)], [det(0, 0.9, class_id=2)], s=0.0, tau=0.5)
+            label_detections([gt(0, class_id=1)], [det(0, 0.9, class_id=2)], tau=0.5)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
-            match_greedy([], [], s=0.0, tau=1.0)
+            label_detections([], [], tau=1.0)
         with pytest.raises(ValueError):
-            match_greedy([], [], s=0.0, tau=-0.1)
+            label_detections([], [], tau=-0.1)
 
     def test_ignore_region_absorbs_overlapping_fp(self):
         gts = [gt(0), gt(1, ignore=True)]
         dets = [det(0, 0.9), det(1, 0.8)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
         # the second detection overlaps only the ignore region: not an FP
-        assert (m.n_tp, m.n_fp, m.n_fn) == (1, 0, 0)
+        assert counts(gts, label_detections(gts, dets, tau=0.5)) == (1, 0, 0)
 
     def test_ignore_region_never_counts_as_fn(self):
         gts = [gt(0, ignore=True)]
-        m = match_greedy(gts, [], s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 0, 0)
+        assert counts(gts, label_detections(gts, [], tau=0.5)) == (0, 0, 0)
 
     def test_detection_far_from_ignore_region_stays_fp(self):
         gts = [gt(0, ignore=True)]
         dets = [det(3, 0.9)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 1, 0)
+        assert counts(gts, label_detections(gts, dets, tau=0.5)) == (0, 1, 0)
 
     def test_ignore_absorbs_multiple_detections(self):
         gts = [gt(0, ignore=True)]
         dets = [det(0, 0.9), det(0, 0.8)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (0, 0, 0)
+        assert counts(gts, label_detections(gts, dets, tau=0.5)) == (0, 0, 0)
 
     def test_monotonicity_in_s(self):
         rng = random.Random(11)
@@ -133,41 +139,41 @@ class TestMatchGreedy:
         dets = [
             Detection(rng.randint(0, 2), 1, b, rng.random()) for b in random_boxes(rng, 20)
         ]
+        result = sweep_class(gts, dets, 1, tau=0.3)
         prev_tp = prev_fp = None
         for s in [i / 20 for i in range(21)]:
-            m = match_greedy(gts, dets, s=s, tau=0.3)
+            bd = sample_at(result, s)
             if prev_tp is not None:
-                assert m.n_tp <= prev_tp
-                assert m.n_fp <= prev_fp
-            prev_tp, prev_fp = m.n_tp, m.n_fp
+                assert bd.n_tp <= prev_tp
+                assert bd.n_fp <= prev_fp
+            prev_tp, prev_fp = bd.n_tp, bd.n_fp
 
     def test_deterministic_and_permutation_consistent(self):
         rng = random.Random(12)
         gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, 6)]
         scores = rng.sample(range(1, 100), 10)
         dets = [Detection(0, 1, b, s / 100) for b, s in zip(random_boxes(rng, 10), scores)]
-        base = match_greedy(gts, dets, s=0.0, tau=0.3)
-        assert base == match_greedy(gts, dets, s=0.0, tau=0.3)
+        base = label_detections(gts, dets, tau=0.3)
+        assert base == label_detections(gts, dets, tau=0.3)
 
         perm = list(range(len(dets)))
         rng.shuffle(perm)
         shuffled = [dets[i] for i in perm]
-        m = match_greedy(gts, shuffled, s=0.0, tau=0.3)
-        remapped = {(perm[di], gi, ov) for di, gi, ov in m.tp_pairs}
-        assert remapped == set(base.tp_pairs)
-        assert (m.n_tp, m.n_fp, m.n_fn) == (base.n_tp, base.n_fp, base.n_fn)
+        labels = label_detections(gts, shuffled, tau=0.3)
+        remapped = {(perm[di], gi, ov) for di, gi, ov in tp_pairs(labels)}
+        assert remapped == set(tp_pairs(base))
+        assert counts(gts, labels) == counts(gts, base)
 
     def test_equal_scores_resolved_by_input_index(self):
         gts = [gt(0)]
         dets = [det(0, 0.7), det(0, 0.7)]
-        m = match_greedy(gts, dets, s=0.0, tau=0.5)
-        assert m.tp_pairs[0][0] == 0
+        assert tp_pairs(label_detections(gts, dets, tau=0.5))[0][0] == 0
 
     def test_equal_iou_candidates_resolved_by_gt_index(self):
         shared = BoundingBox(0, 0, 10, 10)
         gts = [GroundTruth(0, 1, shared), GroundTruth(0, 1, shared)]
-        m = match_greedy(gts, [Detection(0, 1, shared, 0.9)], s=0.0, tau=0.5)
-        assert m.tp_pairs[0][1] == 0
+        labels = label_detections(gts, [Detection(0, 1, shared, 0.9)], tau=0.5)
+        assert tp_pairs(labels)[0][1] == 0
 
     def test_labels_are_prefix_stable(self):
         rng = random.Random(13)

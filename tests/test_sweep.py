@@ -7,14 +7,14 @@ from lrpeval import (
     Detection,
     GroundTruth,
     UndefinedLrp,
+    label_detections,
     lrp_components,
-    match_greedy,
     molrp,
     sweep_class,
     threshold_grid,
 )
-from lrpeval.synth import reference_detectors
-from oracles import random_boxes
+from oracles import random_boxes, rematch
+from synth import reference_detectors
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
@@ -118,7 +118,7 @@ class TestSweepClass:
         ]
         result = sweep_class(gts, dets, 1, tau=0.5)
         for sample in result.samples:
-            m = match_greedy(gts, dets, s=sample.s, tau=0.5)
+            m = rematch(gts, dets, s=sample.s, tau=0.5)
             n_det = m.n_tp + m.n_fp
             if m.n_tp + m.n_fp + m.n_fn == 0:
                 assert sample.breakdown is None
@@ -156,10 +156,15 @@ class TestSweepClass:
         dets = [
             Detection(0, 1, b, rng.randint(1, 99) / 100) for b in random_boxes(rng, 15)
         ]
+        full = label_detections(gts, dets, tau=0.3)
         prev = None
         for s in threshold_grid():
-            m = match_greedy(gts, dets, s=s, tau=0.3)
-            tp_set = set(m.tp_pairs)
+            tp_set = {
+                (lab.det_index, lab.gt_index, lab.iou)
+                for lab in full
+                if lab.kind == "tp" and lab.score >= s
+            }
+            assert tp_set == set(rematch(gts, dets, s=s, tau=0.3).tp_pairs)
             if prev is not None:
                 assert tp_set <= prev
             prev = tp_set

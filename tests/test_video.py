@@ -15,8 +15,8 @@ from lrpeval import (
     run_stream,
     stream_to_detections,
 )
-from lrpeval.synth import StreamClassSpec, generate_stream
 from oracles import link_cost
+from synth import StreamClassSpec, generate_stream
 
 
 def sd(class_id, box, score, n_slots=3, slot=0):
