@@ -26,11 +26,14 @@ from .video import (
     FrameDetections,
     StreamDetection,
     StreamResult,
+    TrackedStream,
     Tubelet,
     bayes_update,
+    emit_stream,
     link_frames,
     run_stream,
     stream_to_detections,
+    track_stream,
 )
 from .dataio import (
     Dataset,
@@ -57,8 +60,9 @@ __all__ = [
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
     "RPCurve", "ap", "curve_from_labels", "rp_curve",
-    "FrameDetections", "StreamDetection", "StreamResult", "Tubelet",
-    "bayes_update", "link_frames", "run_stream", "stream_to_detections",
+    "FrameDetections", "StreamDetection", "StreamResult", "TrackedStream", "Tubelet",
+    "bayes_update", "emit_stream", "link_frames", "run_stream", "stream_to_detections",
+    "track_stream",
     "Dataset", "EvalReport", "SchemaError",
     "build_report", "export_curves", "export_report",
     "load_detections", "load_ground_truth", "load_stream", "load_thresholds",

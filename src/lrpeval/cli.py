@@ -35,7 +35,13 @@ from .ap import curve_from_labels
 from .lrp import UndefinedLrp
 from .matching import label_classes
 from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels
-from .video import DEFAULT_ALPHA, DEFAULT_COST_CUTOFF, run_stream, stream_to_detections
+from .video import (
+    DEFAULT_ALPHA,
+    DEFAULT_COST_CUTOFF,
+    emit_stream,
+    stream_to_detections,
+    track_stream,
+)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -287,13 +293,15 @@ def cmd_stream(args) -> int:
         return molrp(dataset.ground_truths, dets, class_ids, args.tau, args.grid_step)
 
     raw = evaluate(frames)
-    general_run = run_stream(frames, {}, args.alpha, args.cost_cutoff, args.threshold)
+    # Tubelets evolve on the unfiltered detections: track once, emit per threshold map.
+    tracked = track_stream(frames, args.alpha, args.cost_cutoff)
+    general_run = emit_stream(tracked, {}, args.threshold)
     general = evaluate(general_run.frames)
 
     specific_run = specific = None
     if args.thresholds_file:
         thresholds = load_thresholds(args.thresholds_file, dataset)
-        specific_run = run_stream(frames, thresholds, args.alpha, args.cost_cutoff, args.threshold)
+        specific_run = emit_stream(tracked, thresholds, args.threshold)
         specific = evaluate(specific_run.frames)
 
     if args.filtered_output:

@@ -3,12 +3,15 @@
 Two protocols live here. Greedy score-ordered matching is the evaluation
 convention: detections claim ground truths in descending confidence order,
 exactly the way recall-precision curves are built. Optimal one-to-one
-assignment (Hungarian) minimizes the total 1-IoU distance and backs the
-set-distance machinery and its symmetry/optimality property tests.
+assignment (`hungarian`, a shortest augmenting path solver written out in
+this module) minimizes the total 1-IoU distance; it backs the
+set-distance machinery and its symmetry/optimality property tests, and
+links video frames.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterator, Sequence
@@ -230,13 +233,29 @@ def label_classes(
 def hungarian(cost) -> list[tuple[int, int]]:
     """Optimal row-to-column assignment minimizing total cost.
 
-    Accepts any finite rectangular matrix and returns min(rows, cols)
-    pairs sorted by row index. Solved in O(n^3) via scipy's augmenting
-    path implementation. NumPy and SciPy load on the first call, so
-    commands that never assign do not pay for importing them.
+    Accepts any finite rectangular matrix (nested lists or an array) and
+    returns min(rows, cols) pairs sorted by row index. NumPy loads on the
+    first call to check the input; commands that never assign do not pay
+    for importing it.
+
+    The solver is the shortest augmenting path algorithm (Jonker &
+    Volgenant 1987, in the rectangular form of D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016), written in pure Python over nested lists. It makes the same
+    choices, in the same order and with the same float steps, as SciPy's
+    `linear_sum_assignment`, so tied optima resolve to the same pairs.
+
+    It is O(n^3) and about 20-40x slower than SciPy's C++ per call: on
+    one core of a 2-core Xeon VM, a frame pair of a detection stream
+    with 42 boxes per frame takes 0.44 ms (SciPy 0.020 ms), with 88
+    boxes 2.7 ms (0.10 ms) and with 266 boxes 37 ms (0.98 ms). The
+    skipped `scipy.optimize` import (0.29 s once NumPy is loaded)
+    outweighs that on moderate streams: at 88 boxes per frame over 120
+    frames `stream` still ran in 1.14 s instead of 1.23 s. Denser or
+    longer streams lose. A NumPy-vectorized port was slower at 42 wide,
+    from per-call overhead on short vectors, and barely faster at 288.
     """
     import numpy as np
-    from scipy.optimize import linear_sum_assignment
 
     arr = np.asarray(cost, dtype=float)
     if arr.ndim != 2:
@@ -245,8 +264,61 @@ def hungarian(cost) -> list[tuple[int, int]]:
         return []
     if not np.isfinite(arr).all():
         raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(arr)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    # Tall matrices are solved transposed, as SciPy does.
+    if arr.shape[1] < arr.shape[0]:
+        return sorted((r, c) for c, r in _assign_rows(arr.T.tolist()))
+    return _assign_rows(arr.tolist())
+
+
+def _assign_rows(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """Assign every row of a wide (rows <= cols) matrix to a column,
+    one shortest augmenting path per row; returns (row, col) pairs."""
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, row4col, col4row = [-1] * n_cols, [-1] * n_cols, [-1] * n_rows
+    for cur_row in range(n_rows):
+        # Filled in reverse so that a constant matrix gives the identity.
+        remaining = list(range(n_cols - 1, -1, -1))
+        shortest = [math.inf] * n_cols
+        seen_rows, seen_cols = [], []
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            seen_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie, prefer a column that ends the path.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            # Swap-remove: the last remaining column takes j's place.
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+        u[cur_row] += min_val
+        for i in seen_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return list(enumerate(col4row))
 
 
 def match_optimal(

@@ -138,21 +138,47 @@ def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:
     """Rewrite the class distribution so its peak equals new_score.
 
     Non-peak mass is scaled proportionally (or spread uniformly when the
-    original peak was exactly 1 with other bins present). A one-bin
-    distribution cannot represent a score below 1 and is left unchanged.
+    original peak was exactly 1 with other bins present). Where that
+    lifts a bin above new_score, such bins are capped at new_score and
+    the rest of the mass is spread proportionally over the others,
+    repeating until none exceeds it. A one-bin distribution cannot
+    represent a score below 1 and is left unchanged; below 1/len(scores)
+    no distribution peaks at new_score, and the uniform one is emitted.
     """
     scores = det.class_scores
-    k = max(range(len(scores)), key=scores.__getitem__)
-    rest = 1.0 - scores[k]
-    if len(scores) == 1:
+    n = len(scores)
+    if n == 1:
         return det
+    k = max(range(n), key=scores.__getitem__)
+    rest = 1.0 - scores[k]
     if rest > 0.0:
         scale = (1.0 - new_score) / rest
         new = tuple(new_score if i == k else v * scale for i, v in enumerate(scores))
     else:
-        fill = (1.0 - new_score) / (len(scores) - 1)
-        new = tuple(new_score if i == k else fill for i in range(len(scores)))
+        fill = (1.0 - new_score) / (n - 1)
+        new = tuple(new_score if i == k else fill for i in range(n))
+    if max(new) > new_score:
+        new = _capped(scores, k, new_score)
     return StreamDetection(det.class_id, det.box, new)
+
+
+def _capped(scores: tuple[float, ...], k: int, new_score: float) -> tuple[float, ...]:
+    """The distribution peaking at new_score (in bin k and any capped
+    bin) whose uncapped bins keep the proportions of scores."""
+    n = len(scores)
+    if new_score < 1.0 / n:
+        return (1.0 / n,) * n
+    capped, free = {k}, [i for i in range(n) if i != k]
+    while free:
+        left = 1.0 - new_score * len(capped)
+        mass = sum(scores[i] for i in free)
+        new = {i: scores[i] * left / mass if mass > 0.0 else left / len(free) for i in free}
+        over = {i for i in free if new[i] > new_score}
+        if not over:
+            break
+        capped |= over
+        free = [i for i in free if i not in over]
+    return tuple(new_score if i in capped else new[i] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -163,20 +189,27 @@ class StreamResult:
     tubelets: tuple[Tubelet, ...]
 
 
-def run_stream(
+@dataclass(frozen=True)
+class TrackedStream:
+    """The threshold-free outcome of tracking a stream: the raw frames,
+    each detection's Bayes-updated score (None where it started a fresh
+    tubelet, so its score is its own), and the tubelets."""
+
+    frames: tuple[FrameDetections, ...]
+    updated: tuple[tuple[float | None, ...], ...]
+    tubelets: tuple[Tubelet, ...]
+
+
+def track_stream(
     frames: Sequence[FrameDetections],
-    thresholds: Mapping[ClassId, float],
     alpha: float = DEFAULT_ALPHA,
     cost_cutoff: float = DEFAULT_COST_CUTOFF,
-    default_threshold: float = 0.5,
-) -> StreamResult:
-    """Link, rescore and threshold a detection stream.
+) -> TrackedStream:
+    """Link a detection stream into tubelets, once for any thresholds.
 
     Each frame is associated with the previous raw frame; linked
     detections continue their tubelet with a Bayes-updated score, the
-    rest start fresh tubelets at their raw score. The emitted frames keep
-    the detections whose updated score reaches their class threshold
-    (falling back to default_threshold for unlisted classes).
+    rest start fresh tubelets at their raw score.
     """
     for prev_f, curr_f in zip(frames, frames[1:]):
         if curr_f.frame_index <= prev_f.frame_index:
@@ -188,13 +221,13 @@ def run_stream(
     tubelets: list[Tubelet] = []
     prev_frame: FrameDetections | None = None
     prev_tubelets: dict[int, Tubelet] = {}
-    out_frames = []
+    updated = []
     for frame in frames:
         links: dict[int, int] = {}
         if prev_frame is not None:
             links = {c: p for p, c in link_frames(prev_frame, frame, alpha, cost_cutoff)}
         curr_tubelets: dict[int, Tubelet] = {}
-        emitted = []
+        frame_updated = []
         for di, det in enumerate(frame.detections):
             parent = prev_tubelets.get(links.get(di, -1))
             if parent is not None:
@@ -205,18 +238,49 @@ def run_stream(
                 tub = Tubelet(id=len(tubelets), class_id=det.class_id)
                 tubelets.append(tub)
                 new_score = det.score
+            frame_updated.append(None if parent is None else new_score)
             tub.boxes.append((frame.frame_index, det.box))
             tub.score_history.append(new_score)
             tub.updated_score = new_score
             if new_score - min(tub.score_history) >= DOMINANCE_RISE:
                 tub.dominant = True
             curr_tubelets[di] = tub
-            if new_score >= thresholds.get(det.class_id, default_threshold):
-                emitted.append(_rescored(det, new_score) if parent is not None else det)
-        out_frames.append(FrameDetections(frame.frame_index, tuple(emitted)))
+        updated.append(tuple(frame_updated))
         prev_frame = frame
         prev_tubelets = curr_tubelets
-    return StreamResult(tuple(out_frames), tuple(tubelets))
+    return TrackedStream(tuple(frames), tuple(updated), tuple(tubelets))
+
+
+def emit_stream(
+    tracked: TrackedStream,
+    thresholds: Mapping[ClassId, float],
+    default_threshold: float = 0.5,
+) -> StreamResult:
+    """Keep the tracked detections whose updated score reaches their
+    class threshold (default_threshold for unlisted classes); linked
+    ones are emitted with their distribution rescored to that score."""
+    out_frames = []
+    for frame, frame_updated in zip(tracked.frames, tracked.updated):
+        emitted = []
+        for det, new_score in zip(frame.detections, frame_updated):
+            score = det.score if new_score is None else new_score
+            if score >= thresholds.get(det.class_id, default_threshold):
+                emitted.append(det if new_score is None else _rescored(det, new_score))
+        out_frames.append(FrameDetections(frame.frame_index, tuple(emitted)))
+    return StreamResult(tuple(out_frames), tracked.tubelets)
+
+
+def run_stream(
+    frames: Sequence[FrameDetections],
+    thresholds: Mapping[ClassId, float],
+    alpha: float = DEFAULT_ALPHA,
+    cost_cutoff: float = DEFAULT_COST_CUTOFF,
+    default_threshold: float = 0.5,
+) -> StreamResult:
+    """Link, rescore and threshold a detection stream: `track_stream`
+    followed by `emit_stream`. To filter one stream under several
+    threshold maps, track it once and emit once per map."""
+    return emit_stream(track_stream(frames, alpha, cost_cutoff), thresholds, default_threshold)
 
 
 def stream_to_detections(frames: Sequence[FrameDetections]) -> list[Detection]:

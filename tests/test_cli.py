@@ -305,10 +305,10 @@ class TestLabelOnce:
 
 
 class TestImportCost:
-    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path):
-        gts, dets = reference_detectors()["half_recall"]
-        gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
-        argv = ["eval", "--gt", gt_path, "--det", det_path, "--output", str(tmp_path / "out")]
+    @staticmethod
+    def heavy_modules_loaded(argv):
+        """Which of NumPy and SciPy a fresh interpreter has loaded after
+        running the command."""
         script = (
             "import sys\n"
             "from lrpeval.cli import main\n"
@@ -320,7 +320,20 @@ class TestImportCost:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        return run.stdout.strip()
+
+    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path):
+        gts, dets = reference_detectors()["half_recall"]
+        gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
+        argv = ["eval", "--gt", gt_path, "--det", det_path, "--output", str(tmp_path / "out")]
+        assert self.heavy_modules_loaded(argv) == "[]"
+
+    def test_stream_never_loads_scipy(self, tmp_path):
+        stream_path, gt_path, thr_path = stream_fixture(tmp_path)
+        argv = ["stream", "--stream", stream_path, "--gt", gt_path, "--thresholds-file", thr_path,
+                "--filtered-output", str(tmp_path / "filtered.json"),
+                "--output", str(tmp_path / "out.json")]
+        assert self.heavy_modules_loaded(argv) == "['numpy']"
 
 
 class TestExports:
@@ -500,6 +513,25 @@ class TestStreamCommand:
         kept = json.loads(filtered.read_text())["frames"][0]["detections"]
         assert len(kept) == 1
         assert kept[0]["class_scores"][0] == 0.8  # untouched score
+
+    def test_links_each_frame_pair_once(self, tmp_path, monkeypatch):
+        # Both threshold maps are emitted from one tracking pass.
+        stream_path, gt_path, thr_path = stream_fixture(tmp_path)
+        video = sys.modules["lrpeval.video"]
+        link = video.link_frames
+        calls = Counter()
+
+        def counting_link(prev, curr, *args):
+            calls[(prev.frame_index, curr.frame_index)] += 1
+            return link(prev, curr, *args)
+
+        monkeypatch.setattr(video, "link_frames", counting_link)
+        assert main([
+            "stream", "--stream", stream_path, "--gt", gt_path,
+            "--thresholds-file", thr_path, "--output", str(tmp_path / "out.json"),
+        ]) == 0
+        frame_indices = [f["frame_index"] for f in json.loads(Path(stream_path).read_text())["frames"]]
+        assert calls == {pair: 1 for pair in zip(frame_indices, frame_indices[1:])}
 
     def test_class_specific_beats_general(self, tmp_path):
         stream_path, gt_path, thr_path = stream_fixture(tmp_path)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -258,6 +258,28 @@ class TestLabelClassesProperty:
         assert list(label_classes(gts, dets, ("a", "b"), taus)) == expected
 
 
+@st.composite
+def _cost_matrices(draw):
+    """Random, tie-heavy and constant matrices of either orientation,
+    1x1 up to 9x9."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("random", "ties", "constant")))
+    if kind == "constant":
+        value = draw(st.floats(-10.0, 10.0))
+        return [[value] * n_cols for _ in range(n_rows)]
+    if kind == "ties":
+        cells = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    else:
+        cells = st.floats(-1e6, 1e6)
+    row = st.lists(cells, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+@pytest.fixture(scope="module")
+def linear_sum_assignment():
+    return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+
 class TestHungarian:
     def test_two_by_two(self):
         assert hungarian([[1, 2], [2, 4]]) == [(0, 1), (1, 0)]
@@ -291,6 +313,34 @@ class TestHungarian:
             assert len(pairs) == min(shape)
             total = sum(cost[r, c] for r, c in pairs)
             assert total == pytest.approx(brute_force_assignment_cost(cost), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (1, 6), (6, 1), (4, 6), (6, 4)])
+    def test_up_to_six_wide_against_brute_force(self, shape):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            for cost in (rng.random(shape), rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)):
+                pairs = hungarian(cost.tolist())
+                assert sorted({r for r, _ in pairs}) == [r for r, _ in pairs]
+                assert len({c for _, c in pairs}) == len(pairs) == min(shape)
+                total = sum(cost[r, c] for r, c in pairs)
+                assert total == pytest.approx(brute_force_assignment_cost(cost), abs=1e-12)
+
+    def test_rejects_ragged_and_non_2d(self):
+        with pytest.raises(ValueError):
+            hungarian([[1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError, match="2-d"):
+            hungarian([1.0, 2.0])
+        with pytest.raises(ValueError, match="2-d"):
+            hungarian(np.zeros((2, 2, 2)))
+
+    # SciPy's solver is the oracle: the same pairs, ties included.
+    @settings(max_examples=600, deadline=None)
+    @given(_cost_matrices())
+    @example([[0.5, 0.25, 0.5, 0.0, 0.0, 1.0, 0.25]])
+    @example([[0.5], [0.25], [0.5], [0.0], [0.0], [1.0], [0.25]])
+    def test_same_pairs_as_linear_sum_assignment(self, linear_sum_assignment, cost):
+        rows, cols = linear_sum_assignment(np.array(cost))
+        assert hungarian(cost) == sorted(zip(rows.tolist(), cols.tolist()))
 
 
 class TestMatchOptimal:

@@ -9,11 +9,13 @@ from lrpeval import (
     FrameDetections,
     StreamDetection,
     bayes_update,
+    emit_stream,
     hungarian,
     link_frames,
     molrp,
     run_stream,
     stream_to_detections,
+    track_stream,
 )
 from oracles import link_cost
 from synth import StreamClassSpec, generate_stream
@@ -218,6 +220,57 @@ class TestRunStream:
             for det in frame.detections:
                 assert abs(sum(det.class_scores) - 1.0) <= 1e-9
                 assert det.score == max(det.class_scores)
+
+    def test_emitted_peak_is_the_tubelet_score(self):
+        # Proportional scaling alone would emit (0.35, 0.52, 0.13), scored 0.52.
+        frames = [
+            FrameDetections(0, (StreamDetection(1, box_at(0), (0.35, 0.33, 0.32)),)),
+            FrameDetections(1, (StreamDetection(1, box_at(0), (0.5, 0.4, 0.1)),)),
+        ]
+        result = run_stream(frames, {}, default_threshold=0.3)
+        (tube,) = result.tubelets
+        emitted = result.frames[1].detections[0]
+        assert tube.updated_score == pytest.approx(0.35, abs=1e-12)
+        assert emitted.score == tube.updated_score
+        assert emitted.class_scores == pytest.approx((0.35, 0.35, 0.3), abs=1e-12)
+
+    def test_capping_keeps_proportions_of_the_other_bins(self):
+        frames = [
+            FrameDetections(0, (StreamDetection(1, box_at(0), (0.3, 0.2, 0.2, 0.15, 0.15)),)),
+            FrameDetections(1, (StreamDetection(1, box_at(0), (0.45, 0.4, 0.06, 0.05, 0.04)),)),
+        ]
+        result = run_stream(frames, {}, default_threshold=0.0)
+        score = result.tubelets[0].updated_score
+        emitted = result.frames[1].detections[0]
+        assert emitted.score == score
+        # bin 1 is capped at the score; bins 2 to 4 keep their 6:5:4 ratio
+        assert emitted.class_scores[:2] == (score, score)
+        assert max(emitted.class_scores[2:]) < score
+        assert emitted.class_scores[2] / emitted.class_scores[4] == pytest.approx(1.5)
+        assert emitted.class_scores[3] / emitted.class_scores[4] == pytest.approx(1.25)
+        assert abs(sum(emitted.class_scores) - 1.0) <= 1e-9
+
+    def test_score_below_uniform_emits_uniform_distribution(self):
+        # 0.3 then 0.3 updates to about 0.155, below 1/3: no distribution peaks there
+        frames = [FrameDetections(i, (sd(1, box_at(0), 0.3, n_slots=3),)) for i in range(2)]
+        result = run_stream(frames, {}, default_threshold=0.0)
+        assert result.tubelets[0].updated_score < 1 / 3
+        assert result.frames[1].detections[0].class_scores == (1 / 3,) * 3
+
+    def test_track_once_emit_per_threshold_map(self):
+        frames, _ = generate_stream(
+            [StreamClassSpec(1, n_objects=2, tp_score=0.7, fp_score=0.3, fp_per_frame=1),
+             StreamClassSpec(2, n_objects=1, tp_score=0.5)],
+            n_frames=6, seed=5, score_noise=0.05,
+        )
+        tracked = track_stream(frames, alpha=0.5, cost_cutoff=0.6)
+        for thresholds, default in (({}, 0.5), ({1: 0.6, 2: 0.2}, 0.5), ({}, 0.0)):
+            emitted = emit_stream(tracked, thresholds, default)
+            direct = run_stream(frames, thresholds, 0.5, 0.6, default)
+            assert emitted.frames == direct.frames
+            assert [(t.boxes, t.score_history) for t in emitted.tubelets] == [
+                (t.boxes, t.score_history) for t in direct.tubelets
+            ]
 
     def test_rejects_non_increasing_frame_indices(self):
         frames = [
