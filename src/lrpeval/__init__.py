@@ -7,6 +7,7 @@ from .matching import (
     Detection,
     GroundTruth,
     MatchResult,
+    TauLabels,
     hungarian,
     label_classes,
     label_detections,
@@ -55,7 +56,7 @@ from .dataio import (
 
 __all__ = [
     "BoundingBox", "area", "iou", "iou_distance",
-    "Detection", "GroundTruth", "MatchResult",
+    "Detection", "GroundTruth", "MatchResult", "TauLabels",
     "hungarian", "label_classes", "label_detections", "match_optimal",
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",

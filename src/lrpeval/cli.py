@@ -182,15 +182,15 @@ def cmd_eval(args) -> int:
 
 def _per_class_and_tau(args, consume):
     """Load the inputs, label every (class, tau) of --taus once, and return
-    the dataset plus consume(labels, n_real, class_id, tau) for each pair
-    in tau-major order, the order of the printed tables."""
+    the dataset plus consume(labels, class_id) for each pair in tau-major
+    order, the order of the printed tables."""
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
     taus = parse_tau_list(args.taus) if args.taus else (args.tau,)
     # label_classes runs class-major so that each class's IoU table serves
     # all its taus; consuming the labels as they come keeps them out of memory.
     labeled = label_classes(dataset.ground_truths, dets, dataset.class_ids(), taus)
-    results = [consume(labels, n_real, cid, tau) for tau, cid, labels, n_real in labeled]
+    results = [consume(labels, cid) for cid, labels in labeled]
     return dataset, [r for j in range(len(taus)) for r in results[j::len(taus)]]
 
 
@@ -217,11 +217,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    def curves(labels, n_real, cid, tau):
-        sweep = sweep_labels(labels, n_real, cid, tau, args.grid_step)
-        if args.no_rp or n_real == 0:
+    def curves(labels, cid):
+        sweep = sweep_labels(labels, cid, args.grid_step)
+        if args.no_rp or labels.n_real == 0:
             return [sweep]
-        return [sweep, curve_from_labels(labels, n_real, cid, tau)]
+        return [sweep, curve_from_labels(labels, cid)]
 
     _, blocks = _per_class_and_tau(args, curves)
     if not any(block[0].evaluable for block in blocks):
@@ -285,6 +285,8 @@ def _comparison_doc(a, b, args) -> dict:
 def cmd_stream(args) -> int:
     dataset = load_ground_truth(args.gt)
     frames = load_stream(args.stream, dataset)
+    # A bad thresholds file fails before any evaluation or tracking.
+    thresholds = load_thresholds(args.thresholds_file, dataset) if args.thresholds_file else None
     class_ids = dataset.class_ids()
     names = dataset.category_names()
 
@@ -299,8 +301,7 @@ def cmd_stream(args) -> int:
     general = evaluate(general_run.frames)
 
     specific_run = specific = None
-    if args.thresholds_file:
-        thresholds = load_thresholds(args.thresholds_file, dataset)
+    if thresholds is not None:
         specific_run = emit_stream(tracked, thresholds, args.threshold)
         specific = evaluate(specific_run.frames)
 

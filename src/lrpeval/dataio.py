@@ -428,17 +428,18 @@ def build_report(
     rows = []
     per_class_sweeps: dict[ClassId, SweepResult] = {}
     ap_by_tau: dict[ClassId, dict[float, float]] = {cid: {} for cid in class_ids}
-    for t, cid, labels, n_real in label_classes(
+    for cid, labels in label_classes(
         dataset.ground_truths, detections, class_ids, dict.fromkeys((tau, *tau_list))
     ):
-        curve = curve_from_labels(labels, n_real, cid, t) if n_real else None
+        t, n_real = labels.tau, labels.n_real
+        curve = curve_from_labels(labels, cid) if n_real else None
         if curve is not None and t in tau_list:
             ap_by_tau[cid][t] = ap(curve, ap_variant)
         if t != tau:
             continue
-        per_class_sweeps[cid] = sweep = sweep_labels(labels, n_real, cid, tau, grid_step)
+        per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
         aps = {f"ap_{v}": None if curve is None else ap(curve, v) for v in AP_VARIANTS}
-        rows.append(ClassReportRow(names[cid], n_real, len(labels), sweep, **aps))
+        rows.append(ClassReportRow(names[cid], n_real, len(labels.order), sweep, **aps))
     per_class_tau_ap = [
         sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]

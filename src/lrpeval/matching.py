@@ -2,7 +2,12 @@
 
 Two protocols live here. Greedy score-ordered matching is the evaluation
 convention: detections claim ground truths in descending confidence order,
-exactly the way recall-precision curves are built. Optimal one-to-one
+exactly the way recall-precision curves are built. `iou_table` computes a
+class's detection order and same-image IoUs once, and `label_at_tau`
+labels it at one tau as a columnar `TauLabels` record (kind codes, GT
+index and IoU per detection, in score order), the one input of the
+threshold sweep and the recall-precision curve; `DetectionLabel` objects
+are built only at the API edge (`label_detections`). Optimal one-to-one
 assignment (`hungarian`, a shortest augmenting path solver written out in
 this module) minimizes the total 1-IoU distance; it backs the
 set-distance machinery and its symmetry/optimality property tests, and
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterator, Sequence
 
-from .geometry import BoundingBox, iou, iou_distance
+from .geometry import BoundingBox, area, iou_distance
 
 ClassId = Hashable
 ImageId = Hashable
@@ -87,6 +92,7 @@ class DetectionLabel:
     """Per-detection outcome of greedy matching, in descending score order.
 
     kind is "tp", "fp" or "ignored"; gt_index/iou are set for TPs only.
+    The per-object view of `TauLabels`, built only by `label_detections`.
     """
 
     det_index: int
@@ -94,6 +100,42 @@ class DetectionLabel:
     kind: str
     gt_index: int | None = None
     iou: float | None = None
+
+
+# Kind codes of `TauLabels.kinds`; KINDS[code] is the `DetectionLabel` kind.
+TP, FP, IGNORED = 0, 1, 2
+KINDS = ("tp", "fp", "ignored")
+
+
+@dataclass(frozen=True)
+class TauLabels:
+    """Greedy labels of one class at one tau, as columns.
+
+    Every column runs in descending score order (ties by ascending input
+    index): order holds the detection's index in the class's records,
+    scores its score, kinds its code (TP, FP or IGNORED), and gt_index
+    and iou the claimed ground truth and its IoU for a TP (-1 and 0.0
+    otherwise). n_real counts the class's non-ignored ground truths.
+    order and scores are shared with the `IouTable` they came from and
+    with every other tau labeled from it.
+    """
+
+    tau: float
+    n_real: int
+    order: list[int]
+    scores: list[float]
+    kinds: list[int]
+    gt_index: list[int]
+    iou: list[float]
+
+    def detection_labels(self) -> list[DetectionLabel]:
+        """The same labels as one `DetectionLabel` per detection."""
+        return [
+            DetectionLabel(di, score, "tp", gi, overlap) if kind == TP
+            else DetectionLabel(di, score, KINDS[kind])
+            for di, score, kind, gi, overlap
+            in zip(self.order, self.scores, self.kinds, self.gt_index, self.iou)
+        ]
 
 
 def _single_class(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> None:
@@ -107,69 +149,99 @@ class IouTable:
     """The tau-independent part of greedy labeling for one class.
 
     order lists detection indices by descending score, ties broken by
-    ascending input index. For the detection at each position,
-    candidates holds (IoU, ground-truth index) for every non-ignored
-    ground truth of its image, sorted by descending IoU and then
-    ascending index (IoU 0 included, since tau 0 is valid), and crowd_iou
-    its best IoU with an ignore region of its image (-1 if there is none).
+    ascending input index, and scores their scores in that order. For the
+    detection at each position, candidates holds (IoU, ground-truth
+    index) for every non-ignored ground truth of its image, sorted by
+    descending IoU and then ascending index (IoU 0 included, since tau 0
+    is valid), and crowd_iou its best IoU with an ignore region of its
+    image (-1 if there is none). n_gts counts all ground truths, n_real
+    the non-ignored ones.
     """
 
-    dets: Sequence[Detection]
     n_gts: int
+    n_real: int
     order: list[int]
+    scores: list[float]
     candidates: list[list[tuple[float, int]]]
     crowd_iou: list[float]
 
 
+def _corners(box: BoundingBox) -> tuple[float, float, float, float, float]:
+    return box.x_min, box.y_min, box.x_max, box.y_max, area(box)
+
+
+def _ious(x1, y1, x2, y2, a, gts) -> list[tuple[float, int]]:
+    """(IoU, GT index) of one box, given as corners and area, against
+    (GT index, corners, area) rows, with `geometry.iou`'s float steps:
+    min - max widths (min(p, q) is q if q < p else p), 0.0 unless both
+    are > 0, then inter / (area_a + area_b - inter)."""
+    out = []
+    for gi, gx1, gy1, gx2, gy2, g_area in gts:
+        iw = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
+        ih = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
+        if iw <= 0.0 or ih <= 0.0:
+            out.append((0.0, gi))
+        else:
+            inter = iw * ih
+            out.append((inter / (a + g_area - inter), gi))
+    return out
+
+
 def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable:
     """Detection order and every same-image IoU of one class, computed once
-    so that labeling at any number of taus reuses them."""
+    so that labeling at any number of taus reuses them.
+
+    Each box's corners and area are read once, and every entry equals
+    `iou(det.box, gt.box)` bitwise (see `_ious`).
+    """
     _single_class(gts, dets)
-    real_by_image: dict[ImageId, list[int]] = {}
-    ignore_by_image: dict[ImageId, list[int]] = {}
+    real_by_image: dict[ImageId, list[tuple]] = {}
+    ignore_by_image: dict[ImageId, list[tuple]] = {}
     for gi, gt in enumerate(gts):
         target = ignore_by_image if gt.ignore else real_by_image
-        target.setdefault(gt.image_id, []).append(gi)
+        target.setdefault(gt.image_id, []).append((gi, *_corners(gt.box)))
 
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     candidates = []
     crowd_iou = []
     for di in order:
-        box, image_id = dets[di].box, dets[di].image_id
-        # Pairs are built in ascending GT index and the sort is stable, so
+        det = dets[di]
+        corners = _corners(det.box)
+        # Pairs come in ascending GT index and the sort is stable, so
         # equal IoUs keep the lowest index first.
-        pairs = [(iou(box, gts[gi].box), gi) for gi in real_by_image.get(image_id, ())]
+        pairs = _ious(*corners, real_by_image.get(det.image_id, ()))
         pairs.sort(key=itemgetter(0), reverse=True)
         candidates.append(pairs)
-        crowd_iou.append(
-            max((iou(box, gts[gi].box) for gi in ignore_by_image.get(image_id, ())), default=-1.0)
-        )
-    return IouTable(dets, len(gts), order, candidates, crowd_iou)
+        crowd = ignore_by_image.get(det.image_id)
+        crowd_iou.append(max(_ious(*corners, crowd))[0] if crowd else -1.0)
+    n_real = sum(map(len, real_by_image.values()))
+    return IouTable(len(gts), n_real, order, [dets[i].score for i in order], candidates, crowd_iou)
 
 
-def label_at_tau(table: IouTable, tau: float) -> list[DetectionLabel]:
-    """Greedy labels of one class at tau from its IoU table.
+def label_at_tau(table: IouTable, tau: float) -> TauLabels:
+    """Greedy labels of one class at tau from its IoU table, as columns.
 
     In score order, each detection takes its first unclaimed candidate if
-    that IoU reaches tau; otherwise it is "ignored" when its best crowd
-    IoU reaches tau, else "fp".
+    that IoU reaches tau; otherwise it is IGNORED when its best crowd IoU
+    reaches tau, else FP. Candidates run by descending IoU, so the walk
+    stops at the first one below tau. No `Detection` is read: the record
+    shares the table's order and scores.
     """
     check_tau(tau)
-    dets = table.dets
     claimed = [False] * table.n_gts
-    labels: list[DetectionLabel] = []
-    for di, pairs, crowd in zip(table.order, table.candidates, table.crowd_iou):
+    n = len(table.order)
+    kinds, gt_index, ious = [FP] * n, [-1] * n, [0.0] * n
+    for pos, (pairs, crowd) in enumerate(zip(table.candidates, table.crowd_iou)):
         for overlap, gi in pairs:
-            if not claimed[gi]:
+            if overlap < tau:
                 break
-        else:
-            overlap = -1.0
-        if overlap >= tau:
-            claimed[gi] = True
-            labels.append(DetectionLabel(di, dets[di].score, "tp", gi, overlap))
-        else:
-            labels.append(DetectionLabel(di, dets[di].score, "ignored" if crowd >= tau else "fp"))
-    return labels
+            if not claimed[gi]:
+                claimed[gi] = True
+                kinds[pos], gt_index[pos], ious[pos] = TP, gi, overlap
+                break
+        if crowd >= tau and kinds[pos] == FP:
+            kinds[pos] = IGNORED
+    return TauLabels(tau, table.n_real, table.order, table.scores, kinds, gt_index, ious)
 
 
 def label_detections(
@@ -191,13 +263,9 @@ def label_detections(
     Labels are prefix-stable: truncating the detection list at any score
     threshold leaves the surviving labels unchanged, which is what makes
     a single labeling pass serve every threshold of a sweep.
+    Evaluation paths read the `TauLabels` columns instead.
     """
-    return label_at_tau(iou_table(gts, dets), tau)
-
-
-def count_real(gts: Sequence[GroundTruth]) -> int:
-    """Number of non-ignored ground truths."""
-    return sum(1 for g in gts if not g.ignore)
+    return label_at_tau(iou_table(gts, dets), tau).detection_labels()
 
 
 def label_classes(
@@ -205,16 +273,17 @@ def label_classes(
     dets: Sequence[Detection],
     class_ids: Sequence[ClassId],
     taus: Sequence[float],
-) -> Iterator[tuple[float, ClassId, list[DetectionLabel], int]]:
+) -> Iterator[tuple[ClassId, TauLabels]]:
     """Greedy labels of every (class, tau) pair, each labeled exactly once.
 
     Ground truths and detections are grouped by class in one pass;
     records of classes outside class_ids are skipped. Yields
-    (tau, class_id, labels, n_real) for each class in order, then each
-    tau in order, where n_real counts the class's non-ignored ground
-    truths and label indices refer to the class's records in input order.
-    Each class's IoU table is built once and serves all its taus;
-    repeated taus are labeled again, once per occurrence.
+    (class_id, labels) for each class in order, then each tau in order;
+    the `TauLabels` record carries its tau and the class's count of
+    non-ignored ground truths, and its detection and GT indices refer to
+    the class's records in input order. Each class's IoU table is built
+    once and serves all its taus; repeated taus are labeled again, once
+    per occurrence.
     """
     class_gts: dict[ClassId, list[GroundTruth]] = {cid: [] for cid in class_ids}
     class_dets: dict[ClassId, list[Detection]] = {cid: [] for cid in class_ids}
@@ -225,9 +294,8 @@ def label_classes(
                 group.append(record)
     for cid in class_ids:
         table = iou_table(class_gts[cid], class_dets[cid])
-        n_real = count_real(class_gts[cid])
         for tau in taus:
-            yield tau, cid, label_at_tau(table, tau), n_real
+            yield cid, label_at_tau(table, tau)
 
 
 def hungarian(cost) -> list[tuple[int, int]]:

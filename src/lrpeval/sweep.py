@@ -5,7 +5,9 @@ The score domain is discretized into a fixed grid (0.01 steps by default,
 optimal LRP is the minimum over the defined samples. Greedy matching
 labels are prefix-stable, so one labeling pass at tau serves the whole
 grid and thresholds sharing the same retained detection set produce
-bitwise-identical breakdowns. The same labels also build the class's
+bitwise-identical breakdowns. The sweep reads the columns of one
+`matching.TauLabels` record (prefix sums of its kind codes and of
+1 - IoU in match order); the same record builds the class's
 recall-precision curve (`ap.curve_from_labels`): callers label each
 (class, tau) once with `matching.label_classes` and feed both consumers.
 """
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts
-from .matching import ClassId, Detection, DetectionLabel, GroundTruth, label_classes
+from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 DEFAULT_GRID_STEP = 0.01
 
@@ -78,34 +81,33 @@ def sweep_class(
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> SweepResult:
     """Sweep the score-threshold grid for one class and pick its optimum."""
-    ((_, _, labels, n_real),) = label_classes(gts, dets, (class_id,), (tau,))
-    return sweep_labels(labels, n_real, class_id, tau, grid_step)
+    ((_, labels),) = label_classes(gts, dets, (class_id,), (tau,))
+    return sweep_labels(labels, class_id, grid_step)
 
 
 def sweep_labels(
-    labels: Sequence[DetectionLabel],
-    n_real: int,
-    class_id: ClassId,
-    tau: float,
-    grid_step: float = DEFAULT_GRID_STEP,
+    labels: TauLabels, class_id: ClassId, grid_step: float = DEFAULT_GRID_STEP
 ) -> SweepResult:
-    """Sweep the grid over one class's greedy labels at tau; n_real is
-    the class's count of non-ignored ground truths."""
-    grid = threshold_grid(grid_step)
+    """Sweep the grid over one class's greedy labels at labels.tau.
 
-    # Prefix accumulators over the descending-score label order. The
-    # running loc-error sum is stored once per prefix so equal prefixes
-    # reuse the identical float.
-    scores_desc = [lab.score for lab in labels]
-    scores_asc = scores_desc[::-1]
-    n = len(labels)
-    cum_tp = [0] * (n + 1)
-    cum_ign = [0] * (n + 1)
-    cum_loc = [0.0] * (n + 1)
-    for i, lab in enumerate(labels):
-        cum_tp[i + 1] = cum_tp[i] + (lab.kind == "tp")
-        cum_ign[i + 1] = cum_ign[i] + (lab.kind == "ignored")
-        cum_loc[i + 1] = cum_loc[i] + ((1.0 - lab.iou) if lab.kind == "tp" else 0.0)
+    Reads only the record's columns: scores, kind codes and IoUs, plus
+    its tau and count of non-ignored ground truths.
+    """
+    grid = threshold_grid(grid_step)
+    tau, n_real = labels.tau, labels.n_real
+
+    # Prefix accumulators over the descending-score order. The running
+    # loc-error sum is accumulated in match order and stored once per
+    # prefix, so equal prefixes reuse the identical float.
+    scores_asc = labels.scores[::-1]
+    n = len(scores_asc)
+    kinds = labels.kinds
+    cum_tp = list(accumulate((k == TP for k in kinds), initial=0))
+    cum_ign = list(accumulate((k == IGNORED for k in kinds), initial=0))
+    cum_loc = list(accumulate(
+        ((1.0 - overlap) if k == TP else 0.0 for k, overlap in zip(kinds, labels.iou)),
+        initial=0.0,
+    ))
 
     samples = []
     for s in grid:
@@ -175,8 +177,8 @@ def molrp(
 ) -> MoLrpReport:
     """Sweep every class and average the per-class optima."""
     per_class = {
-        cid: sweep_labels(labels, n_real, cid, tau, grid_step)
-        for _, cid, labels, n_real in label_classes(gts, dets, class_ids, (tau,))
+        cid: sweep_labels(labels, cid, grid_step)
+        for cid, labels in label_classes(gts, dets, class_ids, (tau,))
     }
     return aggregate_molrp(per_class, tau)
 

@@ -2,17 +2,19 @@
 
 Everything here recomputes expected values by brute force (rasterization,
 permutation enumeration, per-threshold re-matching, a full scan per
-detection, scalar link costs) so the tested code paths are checked
-against genuinely separate computations.
+detection, scalar link costs, one bisect per AP grid recall) so the
+tested code paths are checked against genuinely separate computations.
 """
 
 import itertools
 import random
+from bisect import bisect_left
 
 import numpy as np
 
 from lrpeval import BoundingBox, LrpBreakdown, MatchResult
 from lrpeval.geometry import iou
+from lrpeval.ap import AP_VARIANTS
 from lrpeval.matching import DetectionLabel
 
 
@@ -97,8 +99,7 @@ def rematch(gts, dets, s, tau):
         (kept[lab.det_index], lab.gt_index, lab.iou) for lab in labels if lab.kind == "tp"
     )
     n_fp = sum(lab.kind == "fp" for lab in labels)
-    n_real = sum(not g.ignore for g in gts)
-    return MatchResult(tp_pairs, len(tp_pairs), n_fp, n_real - len(tp_pairs))
+    return MatchResult(tp_pairs, len(tp_pairs), n_fp, count_real(gts) - len(tp_pairs))
 
 
 def rematch_rp_points(gts, dets, class_id, tau):
@@ -142,6 +143,37 @@ def integrate_rp_points(points, variant: str) -> float:
         return total
     steps = 10 if variant == "pascal11" else 100
     return sum(at(i / steps) for i in range(steps + 1)) / (steps + 1)
+
+
+def count_real(gts):
+    """Number of non-ignored ground truths."""
+    return sum(1 for g in gts if not g.ignore)
+
+
+def ap(curve, variant="coco101"):
+    """AP of an `RPCurve` with one bisect per grid recall: the precision at
+    recall r is the interpolated precision of the first point whose recall
+    reaches r, 0 if there is none."""
+    if variant not in AP_VARIANTS:
+        raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
+    if not curve.points:
+        return 0.0
+    recalls = [p[0] for p in curve.points]
+    if variant == "continuous":
+        total = 0.0
+        prev = 0.0
+        for (recall, _, _), interp in zip(curve.points, curve.interpolated_precision):
+            total += (recall - prev) * interp
+            prev = recall
+        return total
+
+    def interp_at(r):
+        idx = bisect_left(recalls, r)
+        return 0.0 if idx == len(recalls) else curve.interpolated_precision[idx]
+
+    steps = 10 if variant == "pascal11" else 100
+    grid = [i / steps for i in range(steps + 1)]
+    return sum(interp_at(r) for r in grid) / len(grid)
 
 
 def label_detections(gts, dets, tau):

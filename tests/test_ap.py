@@ -1,16 +1,25 @@
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lrpeval import (
     BoundingBox,
     Detection,
     GroundTruth,
+    RPCurve,
+    TauLabels,
     ap,
     build_report,
+    curve_from_labels,
     rp_curve,
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo
+from lrpeval.ap import AP_VARIANTS
+from lrpeval.matching import FP, IGNORED, TP
 from oracles import integrate_rp_points, random_boxes, rematch_rp_points
 from synth import reference_detectors
 
@@ -153,6 +162,59 @@ def map_over_taus(gts, dets, class_ids, taus):
     """Mean AP over classes and taus, as the evaluation report computes it."""
     dataset = Dataset((ImageInfo(0),), tuple(Category(c, str(c)) for c in class_ids), tuple(gts))
     return build_report(dataset, dets, tau_list=taus).mean_ap
+
+
+def labels_from_kinds(kinds, n_real, tau=0.5):
+    """A class's columnar labels with the given kind codes in descending
+    score order; TPs claim ground truths 0, 1, ... at IoU 1."""
+    n = len(kinds)
+    tps = accumulate(k == TP for k in kinds)
+    return TauLabels(
+        tau, n_real, list(range(n)), [1.0 - i / n for i in range(n)], list(kinds),
+        [tp - 1 if k == TP else -1 for tp, k in zip(tps, kinds)],
+        [1.0 if k == TP else 0.0 for k in kinds],
+    )
+
+
+@st.composite
+def labeled_curves(draw):
+    """Curves from kind sequences: n_real of 4, 10 or 100 puts recalls
+    exactly on 11- and 101-point grid recalls, FP runs repeat a recall,
+    and all-ignored or empty sequences give the empty curve."""
+    n_real = draw(st.sampled_from((4, 10, 100)) | st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from((TP, FP, IGNORED)), max_size=60))
+    # A class cannot have more TPs than ground truths.
+    tp_seen = accumulate(k == TP for k in kinds)
+    kinds = [FP if k == TP and seen > n_real else k for k, seen in zip(kinds, tp_seen)]
+    return curve_from_labels(labels_from_kinds(kinds, n_real), 1)
+
+
+@st.composite
+def random_curves(draw):
+    """Curves with arbitrary non-decreasing recalls in [0, 1] and arbitrary
+    precisions, including repeated recalls and recalls on grid points."""
+    recall = st.floats(0.0, 1.0) | st.integers(0, 100).map(lambda i: i / 100)
+    recalls = sorted(draw(st.lists(recall, max_size=40)))
+    precisions = draw(st.lists(st.floats(0.0, 1.0), min_size=len(recalls),
+                               max_size=len(recalls)))
+    interp = list(accumulate(reversed(precisions), max))[::-1]
+    points = tuple((r, p, 0.5) for r, p in zip(recalls, precisions))
+    return RPCurve(1, 0.5, points, tuple(interp))
+
+
+class TestApMergeWalk:
+    """The merge walk over the recall grid gives the bisect-per-grid-point
+    reference's float for every variant."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(labeled_curves() | random_curves())
+    @example(RPCurve(1, 0.5, (), ()))
+    @example(curve_from_labels(labels_from_kinds([TP, FP, TP, FP, TP, TP], 4), 1))
+    @example(curve_from_labels(labels_from_kinds([TP] * 10 + [FP] * 3, 10), 1))
+    @example(curve_from_labels(labels_from_kinds([FP, TP] * 100, 100), 1))
+    def test_equals_bisect_reference(self, curve):
+        for variant in AP_VARIANTS:
+            assert ap(curve, variant) == oracles.ap(curve, variant), variant
 
 
 class TestMapOverTaus:

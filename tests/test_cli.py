@@ -304,6 +304,32 @@ class TestLabelOnce:
         assert tables == {c: 1 for c in self.CLASSES}
 
 
+class TestColumnarLabels:
+    def test_eval_builds_no_detection_label(self, tmp_path, monkeypatch):
+        # Evaluation reads the TauLabels columns; DetectionLabel objects
+        # are built only by the per-object API (label_detections).
+        gts = [GroundTruth(i, c, box_at(c)) for c in (1, 2) for i in range(3)]
+        dets = [Detection(i, c, shrunk(box_at(c), 0.6 + i / 10), 0.3 + i / 10)
+                for c in (1, 2) for i in range(3)]
+        dets.append(Detection(0, 1, box_at(9), 0.5))
+        gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
+        matching = sys.modules["lrpeval.matching"]
+        built = []
+
+        class CountingLabel(matching.DetectionLabel):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "DetectionLabel", CountingLabel)
+        out = str(tmp_path / "out.json")
+        assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", out]) == 0
+        assert built == []
+        # The counter sees the objects the per-object API builds.
+        labels = matching.label_detections(gts[:1], dets[:1], 0.5)
+        assert len(built) == 1 and isinstance(labels[0], CountingLabel)
+
+
 class TestImportCost:
     @staticmethod
     def heavy_modules_loaded(argv):
@@ -532,6 +558,27 @@ class TestStreamCommand:
         ]) == 0
         frame_indices = [f["frame_index"] for f in json.loads(Path(stream_path).read_text())["frames"]]
         assert calls == {pair: 1 for pair in zip(frame_indices, frame_indices[1:])}
+
+    def test_bad_thresholds_file_fails_before_tracking(self, tmp_path, monkeypatch, capsys):
+        stream_path, gt_path, thr_path = stream_fixture(tmp_path)
+        doc = json.loads(Path(thr_path).read_text())
+        doc["thresholds"][1]["class_id"] = "unknown"
+        Path(thr_path).write_text(json.dumps(doc))
+        cli = sys.modules["lrpeval.cli"]
+        track = cli.track_stream
+        calls = []
+
+        def counting_track(*args):
+            calls.append(args)
+            return track(*args)
+
+        monkeypatch.setattr(cli, "track_stream", counting_track)
+        assert main([
+            "stream", "--stream", stream_path, "--gt", gt_path,
+            "--thresholds-file", thr_path, "--output", str(tmp_path / "out.json"),
+        ]) == 2
+        assert "error: thresholds[1].class_id:" in capsys.readouterr().err
+        assert calls == []
 
     def test_class_specific_beats_general(self, tmp_path):
         stream_path, gt_path, thr_path = stream_fixture(tmp_path)

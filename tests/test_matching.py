@@ -16,8 +16,9 @@ from lrpeval import (
     match_optimal,
     sweep_class,
 )
-from lrpeval.matching import count_real, label_detections
-from oracles import brute_force_assignment_cost, random_boxes
+from lrpeval.geometry import iou
+from lrpeval.matching import TauLabels, iou_table, label_detections
+from oracles import brute_force_assignment_cost, count_real, random_boxes
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
@@ -255,7 +256,48 @@ class TestLabelClassesProperty:
             for tau in taus:
                 labels = oracles.label_detections(class_gts, class_dets, tau)
                 expected.append((tau, cid, labels, count_real(class_gts)))
-        assert list(label_classes(gts, dets, ("a", "b"), taus)) == expected
+        got = []
+        for cid, labels in label_classes(gts, dets, ("a", "b"), taus):
+            assert isinstance(labels, TauLabels)
+            got.append((labels.tau, cid, labels.detection_labels(), labels.n_real))
+        assert got == expected
+
+
+# Corners on a small integer grid make disjoint, touching (shared edge or
+# corner), nested and identical pairs common; float corners cover the rest.
+_IOU_BOXES = st.one_of(
+    _GRID_BOXES,
+    st.builds(
+        lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+        st.floats(0, 20), st.floats(0, 20), st.floats(0.01, 20), st.floats(0.01, 20),
+    ),
+)
+
+
+class TestIouTableProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), _IOU_BOXES, st.booleans()), max_size=10),
+        st.lists(st.tuples(st.integers(0, 2), _IOU_BOXES), max_size=10),
+    )
+    @example([(0, BoundingBox(0, 0, 4, 4), False), (0, BoundingBox(4, 0, 6, 4), True),
+              (0, BoundingBox(1, 1, 2, 2), False), (0, BoundingBox(9, 9, 10, 10), False)],
+             [(0, BoundingBox(0, 0, 4, 4))])
+    def test_every_iou_equals_geometry_iou(self, gt_specs, det_specs):
+        gts = [GroundTruth(i, 1, box, crowd) for i, box, crowd in gt_specs]
+        dets = [Detection(i, 1, box, 0.5) for i, box in det_specs]
+        table = iou_table(gts, dets)
+        assert table.scores == [dets[di].score for di in table.order]
+        for di, pairs, crowd_iou in zip(table.order, table.candidates, table.crowd_iou):
+            det = dets[di]
+            same_image = [gi for gi, g in enumerate(gts) if g.image_id == det.image_id]
+            real = [gi for gi in same_image if not gts[gi].ignore]
+            assert sorted(gi for _, gi in pairs) == real
+            for overlap, gi in pairs:
+                assert overlap == iou(det.box, gts[gi].box)
+            assert crowd_iou == max(
+                (iou(det.box, gts[gi].box) for gi in same_image if gts[gi].ignore), default=-1.0
+            )
 
 
 @st.composite
