@@ -4,6 +4,12 @@ Inputs follow the COCO conventions: an annotation document with images /
 annotations / categories (bbox as [x, y, w, h], iscrowd mapping to the
 ignore flag) and a results array of {image_id, category_id, bbox, score}.
 Schema violations raise SchemaError with a path to the offending field.
+The loaders first test each record for its common valid shape (ids of
+known type and value, float score and box coordinates, iscrowd 0 or 1)
+in one expression and build it directly; a record that fails the test
+goes through field-by-field checks, which accept the other valid forms
+and raise naming the first offending field. Box and class-distribution
+values are checked once, by the constructors, on both paths.
 Outputs are deterministic byte streams: an evaluation report (JSON or
 CSV, schema lrp_report_v1), long-format curve data, per-class threshold
 files, and stream fixtures for the video-linking pipeline.
@@ -106,6 +112,19 @@ def _array(record: Mapping, key: str, where: str = "") -> list:
     return value
 
 
+# Types of the common valid shape: JSON yields exactly these types.
+_ID_TYPES = frozenset((int, float, str))
+_OPTIONAL_REAL_TYPES = frozenset((int, float, type(None)))
+
+
+def _is_float_xywh(raw) -> bool:
+    """Whether raw is the common bbox shape: a list of four floats."""
+    return (
+        type(raw) is list and len(raw) == 4
+        and type(raw[0]) is type(raw[1]) is type(raw[2]) is type(raw[3]) is float
+    )
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -141,13 +160,19 @@ def load_ground_truth(path) -> Dataset:
     images = []
     image_ids = set()
     for i, img in enumerate(_array(data, "images")):
-        img_id = _require_id(img, "id", f"images[{i}]")
-        if img_id in image_ids:
-            raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
+        if not (
+            type(img) is dict
+            and type(img_id := img.get("id")) in _ID_TYPES and img_id not in image_ids
+            and type(img.get("width")) in _OPTIONAL_REAL_TYPES
+            and type(img.get("height")) in _OPTIONAL_REAL_TYPES
+        ):
+            img_id = _require_id(img, "id", f"images[{i}]")
+            if img_id in image_ids:
+                raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
+            for key in ("width", "height"):
+                if img.get(key) is not None and not _is_number(img[key]):
+                    raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
         image_ids.add(img_id)
-        for key in ("width", "height"):
-            if img.get(key) is not None and not _is_number(img[key]):
-                raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
         images.append(ImageInfo(img_id, img.get("width"), img.get("height")))
     image_by_id = {im.id: im for im in images}
 
@@ -174,16 +199,33 @@ def load_ground_truth(path) -> Dataset:
 
     gts = []
     for i, ann in enumerate(_array(data, "annotations")):
-        where = f"annotations[{i}]"
-        img_id = _require_known(ann, "image_id", where, image_ids, "image")
-        cat_id = _require_known(ann, "category_id", where, category_ids, "category")
-        raw_bbox = _require(ann, "bbox", where)
-        try:
-            box = _parse_bbox(raw_bbox, f"{where}.bbox")
-        except SchemaError as exc:
-            ann_id = ann.get("id", "?")
-            raise SchemaError(f"{exc} (annotation id {ann_id})") from None
-        image = image_by_id[img_id]
+        gt = None
+        if (
+            type(ann) is dict
+            and type(img_id := ann.get("image_id")) in _ID_TYPES and img_id in image_ids
+            and type(cat_id := ann.get("category_id")) in _ID_TYPES and cat_id in category_ids
+            and _is_float_xywh(raw_bbox := ann.get("bbox"))
+            and type(crowd := ann.get("iscrowd", 0)) is int and 0 <= crowd <= 1
+        ):
+            try:
+                gt = GroundTruth(img_id, cat_id, BoundingBox.from_xywh(*raw_bbox), bool(crowd))
+            except ValueError:
+                pass  # a non-finite or degenerate box: the checks below name it
+        if gt is None:
+            where = f"annotations[{i}]"
+            img_id = _require_known(ann, "image_id", where, image_ids, "image")
+            cat_id = _require_known(ann, "category_id", where, category_ids, "category")
+            raw_bbox = _require(ann, "bbox", where)
+            try:
+                box = _parse_bbox(raw_bbox, f"{where}.bbox")
+            except SchemaError as exc:
+                ann_id = ann.get("id", "?")
+                raise SchemaError(f"{exc} (annotation id {ann_id})") from None
+            crowd = ann.get("iscrowd", 0)
+            if not isinstance(crowd, int) or crowd not in (0, 1):
+                raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
+            gt = GroundTruth(img_id, cat_id, box, ignore=bool(crowd))
+        box, image = gt.box, image_by_id[img_id]
         if box.x_min < 0 or box.y_min < 0 or (
             image.width is not None and box.x_max > image.width
         ) or (image.height is not None and box.y_max > image.height):
@@ -191,10 +233,7 @@ def load_ground_truth(path) -> Dataset:
                 "annotation id %s extends outside image %s; kept as annotated",
                 ann.get("id", "?"), img_id,
             )
-        crowd = ann.get("iscrowd", 0)
-        if not isinstance(crowd, int) or crowd not in (0, 1):
-            raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
-        gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
+        gts.append(gt)
 
     return Dataset(tuple(images), tuple(categories), tuple(gts))
 
@@ -209,14 +248,28 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
     category_ids = {c.id for c in dataset.categories}
     dets = []
     for i, rec in enumerate(data):
-        where = f"detections[{i}]"
-        img_id = _require_known(rec, "image_id", where, image_ids, "image")
-        cat_id = _require_known(rec, "category_id", where, category_ids, "category")
-        score = _require(rec, "score", where)
-        if not _is_number(score) or not 0.0 <= score <= 1.0:
-            raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
-        box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
-        dets.append(Detection(img_id, cat_id, box, float(score)))
+        det = None
+        if (
+            type(rec) is dict
+            and type(img_id := rec.get("image_id")) in _ID_TYPES and img_id in image_ids
+            and type(cat_id := rec.get("category_id")) in _ID_TYPES and cat_id in category_ids
+            and type(score := rec.get("score")) is float and 0.0 <= score <= 1.0
+            and _is_float_xywh(raw_bbox := rec.get("bbox"))
+        ):
+            try:
+                det = Detection(img_id, cat_id, BoundingBox.from_xywh(*raw_bbox), score)
+            except ValueError:
+                pass  # a non-finite or degenerate box: the checks below name it
+        if det is None:
+            where = f"detections[{i}]"
+            img_id = _require_known(rec, "image_id", where, image_ids, "image")
+            cat_id = _require_known(rec, "category_id", where, category_ids, "category")
+            score = _require(rec, "score", where)
+            if not _is_number(score) or not 0.0 <= score <= 1.0:
+                raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
+            box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
+            det = Detection(img_id, cat_id, box, float(score))
+        dets.append(det)
     return dets
 
 
@@ -271,27 +324,51 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
         index = _require(frame, "frame_index", where)
         if not isinstance(index, int) or isinstance(index, bool):
             raise SchemaError(f"{where}.frame_index: must be an integer, got {index!r}")
+        if frames and index <= frames[-1].frame_index:
+            raise SchemaError(
+                f"{where}.frame_index: frame indices must be strictly increasing, "
+                f"got {index} after {frames[-1].frame_index}"
+            )
         dets = []
         for j, rec in enumerate(_array(frame, "detections", where)):
-            dwhere = f"{where}.detections[{j}]"
-            class_id = _require_known(rec, "class_id", dwhere, category_ids, "category")
-            box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
-            raw_scores = _require(rec, "class_scores", dwhere)
-            if not isinstance(raw_scores, list):
-                raise SchemaError(f"{dwhere}.class_scores: must be an array")
-            for k, v in enumerate(raw_scores):
-                if not _is_number(v):
-                    raise SchemaError(f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}")
-            if n_bins is not None and len(raw_scores) != n_bins:
-                raise SchemaError(
-                    f"{dwhere}.class_scores: has {len(raw_scores)} entries, "
-                    f"earlier detections have {n_bins}"
-                )
+            det = None
+            if (
+                type(rec) is dict
+                and type(class_id := rec.get("class_id")) in _ID_TYPES
+                and class_id in category_ids
+                and _is_float_xywh(raw_bbox := rec.get("bbox"))
+                and type(raw_scores := rec.get("class_scores")) is list
+                and (n_bins is None or len(raw_scores) == n_bins)
+                and all(type(v) is float for v in raw_scores)
+            ):
+                try:
+                    box = BoundingBox.from_xywh(*raw_bbox)
+                    det = StreamDetection(class_id, box, tuple(raw_scores))
+                except ValueError:
+                    pass  # a bad box or distribution: the checks below name it
+            if det is None:
+                dwhere = f"{where}.detections[{j}]"
+                class_id = _require_known(rec, "class_id", dwhere, category_ids, "category")
+                box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
+                raw_scores = _require(rec, "class_scores", dwhere)
+                if not isinstance(raw_scores, list):
+                    raise SchemaError(f"{dwhere}.class_scores: must be an array")
+                for k, v in enumerate(raw_scores):
+                    if not _is_number(v):
+                        raise SchemaError(
+                            f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}"
+                        )
+                if n_bins is not None and len(raw_scores) != n_bins:
+                    raise SchemaError(
+                        f"{dwhere}.class_scores: has {len(raw_scores)} entries, "
+                        f"earlier detections have {n_bins}"
+                    )
+                try:
+                    det = StreamDetection(class_id, box, tuple(float(v) for v in raw_scores))
+                except ValueError as exc:
+                    raise SchemaError(f"{dwhere}.class_scores: {exc}") from exc
             n_bins = len(raw_scores)
-            try:
-                dets.append(StreamDetection(class_id, box, tuple(float(v) for v in raw_scores)))
-            except ValueError as exc:
-                raise SchemaError(f"{dwhere}.class_scores: {exc}") from exc
+            dets.append(det)
         frames.append(FrameDetections(index, tuple(dets)))
     return frames
 
@@ -342,8 +419,8 @@ def threshold_rows(
             continue
         warning = None
         s_star = result.s_star
-        first = result.samples[0].breakdown
-        if first is not None and first.n_tp + first.n_fp == 0:
+        _, _, n_tp, n_fp, _ = result.counts[0]  # s = 0 keeps every detection
+        if n_tp + n_fp == 0:
             s_star = 0.0
             warning = "class has ground truth but no detections; threshold forced to 0.00"
             logger.warning("class %s: %s", cid, warning)
@@ -371,6 +448,8 @@ def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
     out = {}
     for i, rec in enumerate(_array(data, "thresholds")):
         cid = _require_known(rec, "class_id", f"thresholds[{i}]", category_ids, "category")
+        if cid in out:
+            raise SchemaError(f"thresholds[{i}].class_id: duplicate class id {cid!r}")
         s_star = _require(rec, "s_star", f"thresholds[{i}]")
         if not _is_number(s_star) or not 0.0 <= s_star <= 1.0:
             raise SchemaError(f"thresholds[{i}].s_star: must be a number in [0, 1], got {s_star!r}")
@@ -433,13 +512,12 @@ def build_report(
     ):
         t, n_real = labels.tau, labels.n_real
         curve = curve_from_labels(labels, cid) if n_real else None
+        if t == tau:
+            per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
+            aps = {f"ap_{v}": None if curve is None else ap(curve, v) for v in AP_VARIANTS}
+            rows.append(ClassReportRow(names[cid], n_real, len(labels.order), sweep, **aps))
         if curve is not None and t in tau_list:
-            ap_by_tau[cid][t] = ap(curve, ap_variant)
-        if t != tau:
-            continue
-        per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
-        aps = {f"ap_{v}": None if curve is None else ap(curve, v) for v in AP_VARIANTS}
-        rows.append(ClassReportRow(names[cid], n_real, len(labels.order), sweep, **aps))
+            ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(curve, ap_variant)
     per_class_tau_ap = [
         sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]

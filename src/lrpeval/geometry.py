@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
+
+_CORNERS = ("x_min", "y_min", "x_max", "y_max")
 
 
 @dataclass(frozen=True)
@@ -20,14 +22,19 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
+        x_min, y_min, x_max, y_max = self.x_min, self.y_min, self.x_max, self.y_max
+        if not (
+            type(x_min) is type(y_min) is type(x_max) is type(y_max) is float
+            and isfinite(x_min) and isfinite(y_min) and isfinite(x_max) and isfinite(y_max)
+        ):
+            # Not four finite floats: ints are fine, anything else is named.
+            for name, value in zip(_CORNERS, (x_min, y_min, x_max, y_max)):
+                if not isinstance(value, (int, float)) or not isfinite(value):
+                    raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
+        if not (x_max > x_min and y_max > y_min):
             raise ValueError(
                 "degenerate box: need x_max > x_min and y_max > y_min, got "
-                f"({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
+                f"({x_min}, {y_min}, {x_max}, {y_max})"
             )
 
     @classmethod

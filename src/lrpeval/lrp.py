@@ -48,6 +48,13 @@ class LrpBreakdown:
     w_fn: float
 
 
+def total_from_counts(loc_error_sum: float, n_tp: int, n_fp: int, n_fn: int, tau: float) -> float:
+    """Total LRP error from raw counts and the summed TP error: the one
+    total formula, shared by `breakdown_from_counts` and the threshold
+    sweep so both give the same float. Needs n_tp + n_fp + n_fn > 0."""
+    return (loc_error_sum / (1.0 - tau) + n_fp + n_fn) / (n_tp + n_fp + n_fn)
+
+
 def breakdown_from_counts(
     loc_error_sum: float, n_tp: int, n_fp: int, n_fn: int, tau: float
 ) -> LrpBreakdown:
@@ -64,9 +71,8 @@ def breakdown_from_counts(
         raise UndefinedLrp("both ground-truth and detection sets are empty")
     n_det = n_tp + n_fp
     n_gt = n_tp + n_fn
-    total = (loc_error_sum / (1.0 - tau) + n_fp + n_fn) / z
     return LrpBreakdown(
-        total=total,
+        total=total_from_counts(loc_error_sum, n_tp, n_fp, n_fn, tau),
         loc_component=loc_error_sum / n_tp if n_tp else None,
         fp_component=n_fp / n_det if n_det else None,
         fn_component=n_fn / n_gt if n_gt else None,

@@ -10,16 +10,23 @@ bitwise-identical breakdowns. The sweep reads the columns of one
 1 - IoU in match order); the same record builds the class's
 recall-precision curve (`ap.curve_from_labels`): callers label each
 (class, tau) once with `matching.label_classes` and feed both consumers.
+
+At each grid point the sweep keeps only the counts and the total error
+(`lrp.total_from_counts`, the formula `lrp.breakdown_from_counts` uses),
+and builds one `LrpBreakdown`, for the optimum. `SweepResult.samples`,
+one breakdown per grid point, is built from the stored counts on first
+read; the optimum and `SweepResult.optimum()` need no samples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts
+from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts, total_from_counts
 from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 DEFAULT_GRID_STEP = 0.01
@@ -53,11 +60,14 @@ class SweepResult:
     fewest detections are retained at equal error. A class with neither
     ground truths nor detections has nothing to evaluate and is marked
     evaluable=False with olrp and s_star unset.
+
+    counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
+    threshold in grid order; `samples` is built from it on first read.
     """
 
     class_id: ClassId
     tau: float
-    samples: tuple[SweepSample, ...]
+    counts: tuple[tuple[float, float, int, int, int], ...]
     evaluable: bool
     s_star: float | None
     olrp: float | None
@@ -65,8 +75,18 @@ class SweepResult:
     olrp_fp: float | None
     olrp_fn: float | None
 
+    @cached_property
+    def samples(self) -> tuple[SweepSample, ...]:
+        """One sample per grid threshold, built on first read from counts."""
+        return tuple(
+            SweepSample(s, breakdown_from_counts(loc, n_tp, n_fp, n_fn, self.tau)
+                        if n_tp + n_fp + n_fn else None)
+            for s, loc, n_tp, n_fp, n_fn in self.counts
+        )
+
     def optimum(self) -> dict[str, float | None]:
-        """oLRP, its three components and s*, keyed as in reports."""
+        """oLRP, its three components and s*, keyed as in reports; reads
+        no samples."""
         return {
             "olrp": self.olrp, "olrp_iou": self.olrp_iou, "olrp_fp": self.olrp_fp,
             "olrp_fn": self.olrp_fn, "s_star": self.s_star,
@@ -109,34 +129,30 @@ def sweep_labels(
         initial=0.0,
     ))
 
-    samples = []
+    # Counts and total per grid point; the last minimal total wins.
+    counts = []
+    best, best_total = None, None
     for s in grid:
         k = n - bisect_left(scores_asc, s)
         n_tp = cum_tp[k]
         n_fp = k - cum_ign[k] - n_tp
         n_fn = n_real - n_tp
-        if n_tp + n_fp + n_fn == 0:
-            samples.append(SweepSample(s, None))
-            continue
-        samples.append(
-            SweepSample(s, breakdown_from_counts(cum_loc[k], n_tp, n_fp, n_fn, tau))
-        )
-
-    best = None
-    for sample in samples:
-        if sample.breakdown is None:
-            continue
-        if best is None or sample.breakdown.total <= best.breakdown.total:
-            best = sample
+        point = (s, cum_loc[k], n_tp, n_fp, n_fn)
+        counts.append(point)
+        if n_tp + n_fp + n_fn:
+            total = total_from_counts(cum_loc[k], n_tp, n_fp, n_fn, tau)
+            if best_total is None or total <= best_total:
+                best, best_total = point, total
     if best is None:
-        return SweepResult(class_id, tau, tuple(samples), False, None, None, None, None, None)
-    bd = best.breakdown
+        return SweepResult(class_id, tau, tuple(counts), False, None, None, None, None, None)
+    s_star, loc, n_tp, n_fp, n_fn = best
+    bd = breakdown_from_counts(loc, n_tp, n_fp, n_fn, tau)
     return SweepResult(
         class_id=class_id,
         tau=tau,
-        samples=tuple(samples),
+        counts=tuple(counts),
         evaluable=True,
-        s_star=best.s,
+        s_star=s_star,
         olrp=bd.total,
         olrp_iou=bd.loc_component,
         olrp_fp=bd.fp_component,

@@ -34,12 +34,15 @@ class StreamDetection:
     class_scores: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.class_scores:
+        scores = self.class_scores
+        if not scores:
             raise ValueError("class_scores must not be empty")
-        if any(not 0.0 <= v <= 1.0 for v in self.class_scores):
-            raise ValueError(f"class_scores entries must be in [0, 1]: {self.class_scores}")
-        if abs(sum(self.class_scores) - 1.0) > 1e-9:
-            raise ValueError(f"class_scores must sum to 1, got {sum(self.class_scores)}")
+        total = sum(scores)
+        # A NaN entry passes min and max but makes the sum NaN.
+        if not (0.0 <= min(scores) and max(scores) <= 1.0 and total == total):
+            raise ValueError(f"class_scores entries must be in [0, 1]: {scores}")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"class_scores must sum to 1, got {total}")
 
     @property
     def score(self) -> float:

@@ -2,20 +2,31 @@
 
 Everything here recomputes expected values by brute force (rasterization,
 permutation enumeration, per-threshold re-matching, a full scan per
-detection, scalar link costs, one bisect per AP grid recall) so the
-tested code paths are checked against genuinely separate computations.
+detection, scalar link costs, one bisect per AP grid recall, an eager
+breakdown per sweep grid point, field-by-field loaders) so the tested
+code paths are checked against genuinely separate computations.
 """
 
 import itertools
+import json
+import logging
+import math
 import random
 from bisect import bisect_left
+from itertools import accumulate
+from typing import Mapping
 
 import numpy as np
 
 from lrpeval import BoundingBox, LrpBreakdown, MatchResult
 from lrpeval.geometry import iou
 from lrpeval.ap import AP_VARIANTS
-from lrpeval.matching import DetectionLabel
+from lrpeval.dataio import Category, Dataset, ImageInfo, SchemaError
+from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
+from lrpeval.sweep import DEFAULT_GRID_STEP, SweepSample, threshold_grid
+from lrpeval.video import FrameDetections, StreamDetection
+
+logger = logging.getLogger("lrpeval")
 
 
 def grid_area(box: BoundingBox, step: float) -> float:
@@ -224,3 +235,295 @@ def link_cost(prev, curr, alpha):
     return alpha * (1.0 - iou(prev.box, curr.box)) + (1.0 - alpha) * 0.5 * _l1(
         prev.class_scores, curr.class_scores
     )
+
+
+def box_corner_check(x_min, y_min, x_max, y_max):
+    """The ValueError `BoundingBox` raises for these corners, or None: each
+    coordinate in turn, then the degenerate-box test."""
+    box = dict(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
+    for name in ("x_min", "y_min", "x_max", "y_max"):
+        value = box[name]
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            return ValueError(f"box coordinate {name} must be finite, got {value!r}")
+    if not (x_max > x_min and y_max > y_min):
+        return ValueError(
+            "degenerate box: need x_max > x_min and y_max > y_min, got "
+            f"({x_min}, {y_min}, {x_max}, {y_max})"
+        )
+    return None
+
+
+def class_scores_check(class_scores):
+    """The ValueError `StreamDetection` raises for this distribution, or
+    None: emptiness, then every entry in [0, 1], then the sum."""
+    if not class_scores:
+        return ValueError("class_scores must not be empty")
+    if any(not 0.0 <= v <= 1.0 for v in class_scores):
+        return ValueError(f"class_scores entries must be in [0, 1]: {class_scores}")
+    if abs(sum(class_scores) - 1.0) > 1e-9:
+        return ValueError(f"class_scores must sum to 1, got {sum(class_scores)}")
+    return None
+
+
+def eager_breakdown(loc_error_sum, n_tp, n_fp, n_fn, tau):
+    """A breakdown with the total written out, as the sweep once built
+    at every grid point."""
+    z = n_tp + n_fp + n_fn
+    n_det = n_tp + n_fp
+    n_gt = n_tp + n_fn
+    return LrpBreakdown(
+        total=(loc_error_sum / (1.0 - tau) + n_fp + n_fn) / z,
+        loc_component=loc_error_sum / n_tp if n_tp else None,
+        fp_component=n_fp / n_det if n_det else None,
+        fn_component=n_fn / n_gt if n_gt else None,
+        n_tp=n_tp,
+        n_fp=n_fp,
+        n_fn=n_fn,
+        z=z,
+        tau=tau,
+        w_iou=n_tp / (1.0 - tau),
+        w_fp=float(n_det),
+        w_fn=float(n_gt),
+    )
+
+
+def eager_sweep(labels, grid_step=DEFAULT_GRID_STEP):
+    """The sweep that builds a breakdown at every grid point and picks the
+    last minimal total. Returns (samples, evaluable, optimum) with the
+    optimum keyed as `SweepResult.optimum()`."""
+    grid = threshold_grid(grid_step)
+    tau, n_real = labels.tau, labels.n_real
+
+    scores_asc = labels.scores[::-1]
+    n = len(scores_asc)
+    kinds = labels.kinds
+    cum_tp = list(accumulate((k == TP for k in kinds), initial=0))
+    cum_ign = list(accumulate((k == IGNORED for k in kinds), initial=0))
+    cum_loc = list(accumulate(
+        ((1.0 - overlap) if k == TP else 0.0 for k, overlap in zip(kinds, labels.iou)),
+        initial=0.0,
+    ))
+
+    samples = []
+    for s in grid:
+        k = n - bisect_left(scores_asc, s)
+        n_tp = cum_tp[k]
+        n_fp = k - cum_ign[k] - n_tp
+        n_fn = n_real - n_tp
+        if n_tp + n_fp + n_fn == 0:
+            samples.append(SweepSample(s, None))
+            continue
+        samples.append(
+            SweepSample(s, eager_breakdown(cum_loc[k], n_tp, n_fp, n_fn, tau))
+        )
+
+    best = None
+    for sample in samples:
+        if sample.breakdown is None:
+            continue
+        if best is None or sample.breakdown.total <= best.breakdown.total:
+            best = sample
+    if best is None:
+        optimum = dict.fromkeys(("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star"))
+        return tuple(samples), False, optimum
+    bd = best.breakdown
+    optimum = {
+        "olrp": bd.total, "olrp_iou": bd.loc_component, "olrp_fp": bd.fp_component,
+        "olrp_fn": bd.fn_component, "s_star": best.s,
+    }
+    return tuple(samples), True, optimum
+
+
+# The loaders below check every record field by field. They are the
+# reference for `lrpeval.dataio`'s loaders, which test the common valid
+# shape first: both must accept the same documents, build equal objects
+# and raise the same SchemaError messages.
+
+
+def _require(record: Mapping, key: str, where: str):
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where}: must be a JSON object")
+    if key not in record:
+        raise SchemaError(f"{where}.{key}: missing required field")
+    return record[key]
+
+
+def _require_id(record: Mapping, key: str, where: str):
+    """A required field that is used as a dictionary key: a number or a
+    string (a bool would collide with the ids 0 and 1)."""
+    value = _require(record, key, where)
+    if _id_kind(value) is None:
+        raise SchemaError(f"{where}.{key}: must be a number or a string, got {value!r}")
+    return value
+
+
+def _require_known(record: Mapping, key: str, where: str, known, what: str):
+    """A required id field that must name one of the known ids."""
+    value = _require_id(record, key, where)
+    if value not in known:
+        raise SchemaError(f"{where}.{key}: unknown {what} id {value!r}")
+    return value
+
+
+def _array(record: Mapping, key: str, where: str = "") -> list:
+    """An optional array field; absent means empty."""
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        path = f"{where}.{key}" if where else key
+        raise SchemaError(f"{path}: must be an array, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_bbox(raw, where: str) -> BoundingBox:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise SchemaError(f"{where}: bbox must be [x, y, width, height], got {raw!r}")
+    for k, v in enumerate(raw):
+        if not _is_number(v):
+            raise SchemaError(f"{where}[{k}]: must be a number, got {v!r}")
+    x, y, w, h = raw
+    try:
+        return BoundingBox.from_xywh(float(x), float(y), float(w), float(h))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _id_kind(value) -> str | None:
+    if isinstance(value, str):
+        return "string"
+    if _is_number(value):
+        return "number"
+    return None
+
+
+def load_ground_truth(path) -> Dataset:
+    """Load and validate a COCO-style annotation file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SchemaError("root: annotation document must be a JSON object")
+
+    images = []
+    image_ids = set()
+    for i, img in enumerate(_array(data, "images")):
+        img_id = _require_id(img, "id", f"images[{i}]")
+        if img_id in image_ids:
+            raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
+        image_ids.add(img_id)
+        for key in ("width", "height"):
+            if img.get(key) is not None and not _is_number(img[key]):
+                raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
+        images.append(ImageInfo(img_id, img.get("width"), img.get("height")))
+    image_by_id = {im.id: im for im in images}
+
+    categories = []
+    category_ids = set()
+    id_kind = None
+    for i, cat in enumerate(_array(data, "categories")):
+        cat_id = _require(cat, "id", f"categories[{i}]")
+        # Category ids are sorted, so they must all be numbers or all strings.
+        kind = _id_kind(cat_id)
+        if kind is None or kind != (id_kind or kind):
+            raise SchemaError(
+                f"categories[{i}].id: category ids must be all numbers or all strings, "
+                f"got {cat_id!r}"
+            )
+        id_kind = kind
+        if cat_id in category_ids:
+            raise SchemaError(f"categories[{i}].id: duplicate category id {cat_id!r}")
+        category_ids.add(cat_id)
+        name = cat.get("name", str(cat_id))
+        if not isinstance(name, str):
+            raise SchemaError(f"categories[{i}].name: must be a string, got {name!r}")
+        categories.append(Category(cat_id, name))
+
+    gts = []
+    for i, ann in enumerate(_array(data, "annotations")):
+        where = f"annotations[{i}]"
+        img_id = _require_known(ann, "image_id", where, image_ids, "image")
+        cat_id = _require_known(ann, "category_id", where, category_ids, "category")
+        raw_bbox = _require(ann, "bbox", where)
+        try:
+            box = _parse_bbox(raw_bbox, f"{where}.bbox")
+        except SchemaError as exc:
+            ann_id = ann.get("id", "?")
+            raise SchemaError(f"{exc} (annotation id {ann_id})") from None
+        image = image_by_id[img_id]
+        if box.x_min < 0 or box.y_min < 0 or (
+            image.width is not None and box.x_max > image.width
+        ) or (image.height is not None and box.y_max > image.height):
+            logger.warning(
+                "annotation id %s extends outside image %s; kept as annotated",
+                ann.get("id", "?"), img_id,
+            )
+        crowd = ann.get("iscrowd", 0)
+        if not isinstance(crowd, int) or crowd not in (0, 1):
+            raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
+        gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
+
+    return Dataset(tuple(images), tuple(categories), tuple(gts))
+
+
+def load_detections(path, dataset: Dataset) -> list[Detection]:
+    """Load a COCO-style results array and validate it against a dataset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise SchemaError("root: detection results must be a JSON array")
+    image_ids = {im.id for im in dataset.images}
+    category_ids = {c.id for c in dataset.categories}
+    dets = []
+    for i, rec in enumerate(data):
+        where = f"detections[{i}]"
+        img_id = _require_known(rec, "image_id", where, image_ids, "image")
+        cat_id = _require_known(rec, "category_id", where, category_ids, "category")
+        score = _require(rec, "score", where)
+        if not _is_number(score) or not 0.0 <= score <= 1.0:
+            raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
+        box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
+        dets.append(Detection(img_id, cat_id, box, float(score)))
+    return dets
+
+
+def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
+    """Load a stream fixture: {frames: [{frame_index, detections:
+    [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
+    class_id one of the dataset's categories."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or "frames" not in data:
+        raise SchemaError("root: stream fixture must be an object with a 'frames' array")
+    category_ids = {c.id for c in dataset.categories}
+    frames = []
+    n_bins = None  # every class distribution has one bin per class
+    for i, frame in enumerate(_array(data, "frames")):
+        where = f"frames[{i}]"
+        index = _require(frame, "frame_index", where)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise SchemaError(f"{where}.frame_index: must be an integer, got {index!r}")
+        dets = []
+        for j, rec in enumerate(_array(frame, "detections", where)):
+            dwhere = f"{where}.detections[{j}]"
+            class_id = _require_known(rec, "class_id", dwhere, category_ids, "category")
+            box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
+            raw_scores = _require(rec, "class_scores", dwhere)
+            if not isinstance(raw_scores, list):
+                raise SchemaError(f"{dwhere}.class_scores: must be an array")
+            for k, v in enumerate(raw_scores):
+                if not _is_number(v):
+                    raise SchemaError(f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}")
+            if n_bins is not None and len(raw_scores) != n_bins:
+                raise SchemaError(
+                    f"{dwhere}.class_scores: has {len(raw_scores)} entries, "
+                    f"earlier detections have {n_bins}"
+                )
+            n_bins = len(raw_scores)
+            try:
+                dets.append(StreamDetection(class_id, box, tuple(float(v) for v in raw_scores)))
+            except ValueError as exc:
+                raise SchemaError(f"{dwhere}.class_scores: {exc}") from exc
+        frames.append(FrameDetections(index, tuple(dets)))
+    return frames

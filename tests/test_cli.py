@@ -330,6 +330,37 @@ class TestColumnarLabels:
         assert len(built) == 1 and isinstance(labels[0], CountingLabel)
 
 
+class TestOneBreakdownPerClass:
+    def test_eval_builds_one_breakdown_per_evaluable_class(self, tmp_path, monkeypatch):
+        # The sweep keeps counts and totals per grid point and builds an
+        # LrpBreakdown for the optimum only; samples are built on demand.
+        gts = [GroundTruth(i, c, box_at(c)) for c in (1, 2) for i in range(3)]
+        dets = [Detection(i, c, shrunk(box_at(c), 0.6 + i / 10), 0.3 + i / 10)
+                for c in (1, 2) for i in range(3)]
+        dets.append(Detection(0, 3, box_at(9), 0.5))  # a class with detections only
+        gt_path, det_path = write_fixture(tmp_path, "small", gts, dets, categories=[1, 2, 3, 4])
+        lrp = sys.modules["lrpeval.lrp"]
+        built = []
+
+        class CountingBreakdown(lrp.LrpBreakdown):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs or args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lrp, "LrpBreakdown", CountingBreakdown)
+        out = tmp_path / "out.json"
+        assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", str(out)]) == 0
+        evaluable = [row for row in json.loads(out.read_text())["classes"] if row["evaluable"]]
+        assert len(evaluable) == 3
+        assert len(built) == len(evaluable)
+        # Reading the samples builds them, through the same constructor.
+        sweep = sweep_class(gts, dets, 1, tau=0.5)
+        before = len(built)
+        defined = [s for s in sweep.samples if s.breakdown is not None]
+        assert len(built) == before + len(defined)
+        assert sweep.samples is sweep.samples
+
+
 class TestImportCost:
     @staticmethod
     def heavy_modules_loaded(argv):
@@ -455,6 +486,10 @@ class TestMalformedInputs:
         ("stream", "stream", _set(["frames", 0, "detections", 0, "class_id"], 7),
          "frames[0].detections[0].class_id"),
         ("stream", "thr", _set(["thresholds", 0, "class_id"], "b"), "thresholds[0].class_id"),
+        ("stream", "stream", lambda doc: doc["frames"].append(
+            {"frame_index": 0, "detections": []}), "frames[1].frame_index"),
+        ("stream", "thr", lambda doc: doc["thresholds"].append(
+            {"class_id": "a", "s_star": 0.9}), "thresholds[1].class_id"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -465,6 +500,7 @@ class TestMalformedInputs:
         "string-iscrowd", "list-category-name", "class-scores-length-mismatch",
         "bool-image-id", "null-image-id", "bool-annotation-image-id", "bool-det-image-id",
         "bool-annotation-category-id", "unknown-stream-class-id", "unknown-thresholds-class-id",
+        "repeated-frame-index", "duplicate-thresholds-class-id",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()

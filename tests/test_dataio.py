@@ -1,8 +1,13 @@
 import csv
 import json
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpeval import (
     BoundingBox,
@@ -27,6 +32,8 @@ from lrpeval import (
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo, report_to_dict
 from lrpeval.video import FrameDetections, StreamDetection
+import oracles
+from lrpeval import dataio
 from synth import reference_detectors
 
 
@@ -324,6 +331,25 @@ class TestBuildAndExportReport:
         export_report(report, b, "json")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_ap_computed_once_per_class_and_tau(self, monkeypatch):
+        # At tau, the row's variant value also serves the tau-averaged mean.
+        real_ap, calls = dataio.ap, Counter()
+
+        def counting_ap(curve, variant):
+            calls[(curve.tau, variant)] += 1
+            return real_ap(curve, variant)
+
+        monkeypatch.setattr(dataio, "ap", counting_ap)
+        ds, dets = trio_dataset()
+        report = build_report(ds, dets, tau=0.5, tau_list=(0.5, 0.6, 0.7), ap_variant="pascal11")
+        assert calls == {
+            (0.5, "continuous"): 1, (0.5, "pascal11"): 1, (0.5, "coco101"): 1,
+            (0.6, "pascal11"): 1, (0.7, "pascal11"): 1,
+        }
+        gts = ds.ground_truths
+        expected = [real_ap(rp_curve(gts, dets, 1, t), "pascal11") for t in (0.5, 0.6, 0.7)]
+        assert report.mean_ap == sum(expected) / 3
+
     def test_every_class_has_s_star_column(self):
         gts = [GroundTruth(0, 1, BoundingBox(0, 0, 10, 10)), GroundTruth(0, 2, BoundingBox(20, 0, 30, 10))]
         ds = Dataset(
@@ -377,3 +403,153 @@ class TestExportCurves:
     def test_rejects_unknown_items(self, tmp_path):
         with pytest.raises(TypeError):
             export_curves([object()], tmp_path / "curves.csv")
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Replacement values for any field: wrong types, numeric strings, bools,
+# non-finite reals, nested lists, unknown ids, and valid uncommon forms.
+_ANY_VALUE = st.sampled_from([
+    None, True, False, 0, 1, 2, 7, -1, 0.0, 0.5, 1.0, 1.5, -0.0, 1e308,
+    "a", "b", "1", "0.5", "", _NAN, _INF, -_INF, [], [1], [[1.0]], {}, {"id": 1},
+])
+_IDS = st.sampled_from([0, 1, 2, 3, 999, 1.0, "a", "b", "zzz", "1", True, False, None, [0]])
+_BBOXES = st.sampled_from([
+    [0.0, 0.0, 10.0, 10.0], [0, 0, 10, 10], [1.5, 2.5, 3.0, 4.0], [-5.0, -5.0, 10.0, 10.0],
+    [95.0, 95.0, 10.0, 10.0], [0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, -1.0],
+    [5.0, 5.0, -2.0, 3.0], [1e308, 0.0, 1e308, 1.0], [0.0, 0.0, 10.0], [0.0, 0.0, 10.0, 10.0, 1.0],
+    [], [_NAN, 0.0, 1.0, 1.0], [0.0, _INF, 1.0, 1.0], [True, 0.0, 1.0, 1.0],
+    ["1", 0.0, 1.0, 1.0], [[1.0], 0.0, 1.0, 1.0], [None, 0.0, 1.0, 1.0], [0.0, 0, 10.0, 10],
+])
+_CLASS_SCORES = st.sampled_from([
+    [0.25, 0.75], [0.5, 0.5], [1, 0], [1.0, 0.0], [0.1 + 0.2, 0.7], [0.2, 0.3, 0.5], [1.0],
+    [0.0, 0.0, 1.0], [0.9], [],
+    [0.5, 0.6], [-0.1, 1.1], [_NAN, 1.0], [1.0, _NAN], [_INF, 0.0], [0.5, "0.5"],
+    [True, False], [[0.5], 0.5], [None, 1.0],
+])
+_FIELD_VALUES = {
+    "id": _IDS, "image_id": _IDS, "category_id": _IDS, "class_id": _IDS,
+    "bbox": _BBOXES,
+    # Valid distributions of every length as often as invalid ones.
+    "class_scores": st.one_of(
+        st.sampled_from([[0.25, 0.75], [1.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0], [1.0]]),
+        _CLASS_SCORES,
+    ),
+    "iscrowd": st.sampled_from([0, 1, True, False, 2, -1, "0", 0.0, 1.0, None]),
+    "score": st.sampled_from([0.0, 1.0, 0, 1, 0.25, 1.5, -0.1, -0.0, _NAN, "0.5", True]),
+    "width": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
+    "height": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
+    # Non-integer values only: frame indices stay increasing here, their
+    # order is checked in tests/test_cli.py::TestMalformedInputs.
+    "frame_index": st.sampled_from([True, False, 1.5, 3.0, "3", None, [3], _NAN]),
+}
+_FIELDS = {
+    "gt": ("images", "annotations", "categories"),
+    "images": ("id", "width", "height"),
+    "categories": ("id", "name"),
+    "annotations": ("id", "image_id", "category_id", "bbox", "iscrowd"),
+    "det": ("image_id", "category_id", "bbox", "score"),
+    "stream": ("frames",),
+    "frames": ("frame_index", "detections"),
+    "stream_dets": ("class_id", "bbox", "class_scores"),
+}
+# Kinds of record a mutation of each document picks from, records more
+# often than the document root.
+_MUTATED_KINDS = {
+    "gt": ("gt", "images", "images", "categories", "annotations", "annotations", "annotations"),
+    "det": ("det_root", "det", "det", "det", "det"),
+    "stream": ("stream", "frames", "frames", "stream_dets", "stream_dets", "stream_dets"),
+}
+
+
+@st.composite
+def loader_documents(draw, target):
+    """A valid GT document, detection array and stream, then one to three
+    mutations of the target document: a field set to an odd value, a
+    field deleted, or a record replaced by a non-object. Frame indices
+    stay increasing; tests/test_cli.py covers their order."""
+    cat_ids = draw(st.sampled_from(([1, 2, 3], ["a", "b", "c"])))[: draw(st.integers(1, 3))]
+    n_images = draw(st.integers(1, 3))
+    box = st.sampled_from([[0.0, 0.0, 10.0, 10.0], [5.5, 2.25, 20.0, 30.0], [0, 0, 10, 10],
+                           [90.0, 90.0, 20.0, 20.0]])
+    image_id, cat_id = st.integers(0, n_images - 1), st.sampled_from(cat_ids)
+    gt = {
+        "images": [{"id": i, "width": draw(st.sampled_from([100.0, 100, None])), "height": 100.0}
+                   for i in range(n_images)],
+        "annotations": [
+            {"id": k + 1, "image_id": draw(image_id), "category_id": draw(cat_id),
+             "bbox": draw(box), "iscrowd": draw(st.sampled_from([0, 0, 1, False]))}
+            for k in range(draw(st.integers(1, 4)))
+        ],
+        "categories": [{"id": c, "name": f"class-{c}"} for c in cat_ids],
+    }
+    det = [
+        {"image_id": draw(image_id), "category_id": draw(cat_id), "bbox": draw(box),
+         "score": draw(st.sampled_from([0.9, 0.25, 0.0, 1.0, 1]))}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    dists = draw(st.sampled_from(([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]],
+                                  [[0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])))
+    stream = {"frames": [
+        {"frame_index": 3 * f, "detections": [
+            {"class_id": draw(cat_id), "bbox": draw(box), "class_scores": draw(st.sampled_from(dists))}
+            for _ in range(draw(st.integers(1, 3)))
+        ]}
+        for f in range(draw(st.integers(1, 3)))
+    ]}
+    docs = {"gt": gt, "det": det, "stream": stream}
+    # (container, key of the record in it) by kind of record
+    slots = {
+        "gt": [(docs, "gt")], "images": [(gt["images"], i) for i in range(len(gt["images"]))],
+        "categories": [(gt["categories"], i) for i in range(len(gt["categories"]))],
+        "annotations": [(gt["annotations"], i) for i in range(len(gt["annotations"]))],
+        "det_root": [(docs, "det")], "det": [(det, i) for i in range(len(det))],
+        "stream": [(docs, "stream")],
+        "frames": [(stream["frames"], f) for f in range(len(stream["frames"]))],
+        "stream_dets": [(frame["detections"], j) for frame in stream["frames"]
+                        for j in range(len(frame["detections"]))],
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_MUTATED_KINDS[target]))
+        container, key = draw(st.sampled_from(slots[kind]))
+        record = container[key]
+        action = draw(st.sampled_from(("set", "set", "set", "delete", "replace")))
+        if action == "replace":
+            container[key] = draw(st.sampled_from([None, 1, "x", [], [{}], True]))
+        elif isinstance(record, dict):
+            field = draw(st.sampled_from(_FIELDS[kind]))
+            if action == "delete":
+                record.pop(field, None)
+            else:
+                record[field] = draw(_FIELD_VALUES.get(field, _ANY_VALUE))
+    return docs
+
+
+def _load_all(loaders, paths):
+    """What each loader of a module makes of the files: ("ok", repr of the
+    result) or ("error", SchemaError message). Any other exception escapes."""
+    try:
+        dataset = loaders.load_ground_truth(paths["gt"])
+    except SchemaError as exc:
+        return [("error", str(exc))]
+    outcomes = [("ok", repr(dataset))]
+    for load, name in ((loaders.load_detections, "det"), (loaders.load_stream, "stream")):
+        try:
+            outcomes.append(("ok", repr(load(paths[name], dataset))))
+        except SchemaError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+class TestLoaderProperty:
+    @pytest.mark.parametrize("target", ["gt", "det", "stream"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_field_by_field_reference(self, target, data):
+        docs = data.draw(loader_documents(target))
+        # repr compares NaN fields (nan != nan) and keeps int and float apart.
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, doc in docs.items():
+                paths[name] = Path(tmp) / f"{name}.json"
+                paths[name].write_text(json.dumps(doc))
+            assert _load_all(dataio, paths) == _load_all(oracles, paths)

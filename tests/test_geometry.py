@@ -2,9 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpeval import BoundingBox, area, iou, iou_distance
-from oracles import grid_area, grid_iou, random_box
+from oracles import box_corner_check, grid_area, grid_iou, random_box
+
+_CORNER = st.one_of(
+    st.sampled_from([0, 1, 10, -3, 0.0, -0.0, 1.0, 10.5, 1e308, -1e308, math.nan, math.inf,
+                     -math.inf, True, False, None, "1", [1.0]]),
+    st.floats(-20, 20),
+)
 
 
 class TestBoundingBox:
@@ -21,6 +29,18 @@ class TestBoundingBox:
             BoundingBox(0, 0, math.inf, 1)
         with pytest.raises(ValueError, match="finite"):
             BoundingBox(math.nan, 0, 1, 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CORNER, _CORNER, _CORNER, _CORNER)
+    def test_checks_match_per_coordinate_reference(self, x_min, y_min, x_max, y_max):
+        expected = box_corner_check(x_min, y_min, x_max, y_max)
+        if expected is None:
+            box = BoundingBox(x_min, y_min, x_max, y_max)
+            assert (box.x_min, box.y_min, box.x_max, box.y_max) == (x_min, y_min, x_max, y_max)
+        else:
+            with pytest.raises(ValueError) as info:
+                BoundingBox(x_min, y_min, x_max, y_max)
+            assert str(info.value) == str(expected)
 
     def test_xywh_round_trip(self):
         box = BoundingBox.from_xywh(10, 20, 30, 40)

@@ -1,20 +1,25 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrpeval import (
     BoundingBox,
     Detection,
     GroundTruth,
     UndefinedLrp,
+    label_classes,
     label_detections,
     lrp_components,
     molrp,
     sweep_class,
+    sweep_labels,
     threshold_grid,
 )
-from oracles import random_boxes, rematch
+from oracles import eager_sweep, random_boxes, rematch
 from synth import reference_detectors
+from test_matching import labeling_scenes
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
@@ -168,6 +173,32 @@ class TestSweepClass:
             if prev is not None:
                 assert tp_set <= prev
             prev = tp_set
+
+
+class TestLazySamplesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labeling_scenes(),
+        # taus whose 1 / (1 - tau) is inexact, so a changed total formula shows
+        st.lists(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7)), min_size=1, max_size=3),
+        st.sampled_from((0.01, 0.1, 0.25, 1.0)),
+    )
+    @example(  # two false positives: total 1 at every s, so s* is the last grid point
+        ([GroundTruth(0, "a", BoundingBox(0, 0, 4, 4))],
+         [Detection(1, "a", BoundingBox(0, 0, 4, 4), 0.9),
+          Detection(1, "a", BoundingBox(0, 0, 4, 4), 0.5)], [0.5]),
+        [0.5],
+        0.01,
+    )
+    def test_equals_eager_sweep_with_tie_rule(self, scene, taus, grid_step):
+        gts, dets, _ = scene
+        for cid, labels in label_classes(gts, dets, ("a", "b"), taus):
+            result = sweep_labels(labels, cid, grid_step)
+            samples, evaluable, optimum = eager_sweep(labels, grid_step)
+            assert result.evaluable == evaluable
+            assert result.optimum() == optimum
+            assert result.samples == samples
+            assert [s.s for s in result.samples] == threshold_grid(grid_step)
 
 
 class TestMolrp:

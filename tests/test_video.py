@@ -17,7 +17,7 @@ from lrpeval import (
     stream_to_detections,
     track_stream,
 )
-from oracles import link_cost
+from oracles import class_scores_check, link_cost
 from synth import StreamClassSpec, generate_stream
 
 
@@ -31,7 +31,30 @@ def box_at(i: int, side: float = 10.0) -> BoundingBox:
     return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
 
 
+_SCORE_BIN = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, 0.5, 0.25, 0.75, -0.0, 1e-10, -1e-10, 1.0 + 1e-10,
+                     math.nan, math.inf, -math.inf, True, False]),
+    st.floats(-0.5, 1.5),
+)
+
+
 class TestStreamDetection:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(_SCORE_BIN, max_size=5).map(tuple),
+        st.sampled_from([(0.25, 0.75), (1, 0), (True, False), (0.2, 0.3, 0.5), (1.0,),
+                         (0.1 + 0.2, 0.7), (0.5, 0.5 + 2e-9), (math.nan, 1.0)]),
+    ))
+    def test_checks_match_per_entry_reference(self, class_scores):
+        # Numeric entries only: the loader rejects anything else first.
+        expected = class_scores_check(class_scores)
+        if expected is None:
+            assert StreamDetection("cat", box_at(0), class_scores).class_scores == class_scores
+        else:
+            with pytest.raises(ValueError) as info:
+                StreamDetection("cat", box_at(0), class_scores)
+            assert str(info.value) == str(expected)
+
     def test_score_is_peak_of_distribution(self):
         det = sd("cat", box_at(0), 0.8)
         assert det.score == 0.8
