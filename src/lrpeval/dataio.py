@@ -4,12 +4,12 @@ Inputs follow the COCO conventions: an annotation document with images /
 annotations / categories (bbox as [x, y, w, h], iscrowd mapping to the
 ignore flag) and a results array of {image_id, category_id, bbox, score}.
 Schema violations raise SchemaError with a path to the offending field.
-The loaders first test each record for its common valid shape (ids of
-known type and value, float score and box coordinates, iscrowd 0 or 1)
-in one expression and build it directly; a record that fails the test
-goes through field-by-field checks, which accept the other valid forms
-and raise naming the first offending field. Box and class-distribution
-values are checked once, by the constructors, on both paths.
+The loaders check each record's fields in a fixed order and raise at the
+first broken rule, naming the field. The per-record loops test the hot
+fields (ids, score, bbox values) inline, with the same type sets the
+helpers use, and call a helper only when a test fails, to raise; the
+record's path (such as detections[12]) is formatted only then. Box and
+class-distribution values are checked by the constructors.
 Outputs are deterministic byte streams: an evaluation report (JSON or
 CSV, schema lrp_report_v1), long-format curve data, per-class threshold
 files, and stream fixtures for the video-linking pipeline.
@@ -78,29 +78,50 @@ class Dataset:
         return sorted(c.id for c in self.categories)
 
 
-def _require(record: Mapping, key: str, where: str):
-    if not isinstance(record, dict):
-        raise SchemaError(f"{where}: must be a JSON object")
+# JSON numbers parse to exactly int or float; a bool has its own type and
+# would collide with the ids 0 and 1.
+_NUMBER_TYPES = frozenset((int, float))
+_ID_TYPES = frozenset((int, float, str))
+
+
+class _Invalid(Exception):
+    """A rule broken inside one record: the path of the field below the
+    record and the message. The loader adds the record's own path, so a
+    valid record never formats one."""
+
+    def __init__(self, field: str, message: str):
+        self.field, self.message = field, message
+
+    def at(self, where: str) -> SchemaError:
+        return SchemaError(f"{where}{self.field}: {self.message}")
+
+
+def _require(record: Mapping, key: str):
+    if type(record) is not dict:
+        raise _Invalid("", "must be a JSON object")
     if key not in record:
-        raise SchemaError(f"{where}.{key}: missing required field")
+        raise _Invalid(f".{key}", "missing required field")
     return record[key]
 
 
-def _require_id(record: Mapping, key: str, where: str):
+def _require_id(record: Mapping, key: str, known=None, what: str = ""):
     """A required field that is used as a dictionary key: a number or a
-    string (a bool would collide with the ids 0 and 1)."""
-    value = _require(record, key, where)
-    if _id_kind(value) is None:
-        raise SchemaError(f"{where}.{key}: must be a number or a string, got {value!r}")
+    string and, when known ids are given, one of them.
+
+    The loaders' record loops test `type(value) in _ID_TYPES and value in
+    known` inline and call this only when that fails, to raise."""
+    value = _require(record, key)
+    if type(value) not in _ID_TYPES:
+        raise _Invalid(f".{key}", f"must be a number or a string, got {value!r}")
+    if known is not None and value not in known:
+        raise _Invalid(f".{key}", f"unknown {what} id {value!r}")
     return value
 
 
-def _require_known(record: Mapping, key: str, where: str, known, what: str):
-    """A required id field that must name one of the known ids."""
-    value = _require_id(record, key, where)
-    if value not in known:
-        raise SchemaError(f"{where}.{key}: unknown {what} id {value!r}")
-    return value
+def _require_numbers(values: list, field: str) -> None:
+    for k, v in enumerate(values):
+        if type(v) not in _NUMBER_TYPES:
+            raise _Invalid(f"{field}[{k}]", f"must be a number, got {v!r}")
 
 
 def _array(record: Mapping, key: str, where: str = "") -> list:
@@ -112,40 +133,25 @@ def _array(record: Mapping, key: str, where: str = "") -> list:
     return value
 
 
-# Types of the common valid shape: JSON yields exactly these types.
-_ID_TYPES = frozenset((int, float, str))
-_OPTIONAL_REAL_TYPES = frozenset((int, float, type(None)))
-
-
-def _is_float_xywh(raw) -> bool:
-    """Whether raw is the common bbox shape: a list of four floats."""
-    return (
-        type(raw) is list and len(raw) == 4
-        and type(raw[0]) is type(raw[1]) is type(raw[2]) is type(raw[3]) is float
-    )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _parse_bbox(raw, where: str) -> BoundingBox:
+def _parse_bbox(raw) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise SchemaError(f"{where}: bbox must be [x, y, width, height], got {raw!r}")
-    for k, v in enumerate(raw):
-        if not _is_number(v):
-            raise SchemaError(f"{where}[{k}]: must be a number, got {v!r}")
+        raise _Invalid(".bbox", f"bbox must be [x, y, width, height], got {raw!r}")
     x, y, w, h = raw
+    if not (
+        type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES
+        and type(w) in _NUMBER_TYPES and type(h) in _NUMBER_TYPES
+    ):
+        _require_numbers(raw, ".bbox")
     try:
         return BoundingBox.from_xywh(float(x), float(y), float(w), float(h))
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        raise _Invalid(".bbox", str(exc)) from None
 
 
 def _id_kind(value) -> str | None:
-    if isinstance(value, str):
+    if type(value) is str:
         return "string"
-    if _is_number(value):
+    if type(value) in _NUMBER_TYPES:
         return "number"
     return None
 
@@ -160,72 +166,66 @@ def load_ground_truth(path) -> Dataset:
     images = []
     image_ids = set()
     for i, img in enumerate(_array(data, "images")):
-        if not (
-            type(img) is dict
-            and type(img_id := img.get("id")) in _ID_TYPES and img_id not in image_ids
-            and type(img.get("width")) in _OPTIONAL_REAL_TYPES
-            and type(img.get("height")) in _OPTIONAL_REAL_TYPES
-        ):
-            img_id = _require_id(img, "id", f"images[{i}]")
+        try:
+            img_id = _require_id(img, "id")
             if img_id in image_ids:
-                raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
-            for key in ("width", "height"):
-                if img.get(key) is not None and not _is_number(img[key]):
-                    raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
+                raise _Invalid(".id", f"duplicate image id {img_id!r}")
+            width, height = img.get("width"), img.get("height")
+            for key, value in (("width", width), ("height", height)):
+                if value is not None and type(value) not in _NUMBER_TYPES:
+                    raise _Invalid(f".{key}", f"must be a number, got {value!r}")
+        except _Invalid as exc:
+            raise exc.at(f"images[{i}]") from None
         image_ids.add(img_id)
-        images.append(ImageInfo(img_id, img.get("width"), img.get("height")))
+        images.append(ImageInfo(img_id, width, height))
     image_by_id = {im.id: im for im in images}
 
     categories = []
     category_ids = set()
     id_kind = None
     for i, cat in enumerate(_array(data, "categories")):
-        cat_id = _require(cat, "id", f"categories[{i}]")
-        # Category ids are sorted, so they must all be numbers or all strings.
-        kind = _id_kind(cat_id)
-        if kind is None or kind != (id_kind or kind):
-            raise SchemaError(
-                f"categories[{i}].id: category ids must be all numbers or all strings, "
-                f"got {cat_id!r}"
-            )
-        id_kind = kind
-        if cat_id in category_ids:
-            raise SchemaError(f"categories[{i}].id: duplicate category id {cat_id!r}")
+        try:
+            cat_id = _require(cat, "id")
+            # Category ids are sorted, so they must all be numbers or all strings.
+            kind = _id_kind(cat_id)
+            if kind is None or kind != (id_kind or kind):
+                raise _Invalid(
+                    ".id", f"category ids must be all numbers or all strings, got {cat_id!r}"
+                )
+            id_kind = kind
+            if cat_id in category_ids:
+                raise _Invalid(".id", f"duplicate category id {cat_id!r}")
+            name = cat.get("name", str(cat_id))
+            if not isinstance(name, str):
+                raise _Invalid(".name", f"must be a string, got {name!r}")
+        except _Invalid as exc:
+            raise exc.at(f"categories[{i}]") from None
         category_ids.add(cat_id)
-        name = cat.get("name", str(cat_id))
-        if not isinstance(name, str):
-            raise SchemaError(f"categories[{i}].name: must be a string, got {name!r}")
         categories.append(Category(cat_id, name))
 
     gts = []
     for i, ann in enumerate(_array(data, "annotations")):
-        gt = None
-        if (
-            type(ann) is dict
-            and type(img_id := ann.get("image_id")) in _ID_TYPES and img_id in image_ids
-            and type(cat_id := ann.get("category_id")) in _ID_TYPES and cat_id in category_ids
-            and _is_float_xywh(raw_bbox := ann.get("bbox"))
-            and type(crowd := ann.get("iscrowd", 0)) is int and 0 <= crowd <= 1
-        ):
+        try:
+            fields = ann if type(ann) is dict else {}  # a non-object fails below
+            img_id, cat_id = fields.get("image_id"), fields.get("category_id")
+            if type(img_id) not in _ID_TYPES or img_id not in image_ids:
+                img_id = _require_id(ann, "image_id", image_ids, "image")
+            if type(cat_id) not in _ID_TYPES or cat_id not in category_ids:
+                cat_id = _require_id(ann, "category_id", category_ids, "category")
+            raw_bbox = fields.get("bbox")
+            if raw_bbox is None:  # missing raises here, null in the parse
+                raw_bbox = _require(ann, "bbox")
             try:
-                gt = GroundTruth(img_id, cat_id, BoundingBox.from_xywh(*raw_bbox), bool(crowd))
-            except ValueError:
-                pass  # a non-finite or degenerate box: the checks below name it
-        if gt is None:
-            where = f"annotations[{i}]"
-            img_id = _require_known(ann, "image_id", where, image_ids, "image")
-            cat_id = _require_known(ann, "category_id", where, category_ids, "category")
-            raw_bbox = _require(ann, "bbox", where)
-            try:
-                box = _parse_bbox(raw_bbox, f"{where}.bbox")
-            except SchemaError as exc:
-                ann_id = ann.get("id", "?")
-                raise SchemaError(f"{exc} (annotation id {ann_id})") from None
+                box = _parse_bbox(raw_bbox)
+            except _Invalid as exc:
+                exc.message += f" (annotation id {ann.get('id', '?')})"
+                raise
             crowd = ann.get("iscrowd", 0)
             if not isinstance(crowd, int) or crowd not in (0, 1):
-                raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
-            gt = GroundTruth(img_id, cat_id, box, ignore=bool(crowd))
-        box, image = gt.box, image_by_id[img_id]
+                raise _Invalid(".iscrowd", f"must be 0, 1, false or true, got {crowd!r}")
+        except _Invalid as exc:
+            raise exc.at(f"annotations[{i}]") from None
+        image = image_by_id[img_id]
         if box.x_min < 0 or box.y_min < 0 or (
             image.width is not None and box.x_max > image.width
         ) or (image.height is not None and box.y_max > image.height):
@@ -233,7 +233,7 @@ def load_ground_truth(path) -> Dataset:
                 "annotation id %s extends outside image %s; kept as annotated",
                 ann.get("id", "?"), img_id,
             )
-        gts.append(gt)
+        gts.append(GroundTruth(img_id, cat_id, box, bool(crowd)))
 
     return Dataset(tuple(images), tuple(categories), tuple(gts))
 
@@ -248,28 +248,23 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
     category_ids = {c.id for c in dataset.categories}
     dets = []
     for i, rec in enumerate(data):
-        det = None
-        if (
-            type(rec) is dict
-            and type(img_id := rec.get("image_id")) in _ID_TYPES and img_id in image_ids
-            and type(cat_id := rec.get("category_id")) in _ID_TYPES and cat_id in category_ids
-            and type(score := rec.get("score")) is float and 0.0 <= score <= 1.0
-            and _is_float_xywh(raw_bbox := rec.get("bbox"))
-        ):
-            try:
-                det = Detection(img_id, cat_id, BoundingBox.from_xywh(*raw_bbox), score)
-            except ValueError:
-                pass  # a non-finite or degenerate box: the checks below name it
-        if det is None:
-            where = f"detections[{i}]"
-            img_id = _require_known(rec, "image_id", where, image_ids, "image")
-            cat_id = _require_known(rec, "category_id", where, category_ids, "category")
-            score = _require(rec, "score", where)
-            if not _is_number(score) or not 0.0 <= score <= 1.0:
-                raise SchemaError(f"{where}.score: must be a real in [0, 1], got {score!r}")
-            box = _parse_bbox(_require(rec, "bbox", where), f"{where}.bbox")
-            det = Detection(img_id, cat_id, box, float(score))
-        dets.append(det)
+        try:
+            fields = rec if type(rec) is dict else {}  # a non-object fails below
+            img_id, cat_id = fields.get("image_id"), fields.get("category_id")
+            if type(img_id) not in _ID_TYPES or img_id not in image_ids:
+                img_id = _require_id(rec, "image_id", image_ids, "image")
+            if type(cat_id) not in _ID_TYPES or cat_id not in category_ids:
+                cat_id = _require_id(rec, "category_id", category_ids, "category")
+            score, raw_bbox = fields.get("score"), fields.get("bbox")
+            if type(score) not in _NUMBER_TYPES or not 0.0 <= score <= 1.0:
+                score = _require(rec, "score")
+                raise _Invalid(".score", f"must be a real in [0, 1], got {score!r}")
+            if raw_bbox is None:  # missing raises here, null in the parse
+                raw_bbox = _require(rec, "bbox")
+            box = _parse_bbox(raw_bbox)
+        except _Invalid as exc:
+            raise exc.at(f"detections[{i}]") from None
+        dets.append(Detection(img_id, cat_id, box, float(score)))
     return dets
 
 
@@ -321,52 +316,40 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     n_bins = None  # every class distribution has one bin per class
     for i, frame in enumerate(_array(data, "frames")):
         where = f"frames[{i}]"
-        index = _require(frame, "frame_index", where)
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise SchemaError(f"{where}.frame_index: must be an integer, got {index!r}")
-        if frames and index <= frames[-1].frame_index:
-            raise SchemaError(
-                f"{where}.frame_index: frame indices must be strictly increasing, "
-                f"got {index} after {frames[-1].frame_index}"
-            )
+        try:
+            index = _require(frame, "frame_index")
+            if type(index) is not int:
+                raise _Invalid(".frame_index", f"must be an integer, got {index!r}")
+            if frames and index <= frames[-1].frame_index:
+                raise _Invalid(
+                    ".frame_index",
+                    "frame indices must be strictly increasing, "
+                    f"got {index} after {frames[-1].frame_index}",
+                )
+        except _Invalid as exc:
+            raise exc.at(where) from None
         dets = []
         for j, rec in enumerate(_array(frame, "detections", where)):
-            det = None
-            if (
-                type(rec) is dict
-                and type(class_id := rec.get("class_id")) in _ID_TYPES
-                and class_id in category_ids
-                and _is_float_xywh(raw_bbox := rec.get("bbox"))
-                and type(raw_scores := rec.get("class_scores")) is list
-                and (n_bins is None or len(raw_scores) == n_bins)
-                and all(type(v) is float for v in raw_scores)
-            ):
-                try:
-                    box = BoundingBox.from_xywh(*raw_bbox)
-                    det = StreamDetection(class_id, box, tuple(raw_scores))
-                except ValueError:
-                    pass  # a bad box or distribution: the checks below name it
-            if det is None:
-                dwhere = f"{where}.detections[{j}]"
-                class_id = _require_known(rec, "class_id", dwhere, category_ids, "category")
-                box = _parse_bbox(_require(rec, "bbox", dwhere), f"{dwhere}.bbox")
-                raw_scores = _require(rec, "class_scores", dwhere)
+            try:
+                class_id = rec.get("class_id") if type(rec) is dict else None
+                if type(class_id) not in _ID_TYPES or class_id not in category_ids:
+                    class_id = _require_id(rec, "class_id", category_ids, "category")
+                box = _parse_bbox(_require(rec, "bbox"))
+                raw_scores = _require(rec, "class_scores")
                 if not isinstance(raw_scores, list):
-                    raise SchemaError(f"{dwhere}.class_scores: must be an array")
-                for k, v in enumerate(raw_scores):
-                    if not _is_number(v):
-                        raise SchemaError(
-                            f"{dwhere}.class_scores[{k}]: must be a number, got {v!r}"
-                        )
+                    raise _Invalid(".class_scores", "must be an array")
+                _require_numbers(raw_scores, ".class_scores")
                 if n_bins is not None and len(raw_scores) != n_bins:
-                    raise SchemaError(
-                        f"{dwhere}.class_scores: has {len(raw_scores)} entries, "
-                        f"earlier detections have {n_bins}"
+                    raise _Invalid(
+                        ".class_scores",
+                        f"has {len(raw_scores)} entries, earlier detections have {n_bins}",
                     )
                 try:
-                    det = StreamDetection(class_id, box, tuple(float(v) for v in raw_scores))
+                    det = StreamDetection(class_id, box, tuple(map(float, raw_scores)))
                 except ValueError as exc:
-                    raise SchemaError(f"{dwhere}.class_scores: {exc}") from exc
+                    raise _Invalid(".class_scores", str(exc)) from None
+            except _Invalid as exc:
+                raise exc.at(f"{where}.detections[{j}]") from None
             n_bins = len(raw_scores)
             dets.append(det)
         frames.append(FrameDetections(index, tuple(dets)))
@@ -447,12 +430,15 @@ def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
     category_ids = {c.id for c in dataset.categories}
     out = {}
     for i, rec in enumerate(_array(data, "thresholds")):
-        cid = _require_known(rec, "class_id", f"thresholds[{i}]", category_ids, "category")
-        if cid in out:
-            raise SchemaError(f"thresholds[{i}].class_id: duplicate class id {cid!r}")
-        s_star = _require(rec, "s_star", f"thresholds[{i}]")
-        if not _is_number(s_star) or not 0.0 <= s_star <= 1.0:
-            raise SchemaError(f"thresholds[{i}].s_star: must be a number in [0, 1], got {s_star!r}")
+        try:
+            cid = _require_id(rec, "class_id", category_ids, "category")
+            if cid in out:
+                raise _Invalid(".class_id", f"duplicate class id {cid!r}")
+            s_star = _require(rec, "s_star")
+            if type(s_star) not in _NUMBER_TYPES or not 0.0 <= s_star <= 1.0:
+                raise _Invalid(".s_star", f"must be a number in [0, 1], got {s_star!r}")
+        except _Invalid as exc:
+            raise exc.at(f"thresholds[{i}]") from None
         out[cid] = float(s_star)
     return out
 

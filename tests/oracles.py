@@ -334,10 +334,11 @@ def eager_sweep(labels, grid_step=DEFAULT_GRID_STEP):
     return tuple(samples), True, optimum
 
 
-# The loaders below check every record field by field. They are the
-# reference for `lrpeval.dataio`'s loaders, which test the common valid
-# shape first: both must accept the same documents, build equal objects
-# and raise the same SchemaError messages.
+# The loaders below check every record field by field through helpers that
+# format the record's path first. They are the reference for
+# `lrpeval.dataio`'s loaders, which test the hot fields inline and format
+# a path only to raise: both must accept the same documents, build equal
+# objects and raise the same SchemaError messages.
 
 
 def _require(record: Mapping, key: str, where: str):
