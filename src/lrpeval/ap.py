@@ -92,8 +92,6 @@ def ap(curve: RPCurve, variant: str = "coco101") -> float:
     """
     if variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
-    if not curve.points:
-        return 0.0
     if variant == "continuous":
         total = 0.0
         prev = 0.0

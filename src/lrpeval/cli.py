@@ -2,7 +2,7 @@
 export, side-by-side comparison, and stream filtering.
 
 Progress and warnings go to standard error; data goes to standard output
-or to files. Exit codes: 0 success, 2 input error, 3 nothing evaluable.
+or to files. Exit codes: 0 success, 2 input or file error, 3 nothing evaluable.
 Identical invocations on identical inputs write byte-identical outputs.
 """
 
@@ -16,7 +16,6 @@ from functools import partial
 
 from .dataio import (
     DEFAULT_TAU,
-    SchemaError,
     build_report,
     export_curves,
     export_report,
@@ -47,6 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NOTHING_EVALUABLE = 3
 DEFAULT_TAU_RANGE = "0.5:0.05:0.95"
+MAX_TAUS = 1000
 
 
 def parse_tau_list(text: str) -> tuple[float, ...]:
@@ -56,10 +56,13 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"tau range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop):  # NaN fails both
             raise ValueError(f"bad tau range {text!r}")
-        count = round((stop - start) / step) + 1
-        return tuple(round(start + i * step, 10) for i in range(count))
+        # Bounded before the range is built; a tiny step overflows round().
+        spans = (stop - start) / step
+        if not spans < MAX_TAUS - 0.5:
+            raise ValueError(f"tau range {text!r} has more than {MAX_TAUS} values")
+        return tuple(round(start + i * step, 10) for i in range(round(spans) + 1))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -285,8 +288,10 @@ def _comparison_doc(a, b, args) -> dict:
 def cmd_stream(args) -> int:
     dataset = load_ground_truth(args.gt)
     frames = load_stream(args.stream, dataset)
-    # A bad thresholds file fails before any evaluation or tracking.
-    thresholds = load_thresholds(args.thresholds_file, dataset) if args.thresholds_file else None
+    threshold_maps = {"general": {}}
+    if args.thresholds_file:
+        # A bad thresholds file fails before any evaluation or tracking.
+        threshold_maps["class_specific"] = load_thresholds(args.thresholds_file, dataset)
     class_ids = dataset.class_ids()
     names = dataset.category_names()
 
@@ -294,31 +299,23 @@ def cmd_stream(args) -> int:
         dets = stream_to_detections(frames)
         return molrp(dataset.ground_truths, dets, class_ids, args.tau, args.grid_step)
 
-    raw = evaluate(frames)
+    reports = {"raw": evaluate(frames)}
     # Tubelets evolve on the unfiltered detections: track once, emit per threshold map.
     tracked = track_stream(frames, args.alpha, args.cost_cutoff)
-    general_run = emit_stream(tracked, {}, args.threshold)
-    general = evaluate(general_run.frames)
+    for name, thresholds in threshold_maps.items():
+        filtered = emit_stream(tracked, thresholds, args.threshold).frames
+        reports[name] = evaluate(filtered)
+    if args.filtered_output:  # the last map's stream: class-specific when given
+        save_stream(filtered, args.filtered_output)
 
-    specific_run = specific = None
-    if thresholds is not None:
-        specific_run = emit_stream(tracked, thresholds, args.threshold)
-        specific = evaluate(specific_run.frames)
-
-    if args.filtered_output:
-        save_stream((specific_run or general_run).frames, args.filtered_output)
-
-    classes = []
-    for cid in class_ids:
-        row = {
+    classes = [
+        round_row({
             "class_id": cid,
             "class_name": names[cid],
-            "olrp_raw": raw.per_class[cid].olrp,
-            "olrp_general": general.per_class[cid].olrp,
-        }
-        if specific is not None:
-            row["olrp_class_specific"] = specific.per_class[cid].olrp
-        classes.append(round_row(row))
+            **{f"olrp_{name}": report.per_class[cid].olrp for name, report in reports.items()},
+        })
+        for cid in class_ids
+    ]
     doc = {
         "schema": "lrp_stream_compare_v1",
         "config": {
@@ -330,9 +327,8 @@ def cmd_stream(args) -> int:
         },
         "classes": classes,
         "summary": round_row({
-            "molrp_raw": raw.molrp,
-            "molrp_general": general.molrp,
-            "molrp_class_specific": None if specific is None else specific.molrp,
+            f"molrp_{name}": reports[name].molrp if name in reports else None
+            for name in ("raw", "general", "class_specific")
         }),
     }
     write_json(doc, args.output)
@@ -353,13 +349,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SchemaError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except UndefinedLrp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOTHING_EVALUABLE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
-from .geometry import BoundingBox
+from .geometry import _NUMBER_TYPES, BoundingBox
 from .matching import ClassId, Detection, GroundTruth, label_classes
 from .sweep import (
     DEFAULT_GRID_STEP,
@@ -78,9 +78,6 @@ class Dataset:
         return sorted(c.id for c in self.categories)
 
 
-# JSON numbers parse to exactly int or float; a bool has its own type and
-# would collide with the ids 0 and 1.
-_NUMBER_TYPES = frozenset((int, float))
 _ID_TYPES = frozenset((int, float, str))
 
 
@@ -124,6 +121,17 @@ def _require_numbers(values: list, field: str) -> None:
             raise _Invalid(f"{field}[{k}]", f"must be a number, got {v!r}")
 
 
+def _too_large(values: list, field: str) -> _Invalid:
+    """The error naming the first of values that float() overflows on."""
+    for k, v in enumerate(values):
+        try:
+            float(v)
+        except OverflowError:
+            return _Invalid(
+                f"{field}[{k}]", f"must fit a float, got an integer of {len(str(abs(v)))} digits"
+            )
+
+
 def _array(record: Mapping, key: str, where: str = "") -> list:
     """An optional array field; absent means empty."""
     value = record.get(key, [])
@@ -146,6 +154,8 @@ def _parse_bbox(raw) -> BoundingBox:
         return BoundingBox.from_xywh(float(x), float(y), float(w), float(h))
     except ValueError as exc:
         raise _Invalid(".bbox", str(exc)) from None
+    except OverflowError:
+        raise _too_large(raw, ".bbox") from None
 
 
 def _id_kind(value) -> str | None:
@@ -163,12 +173,11 @@ def load_ground_truth(path) -> Dataset:
     if not isinstance(data, dict):
         raise SchemaError("root: annotation document must be a JSON object")
 
-    images = []
-    image_ids = set()
+    image_by_id = {}
     for i, img in enumerate(_array(data, "images")):
         try:
             img_id = _require_id(img, "id")
-            if img_id in image_ids:
+            if img_id in image_by_id:
                 raise _Invalid(".id", f"duplicate image id {img_id!r}")
             width, height = img.get("width"), img.get("height")
             for key, value in (("width", width), ("height", height)):
@@ -176,9 +185,7 @@ def load_ground_truth(path) -> Dataset:
                     raise _Invalid(f".{key}", f"must be a number, got {value!r}")
         except _Invalid as exc:
             raise exc.at(f"images[{i}]") from None
-        image_ids.add(img_id)
-        images.append(ImageInfo(img_id, width, height))
-    image_by_id = {im.id: im for im in images}
+        image_by_id[img_id] = ImageInfo(img_id, width, height)
 
     categories = []
     category_ids = set()
@@ -208,8 +215,8 @@ def load_ground_truth(path) -> Dataset:
         try:
             fields = ann if type(ann) is dict else {}  # a non-object fails below
             img_id, cat_id = fields.get("image_id"), fields.get("category_id")
-            if type(img_id) not in _ID_TYPES or img_id not in image_ids:
-                img_id = _require_id(ann, "image_id", image_ids, "image")
+            if type(img_id) not in _ID_TYPES or img_id not in image_by_id:
+                img_id = _require_id(ann, "image_id", image_by_id, "image")
             if type(cat_id) not in _ID_TYPES or cat_id not in category_ids:
                 cat_id = _require_id(ann, "category_id", category_ids, "category")
             raw_bbox = fields.get("bbox")
@@ -235,7 +242,7 @@ def load_ground_truth(path) -> Dataset:
             )
         gts.append(GroundTruth(img_id, cat_id, box, bool(crowd)))
 
-    return Dataset(tuple(images), tuple(categories), tuple(gts))
+    return Dataset(tuple(image_by_id.values()), tuple(categories), tuple(gts))
 
 
 def load_detections(path, dataset: Dataset) -> list[Detection]:
@@ -348,6 +355,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
                     det = StreamDetection(class_id, box, tuple(map(float, raw_scores)))
                 except ValueError as exc:
                     raise _Invalid(".class_scores", str(exc)) from None
+                except OverflowError:
+                    raise _too_large(raw_scores, ".class_scores") from None
             except _Invalid as exc:
                 raise exc.at(f"{where}.detections[{j}]") from None
             n_bins = len(raw_scores)

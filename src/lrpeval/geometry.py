@@ -7,6 +7,11 @@ from math import isfinite
 
 _CORNERS = ("x_min", "y_min", "x_max", "y_max")
 
+# A number is exactly an int or a float, as JSON numbers parse; a bool has
+# its own type and would collide with the ids 0 and 1 and the coordinates
+# and scores 0 and 1.
+_NUMBER_TYPES = frozenset((int, float))
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -29,7 +34,7 @@ class BoundingBox:
         ):
             # Not four finite floats: ints are fine, anything else is named.
             for name, value in zip(_CORNERS, (x_min, y_min, x_max, y_max)):
-                if not isinstance(value, (int, float)) or not isfinite(value):
+                if type(value) not in _NUMBER_TYPES or not isfinite(value):
                     raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
         if not (x_max > x_min and y_max > y_min):
             raise ValueError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterator, Sequence
 
-from .geometry import BoundingBox, area, iou_distance
+from .geometry import _NUMBER_TYPES, BoundingBox, area, iou_distance
 
 ClassId = Hashable
 ImageId = Hashable
@@ -46,8 +46,8 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score must be in [0, 1], got {self.score}")
+        if type(self.score) not in _NUMBER_TYPES or not 0.0 <= self.score <= 1.0:
+            raise ValueError(f"detection score must be a number in [0, 1], got {self.score!r}")
 
 
 @dataclass(frozen=True)
@@ -403,22 +403,18 @@ def match_optimal(
     matrix so that swapping the arguments always yields the mirror image
     of the same pairing, even when several assignments tie on total cost.
     """
-    import numpy as np
-
     check_tau(tau)
     n, m = len(xs), len(ys)
     if n == 0 or m == 0:
         return MatchResult((), 0, m, n)
 
-    cost = np.array([[iou_distance(x, y) for y in ys] for x in xs])
-    transposed = cost.T
-    key = (n, m, tuple(cost.ravel().tolist()))
-    key_t = (m, n, tuple(transposed.ravel().tolist()))
-    if key <= key_t:
+    cost = [[iou_distance(x, y) for y in ys] for x in xs]
+    transposed = [list(column) for column in zip(*cost)]
+    if (n, m, cost) <= (m, n, transposed):
         canon_pairs = hungarian(cost)
         roles = lambda r, c: (r, c)  # noqa: E731 - canonical row is the x side
     else:
-        canon_pairs = hungarian(np.ascontiguousarray(transposed))
+        canon_pairs = hungarian(transposed)
         roles = lambda r, c: (c, r)  # noqa: E731 - canonical row is the y side
 
     # Pairs stay in canonical row order so both argument orders accumulate
@@ -427,7 +423,7 @@ def match_optimal(
     tp_pairs = []
     for r, c in canon_pairs:
         xi, yj = roles(r, c)
-        if cost[xi, yj] <= cutoff:
-            tp_pairs.append((yj, xi, 1.0 - cost[xi, yj]))
+        if cost[xi][yj] <= cutoff:
+            tp_pairs.append((yj, xi, 1.0 - cost[xi][yj]))
     n_tp = len(tp_pairs)
     return MatchResult(tuple(tp_pairs), n_tp, m - n_tp, n - n_tp)

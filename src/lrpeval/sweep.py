@@ -30,12 +30,15 @@ from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts, total_from_c
 from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 DEFAULT_GRID_STEP = 0.01
+# The finest grid has 10,001 points. A finer step would allocate its grid
+# first (1e-9: a billion floats) and then sweep every point per class and tau.
+MIN_GRID_STEP = 0.0001
 
 
 def threshold_grid(grid_step: float = DEFAULT_GRID_STEP) -> list[float]:
     """Evenly spaced score thresholds covering [0, 1], endpoints included."""
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError(f"grid step must be in (0, 1], got {grid_step}")
+    if not MIN_GRID_STEP <= grid_step <= 1.0:
+        raise ValueError(f"grid step must be in [{MIN_GRID_STEP}, 1], got {grid_step}")
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid step {grid_step} does not evenly divide [0, 1]")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .geometry import BoundingBox
+from .geometry import _NUMBER_TYPES, BoundingBox
 from .matching import ClassId, Detection, hungarian
 
 DEFAULT_ALPHA = 0.7
@@ -37,6 +37,8 @@ class StreamDetection:
         scores = self.class_scores
         if not scores:
             raise ValueError("class_scores must not be empty")
+        if not _NUMBER_TYPES.issuperset(map(type, scores)):
+            raise ValueError(f"class_scores entries must be numbers: {scores}")
         total = sum(scores)
         # A NaN entry passes min and max but makes the sum NaN.
         if not (0.0 <= min(scores) and max(scores) <= 1.0 and total == total):

@@ -239,11 +239,12 @@ def link_cost(prev, curr, alpha):
 
 def box_corner_check(x_min, y_min, x_max, y_max):
     """The ValueError `BoundingBox` raises for these corners, or None: each
-    coordinate in turn, then the degenerate-box test."""
+    coordinate in turn (exactly an int or a float, and finite), then the
+    degenerate-box test."""
     box = dict(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
     for name in ("x_min", "y_min", "x_max", "y_max"):
         value = box[name]
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if type(value) not in (int, float) or not math.isfinite(value):
             return ValueError(f"box coordinate {name} must be finite, got {value!r}")
     if not (x_max > x_min and y_max > y_min):
         return ValueError(
@@ -255,9 +256,12 @@ def box_corner_check(x_min, y_min, x_max, y_max):
 
 def class_scores_check(class_scores):
     """The ValueError `StreamDetection` raises for this distribution, or
-    None: emptiness, then every entry in [0, 1], then the sum."""
+    None: emptiness, then every entry exactly an int or a float, then
+    every entry in [0, 1], then the sum."""
     if not class_scores:
         return ValueError("class_scores must not be empty")
+    if any(type(v) not in (int, float) for v in class_scores):
+        return ValueError(f"class_scores entries must be numbers: {class_scores}")
     if any(not 0.0 <= v <= 1.0 for v in class_scores):
         return ValueError(f"class_scores entries must be in [0, 1]: {class_scores}")
     if abs(sum(class_scores) - 1.0) > 1e-9:

@@ -115,6 +115,15 @@ class TestEval:
         code = main(["eval", "--gt", str(tmp_path / "none.json"), "--det", str(tmp_path / "none.json")])
         assert code == 2
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        gt_path, det_path = write_fixture(
+            tmp_path, "p", [GroundTruth(0, 1, box_at(0))], [Detection(0, 1, box_at(0), 0.9)]
+        )
+        code = main(["eval", "--gt", gt_path, "--det", det_path, "--output", "/dev/full"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         gt_path, _ = write_fixture(tmp_path, "p", [GroundTruth(0, 1, box_at(0))], [])
         det = tmp_path / "det.json"
@@ -379,10 +388,13 @@ class TestImportCost:
         assert run.returncode == 0, run.stderr
         return run.stdout.strip()
 
-    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "sweep", "curves", "thresholds", "compare"])
+    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path, command):
         gts, dets = reference_detectors()["half_recall"]
         gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
-        argv = ["eval", "--gt", gt_path, "--det", det_path, "--output", str(tmp_path / "out")]
+        det_args = (["--det-a", det_path, "--det-b", det_path] if command == "compare"
+                    else ["--det", det_path])
+        argv = [command, "--gt", gt_path, *det_args, "--output", str(tmp_path / "out")]
         assert self.heavy_modules_loaded(argv) == "[]"
 
     def test_stream_never_loads_scipy(self, tmp_path):
@@ -490,6 +502,10 @@ class TestMalformedInputs:
             {"frame_index": 0, "detections": []}), "frames[1].frame_index"),
         ("stream", "thr", lambda doc: doc["thresholds"].append(
             {"class_id": "a", "s_star": 0.9}), "thresholds[1].class_id"),
+        ("eval", "det", _set([0, "bbox", 0], 10 ** 400), "detections[0].bbox[0]"),
+        ("eval", "gt", _set(["annotations", 0, "bbox", 3], -10 ** 400), "annotations[0].bbox[3]"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_scores", 0], 10 ** 400),
+         "frames[0].detections[0].class_scores[0]"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -501,6 +517,7 @@ class TestMalformedInputs:
         "bool-image-id", "null-image-id", "bool-annotation-image-id", "bool-det-image-id",
         "bool-annotation-category-id", "unknown-stream-class-id", "unknown-thresholds-class-id",
         "repeated-frame-index", "duplicate-thresholds-class-id",
+        "huge-int-det-bbox", "huge-int-annotation-bbox", "huge-int-class-scores",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()
@@ -517,6 +534,25 @@ class TestMalformedInputs:
         assert main([*argv, "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {field}:" in err
+
+    @pytest.mark.parametrize("command, flags, value", [
+        ("eval", ["--grid-step", "5e-324"], "got 5e-324"),
+        ("eval", ["--grid-step", "1e-9"], "got 1e-09"),
+        ("eval", ["--tau-list", "0.5:5e-324:0.9"], "'0.5:5e-324:0.9'"),
+        ("eval", ["--tau-list", "0.5:1e-9:0.9"], "'0.5:1e-9:0.9'"),
+        ("sweep", ["--taus", "0.5:nan:0.9"], "'0.5:nan:0.9'"),
+    ], ids=["subnormal-grid-step", "tiny-grid-step", "subnormal-tau-step", "tiny-tau-step",
+            "nan-tau-step"])
+    def test_exits_2_naming_the_flag_value(self, tmp_path, capsys, command, flags, value):
+        # The tiny steps would ask for 10**9 grid points or taus if not bounded first.
+        paths = {}
+        for name in ("gt", "det"):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(self.base_docs()[name]))
+        argv = [command, "--gt", str(paths["gt"]), "--det", str(paths["det"]), *flags]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err
 
 def stream_fixture(tmp_path):
     specs = [

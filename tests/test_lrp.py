@@ -187,6 +187,18 @@ class TestDasa:
             params = DasaParams(p=1.0, c=0.5)
             assert dasa(xs, ys, params) == dasa(ys, xs, params)
 
+    def test_results_are_plain_floats(self):
+        rng = random.Random(55)
+        xs = random_boxes(rng, 4)
+        ys = [*xs[:3], *random_boxes(rng, 2)]
+        m = match_optimal(xs, ys, 0.5)
+        assert m.n_tp >= 3
+        bd = lrp_components(m, len(xs), len(ys), 0.5)
+        reals = [bd.total, bd.loc_component, bd.fp_component, bd.fn_component,
+                 bd.w_iou, bd.w_fp, bd.w_fn]
+        assert [type(x) for x in reals] == [float] * len(reals)
+        assert type(dasa(xs, ys, DasaParams(p=2.0, c=0.5))) is float
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             DasaParams(p=0.5)

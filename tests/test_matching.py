@@ -11,6 +11,7 @@ from lrpeval import (
     BoundingBox,
     Detection,
     GroundTruth,
+    StreamDetection,
     hungarian,
     label_classes,
     match_optimal,
@@ -46,6 +47,25 @@ def tp_pairs(labels):
 def sample_at(result, s):
     (sample,) = [x for x in result.samples if x.s == s]
     return sample.breakdown
+
+
+class TestConstructorNumberTypes:
+    """Constructors take exactly ints and floats as numbers, as the loaders do."""
+
+    @pytest.mark.parametrize("score", [True, False, "0.5", None, 1.5, float("nan")])
+    def test_detection_score(self, score):
+        with pytest.raises(ValueError, match="detection score must be a number in"):
+            Detection(0, 1, box_at(0), score)
+
+    def test_box_corners(self):
+        with pytest.raises(ValueError, match="x_min must be finite, got True"):
+            BoundingBox(True, False, 2, 2)
+        assert BoundingBox(0, 0.0, 2, 2.5).x_max == 2
+
+    def test_class_scores(self):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            StreamDetection(1, box_at(0), (True, False))
+        assert StreamDetection(1, box_at(0), (1, 0)).score == 1
 
 
 class TestMatchGreedy:
@@ -438,6 +458,13 @@ class TestMatchOptimal:
             b = match_optimal(ys, xs, tau=0.5)
             assert (a.n_tp, a.n_fp, a.n_fn) == (b.n_tp, b.n_fn, b.n_fp)
             assert sorted(ov for _, _, ov in a.tp_pairs) == sorted(ov for _, _, ov in b.tp_pairs)
+
+    def test_ious_are_plain_floats(self):
+        xs = [BoundingBox(0, 0, 10, 10), box_at(3)]
+        ys = [BoundingBox(1, 0, 10, 10), box_at(3)]
+        m = match_optimal(xs, ys, tau=0.5)
+        assert m.n_tp == 2
+        assert all(type(overlap) is float for _, _, overlap in m.tp_pairs)
 
     def test_cutoff_severs_weak_pairs(self):
         xs = [BoundingBox(0, 0, 10, 10)]
