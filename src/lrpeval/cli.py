@@ -32,11 +32,12 @@ from .dataio import (
 )
 from .ap import curve_from_labels
 from .lrp import UndefinedLrp
-from .matching import label_classes
-from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels
+from .matching import check_tau, label_classes
+from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels, threshold_grid
 from .video import (
     DEFAULT_ALPHA,
     DEFAULT_COST_CUTOFF,
+    check_link_params,
     emit_stream,
     stream_to_detections,
     track_stream,
@@ -50,7 +51,8 @@ MAX_TAUS = 1000
 
 
 def parse_tau_list(text: str) -> tuple[float, ...]:
-    """Parse "start:step:stop" ranges or comma-separated tau values."""
+    """Parse "start:step:stop" ranges or comma-separated tau values; every
+    tau must pass `check_tau`."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -62,8 +64,27 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
         spans = (stop - start) / step
         if not spans < MAX_TAUS - 0.5:
             raise ValueError(f"tau range {text!r} has more than {MAX_TAUS} values")
-        return tuple(round(start + i * step, 10) for i in range(round(spans) + 1))
-    return tuple(float(p) for p in text.split(","))
+        taus = tuple(round(start + i * step, 10) for i in range(round(spans) + 1))
+    else:
+        taus = tuple(float(p) for p in text.split(","))
+    for tau in taus:
+        check_tau(tau)
+    return taus
+
+
+def check_flags(args) -> None:
+    """Put every flag value through the check of the code that uses it, so
+    that a bad value fails before any input file is read."""
+    check_tau(args.tau)
+    threshold_grid(args.grid_step)
+    for name in ("tau_list", "taus"):
+        if vars(args).get(name):
+            parse_tau_list(vars(args)[name])
+    if args.command == "stream":
+        check_link_params(args.alpha, args.cost_cutoff)
+        # A thresholds file's s_star must lie in [0, 1] too.
+        if not 0.0 <= args.threshold <= 1.0:
+            raise ValueError(f"general threshold must be in [0, 1], got {args.threshold}")
 
 
 def _add_shared_args(sub, tau_list=False):
@@ -345,6 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_flags(args)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)

@@ -34,7 +34,14 @@ class BoundingBox:
         ):
             # Not four finite floats: ints are fine, anything else is named.
             for name, value in zip(_CORNERS, (x_min, y_min, x_max, y_max)):
-                if type(value) not in _NUMBER_TYPES or not isfinite(value):
+                try:
+                    finite = type(value) in _NUMBER_TYPES and isfinite(value)
+                except OverflowError:  # an int beyond float range; its repr may not print
+                    raise ValueError(
+                        f"box coordinate {name} must fit a float, got an integer of "
+                        f"{value.bit_length()} bits"
+                    ) from None
+                if not finite:
                     raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
         if not (x_max > x_min and y_max > y_min):
             raise ValueError(

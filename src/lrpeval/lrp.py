@@ -11,11 +11,12 @@ equality is enforced by tests, not by a runtime branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import BoundingBox
-from .matching import MatchResult, check_tau, match_optimal
+from .matching import TAU_MAX, MatchResult, check_tau, match_optimal
 
 
 class UndefinedLrp(Exception):
@@ -96,35 +97,17 @@ def _loc_error_sum(match: MatchResult, tau: float) -> float:
     return total
 
 
-def _check_consistent(match: MatchResult, n_gt: int, n_det: int) -> None:
-    if match.n_tp + match.n_fp != n_det:
-        raise ValueError(
-            f"match result inconsistent with n_det={n_det}: "
-            f"n_tp={match.n_tp}, n_fp={match.n_fp}"
-        )
-    if match.n_tp + match.n_fn != n_gt:
-        raise ValueError(
-            f"match result inconsistent with n_gt={n_gt}: "
-            f"n_tp={match.n_tp}, n_fn={match.n_fn}"
-        )
-
-
-def lrp_components(match: MatchResult, n_gt: int, n_det: int, tau: float) -> LrpBreakdown:
-    """Full LRP breakdown for a match result.
-
-    n_gt is the number of non-ignored ground truths, n_det the number of
-    evaluated detections (score-thresholded, minus ignore absorptions);
-    both must agree with the match counts.
-    """
-    _check_consistent(match, n_gt, n_det)
+def lrp_components(match: MatchResult, tau: float) -> LrpBreakdown:
+    """Full LRP breakdown for a match result; the ground-truth count
+    n_tp + n_fn and the detection count n_tp + n_fp come from the match."""
     return breakdown_from_counts(
         _loc_error_sum(match, tau), match.n_tp, match.n_fp, match.n_fn, tau
     )
 
 
-def lrp_total(match: MatchResult, n_gt: int, n_det: int, tau: float) -> float:
+def lrp_total(match: MatchResult, tau: float) -> float:
     """Total LRP error in [0, 1]; 1 exactly when nothing matched."""
-    return lrp_components(match, n_gt, n_det, tau).total
+    return lrp_components(match, tau).total
 
 
 @dataclass(frozen=True)
@@ -132,17 +115,18 @@ class DasaParams:
     """Parameters of the generalized cutoff set distance.
 
     p is the norm exponent, c the cutoff distance at which an assigned
-    pair is severed; the base distance between boxes is 1 - IoU.
+    pair is severed; the base distance between boxes is 1 - IoU. `dasa`
+    matches at tau = 1 - c, so c must give a valid tau.
     """
 
     p: float = 1.0
     c: float = 0.5
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError(f"norm parameter p must be >= 1, got {self.p}")
-        if not 0.0 < self.c <= 1.0:
-            raise ValueError(f"cutoff c must be in (0, 1], got {self.c}")
+        if not 1.0 <= self.p < math.inf:  # NaN fails too; at inf, 0 ** 0 makes dasa(X, X) 1
+            raise ValueError(f"norm parameter p must be finite and >= 1, got {self.p}")
+        if not 0.0 <= 1.0 - self.c <= TAU_MAX:
+            raise ValueError(f"cutoff c must be in [{1.0 - TAU_MAX:.3g}, 1], got {self.c}")
 
 
 def dasa(xs: Sequence[BoundingBox], ys: Sequence[BoundingBox], params: DasaParams) -> float:

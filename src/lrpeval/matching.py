@@ -9,9 +9,9 @@ index and IoU per detection, in score order), the one input of the
 threshold sweep and the recall-precision curve; `DetectionLabel` objects
 are built only at the API edge (`label_detections`). Optimal one-to-one
 assignment (`hungarian`, a shortest augmenting path solver written out in
-this module) minimizes the total 1-IoU distance; it backs the
-set-distance machinery and its symmetry/optimality property tests, and
-links video frames.
+this module) minimizes the total 1-IoU distance; its list solver backs
+the set-distance machinery (`match_optimal`) without NumPy, and
+`hungarian`, its NumPy-checked entry, links video frames.
 """
 
 from __future__ import annotations
@@ -78,13 +78,20 @@ class MatchResult:
     tp_pairs holds (detection index, ground-truth index, IoU) triples;
     indices refer to the argument lists of the call that produced the
     result. Detections absorbed by ignore regions appear in neither the
-    TP nor the FP count.
+    TP nor the FP count. n_tp is len(tp_pairs); n_fp and n_fn are >= 0.
     """
 
     tp_pairs: tuple[tuple[int, int, float], ...]
     n_tp: int
     n_fp: int
     n_fn: int
+
+    def __post_init__(self):
+        if self.n_tp != len(self.tp_pairs) or self.n_fp < 0 or self.n_fn < 0:
+            raise ValueError(
+                f"inconsistent match counts: {len(self.tp_pairs)} TP pairs, "
+                f"n_tp={self.n_tp}, n_fp={self.n_fp}, n_fn={self.n_fn}"
+            )
 
 
 @dataclass(frozen=True)
@@ -408,13 +415,16 @@ def match_optimal(
     if n == 0 or m == 0:
         return MatchResult((), 0, m, n)
 
+    # The canonical matrix never has more rows than columns, so it goes to
+    # the list solver as it stands: `hungarian` would not transpose it, and
+    # its NumPy check of a matrix of finite distances would load NumPy.
     cost = [[iou_distance(x, y) for y in ys] for x in xs]
     transposed = [list(column) for column in zip(*cost)]
     if (n, m, cost) <= (m, n, transposed):
-        canon_pairs = hungarian(cost)
+        canon_pairs = _assign_rows(cost)
         roles = lambda r, c: (r, c)  # noqa: E731 - canonical row is the x side
     else:
-        canon_pairs = hungarian(transposed)
+        canon_pairs = _assign_rows(transposed)
         roles = lambda r, c: (c, r)  # noqa: E731 - canonical row is the y side
 
     # Pairs stay in canonical row order so both argument orders accumulate

@@ -123,6 +123,15 @@ def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection]
     return alpha * (1.0 - overlap) + (1.0 - alpha) * 0.5 * l1
 
 
+def check_link_params(alpha: float, cost_cutoff: float) -> None:
+    """Reject an alpha outside [0, 1], and a NaN cost cutoff, under which
+    every pair would be severed without a word."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if cost_cutoff != cost_cutoff:
+        raise ValueError(f"cost cutoff must be a number, got {cost_cutoff}")
+
+
 def link_frames(
     prev: FrameDetections,
     curr: FrameDetections,
@@ -131,8 +140,7 @@ def link_frames(
 ) -> list[tuple[int, int]]:
     """Associate two frames' detections; returns (prev index, curr index)
     pairs. Assigned pairs costing more than cost_cutoff are severed."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_link_params(alpha, cost_cutoff)
     if not prev.detections or not curr.detections:
         return []
     cost = _link_costs(prev.detections, curr.detections, alpha)

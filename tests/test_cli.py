@@ -371,16 +371,17 @@ class TestOneBreakdownPerClass:
 
 
 class TestImportCost:
-    @staticmethod
-    def heavy_modules_loaded(argv):
+    @classmethod
+    def heavy_modules_loaded(cls, argv):
         """Which of NumPy and SciPy a fresh interpreter has loaded after
         running the command."""
-        script = (
-            "import sys\n"
-            "from lrpeval.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
-        )
+        return cls.heavy_modules_after(f"from lrpeval.cli import main\nassert main({argv!r}) == 0\n")
+
+    @staticmethod
+    def heavy_modules_after(code):
+        """Which of NumPy and SciPy a fresh interpreter has loaded after
+        running code."""
+        script = f"import sys\n{code}print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
         src = str(Path(lrpeval.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -396,6 +397,16 @@ class TestImportCost:
                     else ["--det", det_path])
         argv = [command, "--gt", gt_path, *det_args, "--output", str(tmp_path / "out")]
         assert self.heavy_modules_loaded(argv) == "[]"
+
+    def test_set_distance_loads_neither_numpy_nor_scipy(self):
+        code = (
+            "from lrpeval import BoundingBox, DasaParams, dasa, lrp_components, match_optimal\n"
+            "xs = [BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10)]\n"
+            "ys = [BoundingBox(1, 0, 11, 10), BoundingBox(50, 0, 60, 10), BoundingBox(0, 1, 9, 9)]\n"
+            "assert 0.0 < dasa(xs, ys, DasaParams()) < 1.0\n"
+            "assert lrp_components(match_optimal(ys, xs, 0.5), 0.5).n_tp == 1\n"
+        )
+        assert self.heavy_modules_after(code) == "[]"
 
     def test_stream_never_loads_scipy(self, tmp_path):
         stream_path, gt_path, thr_path = stream_fixture(tmp_path)
@@ -541,18 +552,36 @@ class TestMalformedInputs:
         ("eval", ["--tau-list", "0.5:5e-324:0.9"], "'0.5:5e-324:0.9'"),
         ("eval", ["--tau-list", "0.5:1e-9:0.9"], "'0.5:1e-9:0.9'"),
         ("sweep", ["--taus", "0.5:nan:0.9"], "'0.5:nan:0.9'"),
+        ("eval", ["--tau", "1.5"], "got 1.5"),
+        ("eval", ["--tau-list", "0.5:0:0.9"], "'0.5:0:0.9'"),
+        ("compare", ["--tau-list", "0.5,1.5"], "got 1.5"),
+        ("curves", ["--taus", "0.5:0.5:1.0"], "got 1.0"),
+        ("thresholds", ["--grid-step", "0.03"], "0.03"),
+        ("stream", ["--alpha", "5"], "got 5.0"),
+        ("stream", ["--alpha", "nan"], "got nan"),
+        ("stream", ["--threshold", "nan"], "got nan"),
+        ("stream", ["--threshold", "5"], "got 5.0"),
+        ("stream", ["--cost-cutoff", "nan"], "got nan"),
+        ("stream", ["--tau", "nan"], "got nan"),
     ], ids=["subnormal-grid-step", "tiny-grid-step", "subnormal-tau-step", "tiny-tau-step",
-            "nan-tau-step"])
+            "nan-tau-step", "tau-above-max", "zero-tau-step", "tau-list-value-above-max",
+            "tau-range-stop-above-max", "uneven-grid-step", "alpha-above-one", "nan-alpha",
+            "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "nan-stream-tau"])
     def test_exits_2_naming_the_flag_value(self, tmp_path, capsys, command, flags, value):
         # The tiny steps would ask for 10**9 grid points or taus if not bounded first.
+        # With a missing --gt the flag is still named: flags are checked before any read.
         paths = {}
-        for name in ("gt", "det"):
+        for name in ("gt", "det", "stream"):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(self.base_docs()[name]))
-        argv = [command, "--gt", str(paths["gt"]), "--det", str(paths["det"]), *flags]
-        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and value in err
+        inputs = {"stream": ["--stream", str(paths["stream"])],
+                  "compare": ["--det-a", str(paths["det"]), "--det-b", str(paths["det"])]}
+        for gt in (paths["gt"], tmp_path / "missing.json"):
+            argv = [command, "--gt", str(gt),
+                    *inputs.get(command, ["--det", str(paths["det"])]), *flags]
+            assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and value in err
 
 def stream_fixture(tmp_path):
     specs = [

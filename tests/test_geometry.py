@@ -30,6 +30,14 @@ class TestBoundingBox:
         with pytest.raises(ValueError, match="finite"):
             BoundingBox(math.nan, 0, 1, 1)
 
+    @pytest.mark.parametrize("corners, name", [
+        ((10 ** 400, 0, 1, 1), "x_min"),
+        ((0, 0, 1, -10 ** 5000), "y_max"),
+    ])
+    def test_rejects_integers_beyond_float_range(self, corners, name):
+        with pytest.raises(ValueError, match=f"box coordinate {name} must fit a float"):
+            BoundingBox(*corners)
+
     @settings(max_examples=500, deadline=None)
     @given(_CORNER, _CORNER, _CORNER, _CORNER)
     def test_checks_match_per_coordinate_reference(self, x_min, y_min, x_max, y_max):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,20 +15,20 @@ from lrpeval import (
 from oracles import random_boxes, weighted_form_total
 
 
-def synthetic_match(rng: random.Random, tau: float, max_size: int = 20) -> tuple[MatchResult, int, int]:
-    """A consistent random MatchResult plus its (n_gt, n_det)."""
+def synthetic_match(rng: random.Random, tau: float, max_size: int = 20) -> MatchResult:
+    """A consistent random MatchResult."""
     n_gt = rng.randint(0, max_size)
     n_det = rng.randint(0, max_size)
     n_tp = rng.randint(0, min(n_gt, n_det))
     pairs = tuple((i, i, rng.uniform(tau, 1.0)) for i in range(n_tp))
-    return MatchResult(pairs, n_tp, n_det - n_tp, n_gt - n_tp), n_gt, n_det
+    return MatchResult(pairs, n_tp, n_det - n_tp, n_gt - n_tp)
 
 
 class TestLrpComponents:
     def test_half_recall_scene(self):
         # 4 ground truths, 2 perfect TPs, no FPs
         m = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), 2, 0, 2)
-        bd = lrp_components(m, n_gt=4, n_det=2, tau=0.5)
+        bd = lrp_components(m, tau=0.5)
         assert bd.loc_component == 0.0
         assert bd.fp_component == 0.0
         assert bd.fn_component == 0.5
@@ -35,7 +36,7 @@ class TestLrpComponents:
 
     def test_no_ground_truth_all_fp(self):
         m = MatchResult((), 0, 3, 0)
-        bd = lrp_components(m, n_gt=0, n_det=3, tau=0.5)
+        bd = lrp_components(m, tau=0.5)
         assert bd.loc_component is None
         assert bd.fp_component == 1.0
         assert bd.fn_component is None
@@ -43,7 +44,7 @@ class TestLrpComponents:
 
     def test_hand_computed_mixed_case(self):
         m = MatchResult(((0, 0, 0.7), (1, 1, 0.9)), 2, 1, 1)
-        bd = lrp_components(m, n_gt=3, n_det=3, tau=0.5)
+        bd = lrp_components(m, tau=0.5)
         assert bd.loc_component == pytest.approx((0.3 + 0.1) / 2)
         assert bd.fp_component == pytest.approx(1 / 3)
         assert bd.fn_component == pytest.approx(1 / 3)
@@ -51,30 +52,34 @@ class TestLrpComponents:
 
     def test_undefined_when_nothing_to_evaluate(self):
         with pytest.raises(UndefinedLrp):
-            lrp_components(MatchResult((), 0, 0, 0), n_gt=0, n_det=0, tau=0.5)
+            lrp_components(MatchResult((), 0, 0, 0), tau=0.5)
         with pytest.raises(UndefinedLrp):
-            lrp_total(MatchResult((), 0, 0, 0), n_gt=0, n_det=0, tau=0.5)
+            lrp_total(MatchResult((), 0, 0, 0), tau=0.5)
 
     def test_rejects_inconsistent_counts(self):
-        m = MatchResult(((0, 0, 1.0),), 1, 0, 0)
+        # one pair cannot be two TPs
         with pytest.raises(ValueError, match="inconsistent"):
-            lrp_components(m, n_gt=5, n_det=1, tau=0.5)
+            MatchResult(((0, 0, 1.0),), 2, 0, 0)
         with pytest.raises(ValueError, match="inconsistent"):
-            lrp_components(m, n_gt=1, n_det=5, tau=0.5)
+            MatchResult(((0, 0, 1.0),), 0, 1, 1)
+        with pytest.raises(ValueError, match="inconsistent"):
+            MatchResult(((0, 0, 1.0),), 1, -1, 0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            MatchResult(((0, 0, 1.0),), 1, 0, -1)
 
     def test_rejects_tau_near_one(self):
         m = MatchResult((), 0, 1, 0)
         with pytest.raises(ValueError, match="tau"):
-            lrp_components(m, n_gt=0, n_det=1, tau=0.9999)
+            lrp_components(m, tau=0.9999)
 
     def test_rejects_pair_below_tau(self):
         m = MatchResult(((0, 0, 0.4),), 1, 0, 0)
         with pytest.raises(ValueError, match="below tau"):
-            lrp_components(m, n_gt=1, n_det=1, tau=0.5)
+            lrp_components(m, tau=0.5)
 
     def test_weights(self):
         m = MatchResult(((0, 0, 0.8),), 1, 2, 3)
-        bd = lrp_components(m, n_gt=4, n_det=3, tau=0.5)
+        bd = lrp_components(m, tau=0.5)
         assert bd.w_iou == pytest.approx(1 / 0.5)
         assert bd.w_fp == 3
         assert bd.w_fn == 4
@@ -84,18 +89,18 @@ class TestLrpComponents:
 class TestLrpTotal:
     def test_half_recall_scene(self):
         m = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), 2, 0, 2)
-        assert lrp_total(m, n_gt=4, n_det=2, tau=0.5) == 0.5
+        assert lrp_total(m, tau=0.5) == 0.5
 
     def test_duplicate_heavy_scene(self):
         pairs = tuple((i, i, 1.0) for i in range(4))
         m = MatchResult(pairs, 4, 4, 0)
-        assert lrp_total(m, n_gt=4, n_det=8, tau=0.5) == 0.5
+        assert lrp_total(m, tau=0.5) == 0.5
 
     def test_tradeoff_scene_and_perfect_localization_variant(self):
         loose = MatchResult(((0, 0, 0.61), (1, 1, 0.60)), 2, 2, 2)
-        assert lrp_total(loose, n_gt=4, n_det=4, tau=0.5) == pytest.approx(0.93, abs=1e-12)
+        assert lrp_total(loose, tau=0.5) == pytest.approx(0.93, abs=1e-12)
         perfect = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), 2, 2, 2)
-        assert lrp_total(perfect, n_gt=4, n_det=4, tau=0.5) == pytest.approx(2 / 3, abs=1e-12)
+        assert lrp_total(perfect, tau=0.5) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_one_exactly_when_nothing_matches(self):
         rng = random.Random(41)
@@ -105,22 +110,22 @@ class TestLrpTotal:
             if n_fp + n_fn == 0:
                 continue
             m = MatchResult((), 0, n_fp, n_fn)
-            assert lrp_total(m, n_gt=n_fn, n_det=n_fp, tau=0.5) == 1.0
+            assert lrp_total(m, tau=0.5) == 1.0
 
     def test_zero_only_for_perfect_detection(self):
         m = MatchResult(((0, 0, 1.0),), 1, 0, 0)
-        assert lrp_total(m, n_gt=1, n_det=1, tau=0.5) == 0.0
+        assert lrp_total(m, tau=0.5) == 0.0
         near = MatchResult(((0, 0, 0.999),), 1, 0, 0)
-        assert lrp_total(near, n_gt=1, n_det=1, tau=0.5) > 0.0
+        assert lrp_total(near, tau=0.5) > 0.0
 
     def test_range_and_equivalence_on_random_match_results(self):
         rng = random.Random(42)
         for _ in range(2000):
             tau = rng.choice([0.0, 0.25, 0.5, 0.75])
-            m, n_gt, n_det = synthetic_match(rng, tau)
+            m = synthetic_match(rng, tau)
             if m.n_tp + m.n_fp + m.n_fn == 0:
                 continue
-            bd = lrp_components(m, n_gt, n_det, tau)
+            bd = lrp_components(m, tau)
             assert 0.0 <= bd.total <= 1.0
             assert abs(bd.total - weighted_form_total(bd)) <= 1e-12
             if m.n_tp == 0:
@@ -131,14 +136,14 @@ class TestLrpTotal:
         rng = random.Random(43)
         for _ in range(500):
             tau = rng.choice([0.25, 0.5, 0.75])
-            m, n_gt, n_det = synthetic_match(rng, tau, max_size=10)
+            m = synthetic_match(rng, tau, max_size=10)
             if m.n_tp + m.n_fp + m.n_fn == 0:
                 continue
             penalties = [(1.0 - ov) / (1.0 - tau) for _, _, ov in m.tp_pairs]
             assert all(0.0 <= p <= 1.0 for p in penalties)
             penalties += [1.0] * (m.n_fp + m.n_fn)
             expected = sum(penalties) / len(penalties)
-            assert lrp_total(m, n_gt, n_det, tau) == pytest.approx(expected, abs=1e-12)
+            assert lrp_total(m, tau) == pytest.approx(expected, abs=1e-12)
 
 
 class TestDasa:
@@ -172,7 +177,7 @@ class TestDasa:
                 z = m.n_tp + m.n_fp + m.n_fn
                 if z == 0:
                     continue
-                total = lrp_total(m, len(xs), len(ys), tau)
+                total = lrp_total(m, tau)
                 e = dasa(xs, ys, DasaParams(p=1.0, c=1.0 - tau))
                 scaled = e * max(len(xs), len(ys)) / ((1.0 - tau) * z)
                 assert total == pytest.approx(scaled, rel=1e-9)
@@ -193,7 +198,7 @@ class TestDasa:
         ys = [*xs[:3], *random_boxes(rng, 2)]
         m = match_optimal(xs, ys, 0.5)
         assert m.n_tp >= 3
-        bd = lrp_components(m, len(xs), len(ys), 0.5)
+        bd = lrp_components(m, 0.5)
         reals = [bd.total, bd.loc_component, bd.fp_component, bd.fn_component,
                  bd.w_iou, bd.w_fp, bd.w_fn]
         assert [type(x) for x in reals] == [float] * len(reals)
@@ -207,11 +212,25 @@ class TestDasa:
         with pytest.raises(ValueError):
             DasaParams(c=1.5)
 
+    @pytest.mark.parametrize("params", [
+        {"c": 0.0005}, {"c": math.nan}, {"p": math.nan}, {"p": math.inf},
+    ])
+    def test_rejects_params_dasa_cannot_use(self, params):
+        # c = 0.0005 would match at tau 0.9995, above the largest valid tau;
+        # p = inf would put identical sets at distance 1
+        (name,) = params
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            DasaParams(**params)
+
+    def test_accepts_the_smallest_cutoff(self):
+        boxes = random_boxes(random.Random(56), 3)
+        assert dasa(boxes, boxes, DasaParams(c=0.001)) == 0.0
+
 
 class TestMetricModeProperties:
     def metric_lrp(self, xs, ys, tau=0.5):
         m = match_optimal(xs, ys, tau)
-        return lrp_total(m, n_gt=len(xs), n_det=len(ys), tau=tau)
+        return lrp_total(m, tau=tau)
 
     def test_symmetry_swaps_fp_fn(self):
         rng = random.Random(61)

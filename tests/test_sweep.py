@@ -124,11 +124,10 @@ class TestSweepClass:
         result = sweep_class(gts, dets, 1, tau=0.5)
         for sample in result.samples:
             m = rematch(gts, dets, s=sample.s, tau=0.5)
-            n_det = m.n_tp + m.n_fp
             if m.n_tp + m.n_fp + m.n_fn == 0:
                 assert sample.breakdown is None
                 continue
-            direct = lrp_components(m, n_gt=m.n_tp + m.n_fn, n_det=n_det, tau=0.5)
+            direct = lrp_components(m, tau=0.5)
             assert sample.breakdown == direct
 
     def test_optimum_bounds_every_sample(self):
@@ -199,6 +198,42 @@ class TestLazySamplesProperty:
             assert result.optimum() == optimum
             assert result.samples == samples
             assert [s.s for s in result.samples] == threshold_grid(grid_step)
+
+
+class TestRematchProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labeling_scenes(),
+        st.sampled_from((0.0, 0.3, 0.5, 0.7, 0.999)),
+        st.sampled_from((0.01, 0.1, 0.25)),
+    )
+    @example(  # total 0 at every s from 0.3 to 0.9: s* is the largest, 0.9
+        ([GroundTruth(0, "a", BoundingBox(0, 0, 4, 4))],
+         [Detection(0, "a", BoundingBox(0, 0, 4, 4), 0.9),
+          Detection(0, "a", BoundingBox(0, 0, 4, 4), 0.2)], [0.5]),
+        0.5,
+        0.1,
+    )
+    def test_every_grid_point_equals_a_fresh_rematch(self, scene, tau, grid_step):
+        gts, dets, _ = scene
+        for cid in ("a", "b"):
+            class_gts = [g for g in gts if g.class_id == cid]
+            class_dets = [d for d in dets if d.class_id == cid]
+            result = sweep_class(class_gts, class_dets, cid, tau, grid_step)
+            totals = {}
+            for sample in result.samples:
+                m = rematch(class_gts, class_dets, s=sample.s, tau=tau)
+                if m.n_tp + m.n_fp + m.n_fn == 0:
+                    assert sample.breakdown is None
+                else:
+                    assert sample.breakdown == lrp_components(m, tau)
+                    totals[sample.s] = sample.breakdown.total
+            if not totals:
+                assert not result.evaluable
+                continue
+            best = min(totals.values())
+            assert result.olrp == best
+            assert result.s_star == max(s for s, total in totals.items() if total == best)
 
 
 class TestMolrp:
