@@ -23,6 +23,7 @@ import logging
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
@@ -50,7 +51,7 @@ class SchemaError(ValueError):
     offending field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageInfo:
     id: object
     width: float | None = None
@@ -366,23 +367,45 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
 
 
 def save_stream(frames: Sequence[FrameDetections], path) -> None:
-    doc = {
-        "frames": [
-            {
-                "frame_index": frame.frame_index,
-                "detections": [
-                    {
-                        "class_id": det.class_id,
-                        "bbox": list(det.box.as_xywh()),
-                        "class_scores": list(det.class_scores),
-                    }
-                    for det in frame.detections
-                ],
-            }
-            for frame in frames
-        ]
-    }
-    write_json(doc, path)
+    """Write a stream fixture, one frame at a time, with the bytes
+    `write_json` gives the document {"frames": [{frame_index, detections:
+    [{class_id, bbox, class_scores}]}]}.
+
+    With an indent, `json` encodes in pure Python, and this is the largest
+    document the program writes, so its layout is spelled out here. Box
+    values and class scores are finite ints or floats by the record rules,
+    and `json` writes those by repr; ids take the same rule where they are
+    such numbers and `json.dumps` where not.
+    """
+    with _open_out(path) as fh:
+        fh.write('{\n  "frames": [')
+        sep = ""
+        for frame in frames:
+            dets = ",".join(
+                f'\n        {{\n          "class_id": {_json_id(d.class_id)},'
+                f'\n          "bbox": [{_numbers(d.box.as_xywh())}\n          ],'
+                f'\n          "class_scores": [{_numbers(d.class_scores)}\n          ]\n        }}'
+                for d in frame.detections
+            )
+            close = "\n      ]" if dets else "]"
+            fh.write(
+                f'{sep}\n    {{\n      "frame_index": {_json_id(frame.frame_index)},'
+                f'\n      "detections": [{dets}{close}\n    }}'
+            )
+            sep = ","
+        fh.write("\n  ]\n}\n" if frames else "]\n}\n")
+
+
+def _numbers(values) -> str:
+    """The items of a box or a distribution, indented as they nest in the document."""
+    return "\n            " + ",\n            ".join(map(repr, values))
+
+
+def _json_id(value) -> str:
+    """An id or frame index as `json` writes it."""
+    if type(value) is int or type(value) is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
 @dataclass(frozen=True)

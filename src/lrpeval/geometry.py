@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+import sys
 from math import isfinite
 
 _CORNERS = ("x_min", "y_min", "x_max", "y_max")
@@ -12,13 +13,19 @@ _CORNERS = ("x_min", "y_min", "x_max", "y_max")
 # and scores 0 and 1.
 _NUMBER_TYPES = frozenset((int, float))
 
+# The largest box area: the union of two boxes, at most the sum of their
+# areas, must stay a finite float.
+MAX_AREA = sys.float_info.max / 2
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned rectangle in pixel coordinates, stored in corner form.
 
-    Degenerate (zero-area) boxes are rejected at construction: they are
-    annotation errors and failing fast localizes the bug.
+    Degenerate boxes are rejected at construction: they are annotation
+    errors and failing fast localizes the bug. A box is degenerate unless
+    its area is in (0, MAX_AREA], so no IoU divides by an area that
+    underflowed to 0 or by a union that overflowed.
     """
 
     x_min: float
@@ -43,10 +50,12 @@ class BoundingBox:
                     ) from None
                 if not finite:
                     raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
-        if not (x_max > x_min and y_max > y_min):
+        if not (
+            x_max > x_min and y_max > y_min and 0 < (x_max - x_min) * (y_max - y_min) <= MAX_AREA
+        ):
             raise ValueError(
-                "degenerate box: need x_max > x_min and y_max > y_min, got "
-                f"({x_min}, {y_min}, {x_max}, {y_max})"
+                "degenerate box: need x_max > x_min, y_max > y_min and an area in "
+                f"(0, {MAX_AREA:g}], got ({x_min}, {y_min}, {x_max}, {y_max})"
             )
 
     @classmethod
@@ -59,7 +68,7 @@ class BoundingBox:
 
 
 def area(box: BoundingBox) -> float:
-    """Area of a box; strictly positive by the box invariants."""
+    """Area of a box; in (0, MAX_AREA] by the box invariants."""
     return (box.x_max - box.x_min) * (box.y_max - box.y_min)
 
 

@@ -36,7 +36,7 @@ def check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in [0, {TAU_MAX}], got {tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored, class-labeled box on one image."""
 
@@ -50,7 +50,7 @@ class Detection:
             raise ValueError(f"detection score must be a number in [0, 1], got {self.score!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """An annotated box on one image.
 

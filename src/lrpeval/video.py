@@ -24,7 +24,7 @@ DOMINANCE_RISE = 0.2
 _SCORE_EPS = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamDetection:
     """A detection inside a video frame, carrying its full per-class
     confidence distribution. The scalar score is the largest entry."""
@@ -51,7 +51,7 @@ class StreamDetection:
         return max(self.class_scores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameDetections:
     """All detections of one frame."""
 
@@ -204,12 +204,13 @@ class StreamResult:
 
 @dataclass(frozen=True)
 class TrackedStream:
-    """The threshold-free outcome of tracking a stream: the raw frames,
-    each detection's Bayes-updated score (None where it started a fresh
-    tubelet, so its score is its own), and the tubelets."""
+    """The threshold-free outcome of tracking a stream: each frame's
+    detections as they are emitted (a linked one with its distribution
+    rescored to its Bayes-updated score, one that starts a fresh tubelet
+    as given), the score each is filtered by, and the tubelets."""
 
     frames: tuple[FrameDetections, ...]
-    updated: tuple[tuple[float | None, ...], ...]
+    scores: tuple[tuple[float, ...], ...]
     tubelets: tuple[Tubelet, ...]
 
 
@@ -221,9 +222,10 @@ def track_stream(
     """Link a detection stream into tubelets, once for any thresholds.
 
     Each frame is associated with the previous raw frame; linked
-    detections continue their tubelet with a Bayes-updated score, the
-    rest start fresh tubelets at their raw score.
+    detections continue their tubelet with a Bayes-updated score and are
+    rescored to it, the rest start fresh tubelets at their raw score.
     """
+    check_link_params(alpha, cost_cutoff)
     for prev_f, curr_f in zip(frames, frames[1:]):
         if curr_f.frame_index <= prev_f.frame_index:
             raise ValueError(
@@ -234,13 +236,13 @@ def track_stream(
     tubelets: list[Tubelet] = []
     prev_frame: FrameDetections | None = None
     prev_tubelets: dict[int, Tubelet] = {}
-    updated = []
+    out_frames, scores = [], []
     for frame in frames:
         links: dict[int, int] = {}
         if prev_frame is not None:
             links = {c: p for p, c in link_frames(prev_frame, frame, alpha, cost_cutoff)}
         curr_tubelets: dict[int, Tubelet] = {}
-        frame_updated = []
+        out_dets, frame_scores = [], []
         for di, det in enumerate(frame.detections):
             parent = prev_tubelets.get(links.get(di, -1))
             if parent is not None:
@@ -251,17 +253,19 @@ def track_stream(
                 tub = Tubelet(id=len(tubelets), class_id=det.class_id)
                 tubelets.append(tub)
                 new_score = det.score
-            frame_updated.append(None if parent is None else new_score)
+            out_dets.append(det if parent is None else _rescored(det, new_score))
+            frame_scores.append(new_score)
             tub.boxes.append((frame.frame_index, det.box))
             tub.score_history.append(new_score)
             tub.updated_score = new_score
             if new_score - min(tub.score_history) >= DOMINANCE_RISE:
                 tub.dominant = True
             curr_tubelets[di] = tub
-        updated.append(tuple(frame_updated))
+        out_frames.append(FrameDetections(frame.frame_index, tuple(out_dets)))
+        scores.append(tuple(frame_scores))
         prev_frame = frame
         prev_tubelets = curr_tubelets
-    return TrackedStream(tuple(frames), tuple(updated), tuple(tubelets))
+    return TrackedStream(tuple(out_frames), tuple(scores), tuple(tubelets))
 
 
 def emit_stream(
@@ -270,16 +274,17 @@ def emit_stream(
     default_threshold: float = 0.5,
 ) -> StreamResult:
     """Keep the tracked detections whose updated score reaches their
-    class threshold (default_threshold for unlisted classes); linked
-    ones are emitted with their distribution rescored to that score."""
+    class threshold (default_threshold, in [0, 1], for unlisted classes);
+    linked ones come out with their distribution rescored to that score."""
+    if not 0.0 <= default_threshold <= 1.0:
+        raise ValueError(f"default threshold must be in [0, 1], got {default_threshold}")
     out_frames = []
-    for frame, frame_updated in zip(tracked.frames, tracked.updated):
-        emitted = []
-        for det, new_score in zip(frame.detections, frame_updated):
-            score = det.score if new_score is None else new_score
-            if score >= thresholds.get(det.class_id, default_threshold):
-                emitted.append(det if new_score is None else _rescored(det, new_score))
-        out_frames.append(FrameDetections(frame.frame_index, tuple(emitted)))
+    for frame, frame_scores in zip(tracked.frames, tracked.scores):
+        kept = tuple(
+            det for det, score in zip(frame.detections, frame_scores)
+            if score >= thresholds.get(det.class_id, default_threshold)
+        )
+        out_frames.append(FrameDetections(frame.frame_index, kept))
     return StreamResult(tuple(out_frames), tracked.tubelets)
 
 

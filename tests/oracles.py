@@ -240,16 +240,19 @@ def link_cost(prev, curr, alpha):
 def box_corner_check(x_min, y_min, x_max, y_max):
     """The ValueError `BoundingBox` raises for these corners, or None: each
     coordinate in turn (exactly an int or a float, and finite), then the
-    degenerate-box test."""
+    degenerate-box test: positive width and height, and an area that
+    neither underflows to 0 nor, added to itself, overflows to infinity."""
     box = dict(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
     for name in ("x_min", "y_min", "x_max", "y_max"):
         value = box[name]
         if type(value) not in (int, float) or not math.isfinite(value):
             return ValueError(f"box coordinate {name} must be finite, got {value!r}")
-    if not (x_max > x_min and y_max > y_min):
+    width, height = x_max - x_min, y_max - y_min
+    box_area = width * height
+    if not (width > 0 and height > 0 and box_area > 0 and math.isfinite(box_area + box_area)):
         return ValueError(
-            "degenerate box: need x_max > x_min and y_max > y_min, got "
-            f"({x_min}, {y_min}, {x_max}, {y_max})"
+            "degenerate box: need x_max > x_min, y_max > y_min and an area in "
+            f"(0, 8.98847e+307], got ({x_min}, {y_min}, {x_max}, {y_max})"
         )
     return None
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lrpeval
-from lrpeval import BoundingBox, Detection, GroundTruth, sweep_class
+from lrpeval import BoundingBox, Detection, GroundTruth, cli, sweep_class
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Category, Dataset, ImageInfo, save_ground_truth, save_stream
 from synth import StreamClassSpec, generate_stream, reference_detectors
@@ -416,6 +417,38 @@ class TestImportCost:
         assert self.heavy_modules_loaded(argv) == "['numpy']"
 
 
+class TestCollectorState:
+    """`main` runs a command with the cyclic collector off and leaves it as
+    it found it, since callers may run `main` inside a longer process."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_collector_state(self, tmp_path, capsys, monkeypatch, enabled):
+        box = box_at(0)
+        gt_path, det_path = write_fixture(
+            tmp_path, "p", [GroundTruth(0, 1, box)], [Detection(0, 1, box, 0.9)]
+        )
+        during = []
+        load = cli.load_ground_truth
+        monkeypatch.setattr(
+            cli, "load_ground_truth", lambda path: during.append(gc.isenabled()) or load(path)
+        )
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            out = str(tmp_path / "r.json")
+            assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", out]) == 0
+            assert gc.isenabled() is enabled
+            missing = str(tmp_path / "missing.json")
+            assert main(["eval", "--gt", missing, "--det", det_path, "--output", out]) == 2
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                main(["eval", "--no-such-flag"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during == [False, False]
+
+
 class TestExports:
     def test_every_public_name_resolves(self):
         assert [name for name in lrpeval.__all__ if not hasattr(lrpeval, name)] == []
@@ -453,6 +486,13 @@ def _set(path, value):
             target = target[key]
         target[path[-1]] = value
     return mutate
+
+
+# Boxes whose area underflows to 0.0, overflows to infinity, or is finite
+# but overflows when added to another box's area in a union.
+_TINY_BOX = [0, 0, 1e-200, 1e-200]
+_HUGE_BOX = [-1e308, -1e308, 1.7e308, 1.7e308]
+_LARGE_BOX = [0, 0, 1e154, 1e154]
 
 
 class TestMalformedInputs:
@@ -517,6 +557,14 @@ class TestMalformedInputs:
         ("eval", "gt", _set(["annotations", 0, "bbox", 3], -10 ** 400), "annotations[0].bbox[3]"),
         ("stream", "stream", _set(["frames", 0, "detections", 0, "class_scores", 0], 10 ** 400),
          "frames[0].detections[0].class_scores[0]"),
+        ("eval", "gt", _set(["annotations", 0, "bbox"], _TINY_BOX), "annotations[0].bbox"),
+        ("eval", "det", _set([0, "bbox"], _TINY_BOX), "detections[0].bbox"),
+        ("eval", "gt", _set(["annotations", 0, "bbox"], _HUGE_BOX), "annotations[0].bbox"),
+        ("eval", "det", _set([0, "bbox"], _HUGE_BOX), "detections[0].bbox"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "bbox"], _TINY_BOX),
+         "frames[0].detections[0].bbox"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "bbox"], _HUGE_BOX),
+         "frames[0].detections[0].bbox"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -529,6 +577,9 @@ class TestMalformedInputs:
         "bool-annotation-category-id", "unknown-stream-class-id", "unknown-thresholds-class-id",
         "repeated-frame-index", "duplicate-thresholds-class-id",
         "huge-int-det-bbox", "huge-int-annotation-bbox", "huge-int-class-scores",
+        "underflow-area-annotation-bbox", "underflow-area-det-bbox",
+        "overflow-area-annotation-bbox", "overflow-area-det-bbox",
+        "underflow-area-stream-bbox", "overflow-area-stream-bbox",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()
@@ -545,6 +596,28 @@ class TestMalformedInputs:
         assert main([*argv, "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {field}:" in err
+
+    @pytest.mark.parametrize("bbox", [_TINY_BOX, _HUGE_BOX, _LARGE_BOX],
+                             ids=["underflow", "overflow", "union-overflow"])
+    @pytest.mark.parametrize("command", ["eval", "stream"])
+    def test_box_area_outside_float_range_on_both_sides_exits_2(
+        self, tmp_path, capsys, command, bbox
+    ):
+        # Equal tiny boxes once divided 0 by 0 in the IoU, huge ones gave a NaN
+        # oLRP, and equal large ones an IoU of 0.
+        docs = self.base_docs()
+        docs["gt"]["annotations"][0]["bbox"] = bbox
+        docs["det"][0]["bbox"] = bbox
+        docs["stream"]["frames"][0]["detections"][0]["bbox"] = bbox
+        paths = {}
+        for name, content in docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        inputs = ["--det", paths["det"]] if command == "eval" else ["--stream", paths["stream"]]
+        argv = [command, "--gt", paths["gt"], *inputs, "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: annotations[0].bbox: degenerate box")
 
     @pytest.mark.parametrize("command, flags, value", [
         ("eval", ["--grid-step", "5e-324"], "got 5e-324"),

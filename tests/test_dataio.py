@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import random
 import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,96 @@ class TestStreamIO:
         path = write_json(tmp_path / "stream.json", {"video": []})
         with pytest.raises(SchemaError, match="frames"):
             load_stream(path, with_categories("a"))
+
+
+def _distribution(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+_STREAM_CLASS_ID = st.one_of(
+    st.integers(-5, 10 ** 20), st.floats(),
+    st.text(alphabet=st.sampled_from('ab"\\é\u4e2d\U0001f600\n'), max_size=4),
+)
+_COORDINATE = st.one_of(st.integers(-1000, 1000), st.floats(-1e6, 1e6))
+_SIDE = st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e6))
+_STREAM_DETECTION = st.builds(
+    StreamDetection,
+    _STREAM_CLASS_ID,
+    st.builds(BoundingBox.from_xywh, _COORDINATE, _COORDINATE, _SIDE, _SIDE),
+    st.one_of(
+        st.sampled_from([(1,), (1, 0), (0, 1, 0), (1.0, 0.0), (0.5, 0.5)]),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4).map(_distribution),
+    ),
+)
+_STREAM = st.lists(
+    st.builds(
+        FrameDetections,
+        st.integers(0, 10 ** 6),
+        st.lists(_STREAM_DETECTION, max_size=3).map(tuple),
+    ),
+    max_size=4,
+)
+
+
+class TestSaveStreamProperty:
+    """`save_stream` lays the document out itself; its bytes must be those
+    of `json` with an indent of 2 on every stream the records admit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STREAM)
+    def test_bytes_equal_indented_json(self, frames):
+        doc = {
+            "frames": [
+                {
+                    "frame_index": frame.frame_index,
+                    "detections": [
+                        {
+                            "class_id": det.class_id,
+                            "bbox": list(det.box.as_xywh()),
+                            "class_scores": list(det.class_scores),
+                        }
+                        for det in frame.detections
+                    ],
+                }
+                for frame in frames
+            ]
+        }
+        out = io.StringIO()
+        with redirect_stdout(out):
+            save_stream(frames, "-")
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+    def test_file_bytes_equal_indented_json(self, tmp_path):
+        frames = [
+            FrameDetections(3, ()),
+            FrameDetections(4, (StreamDetection("\u00e9", BoundingBox(0, 0.5, 2, 3), (1.0,)),)),
+        ]
+        path = tmp_path / "stream.json"
+        save_stream(frames, path)
+        assert path.read_bytes() == (
+            b'{\n  "frames": [\n    {\n      "frame_index": 3,\n      "detections": []\n    },'
+            b'\n    {\n      "frame_index": 4,\n      "detections": [\n        {\n'
+            b'          "class_id": "\\u00e9",\n          "bbox": [\n            0,\n'
+            b'            0.5,\n            2,\n            2.5\n          ],\n'
+            b'          "class_scores": [\n            1.0\n          ]\n        }\n      ]\n'
+            b'    }\n  ]\n}\n'
+        )
+        save_stream([], path)
+        assert path.read_bytes() == b'{\n  "frames": []\n}\n'
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("record", [
+        BoundingBox(0, 0, 1, 1),
+        Detection(0, "a", BoundingBox(0, 0, 1, 1), 0.5),
+        GroundTruth(0, "a", BoundingBox(0, 0, 1, 1)),
+        StreamDetection("a", BoundingBox(0, 0, 1, 1), (1.0,)),
+        FrameDetections(0, ()),
+        ImageInfo(0),
+    ], ids=lambda record: type(record).__name__)
+    def test_per_record_types_have_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
 
 
 class TestThresholds:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrpeval import video
 from lrpeval import (
     BoundingBox,
     FrameDetections,
@@ -294,6 +295,54 @@ class TestRunStream:
             assert [(t.boxes, t.score_history) for t in emitted.tubelets] == [
                 (t.boxes, t.score_history) for t in direct.tubelets
             ]
+
+    def test_each_linked_detection_rescored_once_for_any_maps(self, monkeypatch):
+        frames, _ = generate_stream(
+            [StreamClassSpec(1, n_objects=3, tp_score=0.7, fp_score=0.3, fp_per_frame=2),
+             StreamClassSpec(2, n_objects=2, tp_score=0.45)],
+            n_frames=8, seed=11, score_noise=0.05,
+        )
+        calls = []
+        rescored = video._rescored
+        monkeypatch.setattr(video, "_rescored", lambda det, s: calls.append(det) or rescored(det, s))
+        tracked = track_stream(frames)
+        maps = (({}, 0.5), ({1: 0.6, 2: 0.3}, 0.5), ({}, 0.0))
+        results = [emit_stream(tracked, thresholds, default) for thresholds, default in maps]
+        n_linked = sum(len(t.boxes) - 1 for t in tracked.tubelets)
+        assert n_linked > 0 and len(calls) == n_linked
+        monkeypatch.undo()
+
+        # Reference: each tubelet entry after its first is a linked detection
+        # with that entry's score, rescored afresh for every map.
+        entries = {
+            (index, id(box)): (score, k > 0)
+            for t in tracked.tubelets
+            for k, ((index, box), score) in enumerate(zip(t.boxes, t.score_history))
+        }
+        for (thresholds, default), result in zip(maps, results):
+            expected = []
+            for frame in frames:
+                kept = []
+                for det in frame.detections:
+                    score, linked = entries[frame.frame_index, id(det.box)]
+                    if score >= thresholds.get(det.class_id, default):
+                        kept.append(video._rescored(det, score) if linked else det)
+                expected.append(FrameDetections(frame.frame_index, tuple(kept)))
+            assert list(result.frames) == expected
+
+    def test_track_checks_link_params_before_any_frame(self):
+        frame = FrameDetections(0, (sd(1, box_at(0), 0.8),))
+        with pytest.raises(ValueError, match="alpha"):
+            emit_stream(track_stream([frame], alpha=5.0), {}, math.nan)
+        for alpha, cutoff in ((5.0, 0.7), (math.nan, 0.7), (0.7, math.nan)):
+            with pytest.raises(ValueError, match="alpha|cost cutoff"):
+                track_stream([frame], alpha=alpha, cost_cutoff=cutoff)
+
+    @pytest.mark.parametrize("default", [math.nan, -0.1, 1.5, math.inf])
+    def test_emit_rejects_default_threshold_outside_unit_interval(self, default):
+        tracked = track_stream([FrameDetections(0, (sd(1, box_at(0), 0.8),))])
+        with pytest.raises(ValueError, match="default threshold must be in"):
+            emit_stream(tracked, {}, default)
 
     def test_rejects_non_increasing_frame_indices(self):
         frames = [
