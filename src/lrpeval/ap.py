@@ -1,15 +1,12 @@
-"""Recall-precision curves and average precision in its common variants.
+"""Average precision in its common variants, and recall-precision curves
+for export.
 
-The curve is built from cumulative TP/FP counts over the detections in
-descending score order, which is equivalent to sweeping the score
-threshold through every value. Precision is max-interpolated (each point
-takes the highest precision at any equal-or-higher recall) and AP is the
-area under the interpolated step curve, either exactly ("continuous") or
-sampled on an 11-point or 101-point recall grid, read in one merge walk
-over the curve's recalls. The curve comes from the kind and score columns
-of the same `matching.TauLabels` record that feeds the class's threshold
-sweep (`sweep.sweep_labels`): callers label each (class, tau) once with
-`matching.label_classes` and feed both consumers.
+AP is read straight from the `matching.TauLabels` record that also feeds
+the class's threshold sweep (`sweep.sweep_labels`): callers label each
+(class, tau) once with `matching.label_classes` and feed both consumers.
+`RPCurve` is the export view of the same record: one (recall, precision,
+score) point per counted detection in descending score order, which is
+equivalent to sweeping the score threshold through every value.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .matching import FP, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
+from .matching import FP, IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 AP_VARIANTS = ("continuous", "pascal11", "coco101")
 
@@ -26,16 +23,11 @@ AP_VARIANTS = ("continuous", "pascal11", "coco101")
 @dataclass(frozen=True)
 class RPCurve:
     """Recall-precision samples for one class, one point per counted
-    detection in descending score order.
-
-    interpolated_precision[i] is the maximum precision at index i or
-    later, hence non-increasing while recall is non-decreasing.
-    """
+    detection in descending score order."""
 
     class_id: ClassId
     tau: float
     points: tuple[tuple[float, float, float], ...]  # (recall, precision, score)
-    interpolated_precision: tuple[float, ...]
 
 
 def rp_curve(
@@ -72,41 +64,49 @@ def curve_from_labels(labels: TauLabels, class_id: ClassId) -> RPCurve:
         recall.append(tp / n_real)
         precision.append(tp / (tp + fp))
         scores.append(score)
-    interp = list(accumulate(reversed(precision), max))
-    interp.reverse()
-    points = tuple(zip(recall, precision, scores))
-    return RPCurve(class_id, labels.tau, points, tuple(interp))
+    return RPCurve(class_id, labels.tau, tuple(zip(recall, precision, scores)))
 
 
-def ap(curve: RPCurve, variant: str = "coco101") -> float:
-    """Average precision of a curve.
+def ap(labels: TauLabels, variant: str = "coco101") -> float:
+    """Average precision of one class's greedy labels at labels.tau; n_real
+    must be positive, otherwise recall is undefined.
 
     continuous: exact area under the max-interpolated step curve.
     pascal11:   mean interpolated precision at recalls 0.0, 0.1, ..., 1.0.
     coco101:    mean interpolated precision at recalls 0.00, 0.01, ..., 1.00.
 
-    A recall with no point at or above it contributes precision 0; the
-    recall-0 sample therefore equals the maximum precision anywhere. Grid
-    recalls ascend, so one merge walk finds each one's first point at or
-    above it.
+    The interpolated precision at recall r is the maximum precision at any
+    recall >= r, 0 if there is none. The k-th TP sits at recall k / n_real
+    with precision k / (detections counted so far); an FP adds no recall
+    and only lowers precision, so every such maximum is reached at a TP,
+    a continuous step at an FP adds exactly 0.0, and each grid recall
+    above 0 first reaches a TP. Only the TPs are read, and grid recalls
+    ascend, so one merge walk finds each one's first TP.
     """
     if variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
+    n_real = labels.n_real
+    if n_real == 0:
+        raise ValueError(f"labels at tau={labels.tau} have no ground truth; recall is undefined")
+    counted = [kind for kind in labels.kinds if kind != IGNORED]
+    # TPs and FPs counted up to and including each TP, in score order.
+    counted_at_tp = [n for n, kind in enumerate(counted, 1) if kind == TP]
+    precision = [k / n for k, n in enumerate(counted_at_tp, 1)]
+    interp = list(accumulate(reversed(precision), max))[::-1]
     if variant == "continuous":
         total = 0.0
         prev = 0.0
-        for (recall, _, _), interp in zip(curve.points, curve.interpolated_precision):
-            total += (recall - prev) * interp
+        for k, p in enumerate(interp, 1):
+            recall = k / n_real
+            total += (recall - prev) * p
             prev = recall
         return total
     steps = 10 if variant == "pascal11" else 100
-    recalls = [p[0] for p in curve.points]
-    interp = curve.interpolated_precision
-    n, idx = len(recalls), 0
+    n_tp, k = len(interp), 0
     samples = []
     for i in range(steps + 1):
         r = i / steps
-        while idx < n and recalls[idx] < r:
-            idx += 1
-        samples.append(interp[idx] if idx < n else 0.0)
+        while k < n_tp and (k + 1) / n_real < r:
+            k += 1
+        samples.append(interp[k] if k < n_tp else 0.0)
     return sum(samples) / (steps + 1)

@@ -12,6 +12,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import sys
 from functools import partial
 
@@ -31,7 +32,7 @@ from .dataio import (
     write_csv,
     write_json,
 )
-from .ap import curve_from_labels
+from .ap import AP_VARIANTS, curve_from_labels
 from .lrp import UndefinedLrp
 from .matching import check_tau, label_classes
 from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels, threshold_grid
@@ -59,13 +60,16 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"tau range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
-        if not (step > 0 and start <= stop):  # NaN fails both
+        if not (0.0 < step < math.inf and start <= stop):  # NaN fails both
             raise ValueError(f"bad tau range {text!r}")
         # Bounded before the range is built; a tiny step overflows round().
         spans = (stop - start) / step
         if not spans < MAX_TAUS - 0.5:
             raise ValueError(f"tau range {text!r} has more than {MAX_TAUS} values")
-        taus = tuple(round(start + i * step, 10) for i in range(round(spans) + 1))
+        values = (round(start + i * step, 10) for i in range(round(spans) + 1))
+        # round(spans) takes one value past stop when step does not divide the
+        # range; stop is rounded as the values are, so the first is always kept.
+        taus = tuple(t for t in values if t <= round(stop, 10))
     else:
         taus = tuple(float(p) for p in text.split(","))
     for tau in taus:
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="full evaluation report (oLRP, components, s*, AP, moLRP, mAP)")
     _add_io_args(p_eval, tau_list=True)
     p_eval.add_argument(
-        "--ap-variant", choices=("continuous", "pascal11", "coco101"), default="coco101",
+        "--ap-variant", choices=AP_VARIANTS, default="coco101",
         help="AP integration rule (default: coco101)",
     )
     p_eval.add_argument("--format", choices=("json", "csv"), default="json",

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
-from .ap import AP_VARIANTS, RPCurve, ap, curve_from_labels
+from .ap import AP_VARIANTS, RPCurve, ap
 from .geometry import _NUMBER_TYPES, BoundingBox
 from .matching import ClassId, Detection, GroundTruth, label_classes
 from .sweep import (
@@ -314,11 +314,13 @@ def save_ground_truth(dataset: Dataset, path) -> None:
 def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     """Load a stream fixture: {frames: [{frame_index, detections:
     [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
-    class_id one of the dataset's categories."""
+    frame_index one of the dataset's images and each class_id one of its
+    categories."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
+    image_ids = {im.id for im in dataset.images}
     category_ids = {c.id for c in dataset.categories}
     frames = []
     n_bins = None  # every class distribution has one bin per class
@@ -328,6 +330,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
             index = _require(frame, "frame_index")
             if type(index) is not int:
                 raise _Invalid(".frame_index", f"must be an integer, got {index!r}")
+            if index not in image_ids:
+                raise _Invalid(".frame_index", f"unknown image id {index!r}")
             if frames and index <= frames[-1].frame_index:
                 raise _Invalid(
                     ".frame_index",
@@ -529,13 +533,12 @@ def build_report(
         dataset.ground_truths, detections, class_ids, dict.fromkeys((tau, *tau_list))
     ):
         t, n_real = labels.tau, labels.n_real
-        curve = curve_from_labels(labels, cid) if n_real else None
         if t == tau:
             per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
-            aps = {f"ap_{v}": None if curve is None else ap(curve, v) for v in AP_VARIANTS}
+            aps = {f"ap_{v}": ap(labels, v) if n_real else None for v in AP_VARIANTS}
             rows.append(ClassReportRow(names[cid], n_real, len(labels.order), sweep, **aps))
-        if curve is not None and t in tau_list:
-            ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(curve, ap_variant)
+        if n_real and t in tau_list:
+            ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(labels, ap_variant)
     per_class_tau_ap = [
         sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]

@@ -6,7 +6,7 @@ exactly the way recall-precision curves are built. `iou_table` computes a
 class's detection order and same-image IoUs once, and `label_at_tau`
 labels it at one tau as a columnar `TauLabels` record (kind codes, GT
 index and IoU per detection, in score order), the one input of the
-threshold sweep and the recall-precision curve; `DetectionLabel` objects
+threshold sweep, AP and the recall-precision curve; `DetectionLabel` objects
 are built only at the API edge (`label_detections`). Optimal one-to-one
 assignment (`hungarian`, a shortest augmenting path solver written out in
 this module) minimizes the total 1-IoU distance; its list solver backs

@@ -7,9 +7,9 @@ labels are prefix-stable, so one labeling pass at tau serves the whole
 grid and thresholds sharing the same retained detection set produce
 bitwise-identical breakdowns. The sweep reads the columns of one
 `matching.TauLabels` record (prefix sums of its kind codes and of
-1 - IoU in match order); the same record builds the class's
-recall-precision curve (`ap.curve_from_labels`): callers label each
-(class, tau) once with `matching.label_classes` and feed both consumers.
+1 - IoU in match order); the same record gives the class's average
+precision (`ap.ap`): callers label each (class, tau) once with
+`matching.label_classes` and feed both consumers.
 
 At each grid point the sweep keeps only the counts and the total error
 (`lrp.total_from_counts`, the formula `lrp.breakdown_from_counts` uses),

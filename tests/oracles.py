@@ -163,24 +163,25 @@ def count_real(gts):
 
 def ap(curve, variant="coco101"):
     """AP of an `RPCurve` with one bisect per grid recall: the precision at
-    recall r is the interpolated precision of the first point whose recall
-    reaches r, 0 if there is none."""
+    recall r is the maximum precision over the points whose recall reaches
+    r, 0 if there is none."""
     if variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
     if not curve.points:
         return 0.0
     recalls = [p[0] for p in curve.points]
+    interpolated = list(accumulate(reversed([p[1] for p in curve.points]), max))[::-1]
     if variant == "continuous":
         total = 0.0
         prev = 0.0
-        for (recall, _, _), interp in zip(curve.points, curve.interpolated_precision):
+        for recall, interp in zip(recalls, interpolated):
             total += (recall - prev) * interp
             prev = recall
         return total
 
     def interp_at(r):
         idx = bisect_left(recalls, r)
-        return 0.0 if idx == len(recalls) else curve.interpolated_precision[idx]
+        return 0.0 if idx == len(recalls) else interpolated[idx]
 
     steps = 10 if variant == "pascal11" else 100
     grid = [i / steps for i in range(steps + 1)]
@@ -499,11 +500,13 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
 def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     """Load a stream fixture: {frames: [{frame_index, detections:
     [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
-    class_id one of the dataset's categories."""
+    frame_index one of the dataset's images and each class_id one of its
+    categories."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
+    image_ids = {im.id for im in dataset.images}
     category_ids = {c.id for c in dataset.categories}
     frames = []
     n_bins = None  # every class distribution has one bin per class
@@ -512,6 +515,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
         index = _require(frame, "frame_index", where)
         if not isinstance(index, int) or isinstance(index, bool):
             raise SchemaError(f"{where}.frame_index: must be an integer, got {index!r}")
+        if index not in image_ids:
+            raise SchemaError(f"{where}.frame_index: unknown image id {index!r}")
         dets = []
         for j, rec in enumerate(_array(frame, "detections", where)):
             dwhere = f"{where}.detections[{j}]"

@@ -15,12 +15,13 @@ from lrpeval import (
     ap,
     build_report,
     curve_from_labels,
+    label_classes,
     rp_curve,
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo
 from lrpeval.ap import AP_VARIANTS
 from lrpeval.matching import FP, IGNORED, TP
-from oracles import integrate_rp_points, random_boxes, rematch_rp_points
+from oracles import integrate_rp_points, rematch_rp_points
 from synth import reference_detectors
 
 
@@ -32,16 +33,25 @@ def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
     return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
 
 
-def random_instance(rng: random.Random, n_gt_max=8, n_det_max=25, images=3):
-    """Random single-class instance with distinct detection scores."""
-    n_gt = rng.randint(1, n_gt_max)
-    n_det = rng.randint(0, n_det_max)
-    gts = [GroundTruth(rng.randrange(images), 1, b) for b in random_boxes(rng, n_gt)]
-    scores = rng.sample(range(1, 10000), n_det)
-    dets = [
-        Detection(rng.randrange(images), 1, b, s / 10000)
-        for b, s in zip(random_boxes(rng, n_det), scores)
-    ]
+def labels_at(gts, dets, tau):
+    """Greedy labels of class 1 at tau, as `build_report` reads them."""
+    ((_, labels),) = label_classes(gts, dets, (1,), (tau,))
+    return labels
+
+
+_BOX = st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+                 st.floats(0.5, 10.0), st.floats(0.5, 10.0))
+
+
+@st.composite
+def instances(draw, n_gt_max=8, n_det_max=25, images=3):
+    """Single-class instance over a few images, with at least one ground
+    truth and distinct detection scores."""
+    image = st.integers(0, images - 1)
+    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), _BOX),
+                        min_size=1, max_size=n_gt_max))
+    scores = draw(st.lists(st.integers(1, 9999), unique=True, max_size=n_det_max))
+    dets = [Detection(draw(image), 1, draw(_BOX), s / 10000) for s in scores]
     return gts, dets
 
 
@@ -51,7 +61,7 @@ class TestRpCurve:
         dets = [Detection(0, 1, box_at(0), 0.8)]
         curve = rp_curve(gts, dets, 1, tau=0.5)
         assert curve.points == ((1.0, 1.0, 0.8),)
-        assert curve.interpolated_precision == (1.0,)
+        assert ap(labels_at(gts, dets, 0.5), "continuous") == 1.0
 
     def test_duplicate_heavy_final_point(self):
         gts, dets = reference_detectors()["duplicate_heavy"]
@@ -73,17 +83,18 @@ class TestRpCurve:
             (0.5, 0.5, 0.8),
             (1.0, 2 / 3, 0.7),
         )
-        assert curve.interpolated_precision == (1.0, 2 / 3, 2 / 3)
+        # Interpolated: precision 1 up to recall 0.5, then 2/3 up to recall 1.
+        labels = labels_at(gts, dets, 0.5)
+        assert ap(labels, "continuous") == 0.5 * 1.0 + 0.5 * (2 / 3)
+        assert ap(labels, "pascal11") == sum([1.0] * 6 + [2 / 3] * 5) / 11
+        assert ap(labels, "coco101") == sum([1.0] * 51 + [2 / 3] * 50) / 101
 
-    def test_recall_non_decreasing_and_interp_non_increasing(self):
-        rng = random.Random(101)
-        for _ in range(50):
-            gts, dets = random_instance(rng)
-            curve = rp_curve(gts, dets, 1, tau=0.5)
-            recalls = [p[0] for p in curve.points]
-            assert recalls == sorted(recalls)
-            interp = list(curve.interpolated_precision)
-            assert interp == sorted(interp, reverse=True)
+    @settings(deadline=None)
+    @given(instances())
+    def test_recall_non_decreasing(self, instance):
+        gts, dets = instance
+        recalls = [p[0] for p in rp_curve(gts, dets, 1, tau=0.5).points]
+        assert recalls == sorted(recalls)
 
     def test_requires_ground_truth(self):
         with pytest.raises(ValueError, match="no ground truth"):
@@ -100,48 +111,59 @@ class TestAp:
     def test_perfect_detector_all_variants(self):
         gts = [GroundTruth(0, 1, box_at(0))]
         dets = [Detection(0, 1, box_at(0), 0.8)]
-        curve = rp_curve(gts, dets, 1, tau=0.5)
-        for variant in ("continuous", "pascal11", "coco101"):
-            assert ap(curve, variant) == 1.0
+        labels = labels_at(gts, dets, 0.5)
+        for variant in AP_VARIANTS:
+            assert ap(labels, variant) == 1.0
 
     def test_reference_trio_has_continuous_ap_half(self):
         for name, (gts, dets) in reference_detectors().items():
-            curve = rp_curve(gts, dets, 1, tau=0.5)
-            assert ap(curve, "continuous") == pytest.approx(0.5, abs=1e-9), name
+            labels = labels_at(gts, dets, 0.5)
+            assert ap(labels, "continuous") == pytest.approx(0.5, abs=1e-9), name
 
     def test_empty_curve_scores_zero(self):
         gts = [GroundTruth(0, 1, box_at(0))]
-        curve = rp_curve(gts, [], 1, tau=0.5)
-        for variant in ("continuous", "pascal11", "coco101"):
-            assert ap(curve, variant) == 0.0
+        labels = labels_at(gts, [], 0.5)
+        for variant in AP_VARIANTS:
+            assert ap(labels, variant) == 0.0
 
     def test_unknown_variant_rejected(self):
         gts = [GroundTruth(0, 1, box_at(0))]
-        curve = rp_curve(gts, [], 1, tau=0.5)
         with pytest.raises(ValueError, match="variant"):
-            ap(curve, "voc2007")
+            ap(labels_at(gts, [], 0.5), "voc2007")
 
-    def test_all_variants_against_rematch_oracle(self):
-        rng = random.Random(102)
-        for _ in range(100):
-            gts, dets = random_instance(rng)
-            curve = rp_curve(gts, dets, 1, tau=0.5)
-            points = rematch_rp_points(gts, dets, 1, tau=0.5)
-            for variant in ("continuous", "pascal11", "coco101"):
-                expected = integrate_rp_points(points, variant)
-                assert ap(curve, variant) == pytest.approx(expected, abs=1e-9), variant
+    def test_requires_ground_truth(self):
+        labels = labels_at([], [Detection(0, 1, box_at(0), 0.5)], 0.5)
+        for variant in AP_VARIANTS:
+            with pytest.raises(ValueError, match="no ground truth"):
+                ap(labels, variant)
 
-    def test_score_transform_invariance(self):
-        rng = random.Random(103)
-        for _ in range(30):
-            gts, dets = random_instance(rng)
-            squared = [
-                Detection(d.image_id, d.class_id, d.box, d.score**2) for d in dets
-            ]
-            for variant in ("continuous", "pascal11", "coco101"):
-                a = ap(rp_curve(gts, dets, 1, 0.5), variant)
-                b = ap(rp_curve(gts, squared, 1, 0.5), variant)
-                assert a == b
+    def test_build_report_builds_no_curve(self, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("build_report built an RPCurve")
+
+        monkeypatch.setattr(RPCurve, "__init__", no_curve)
+        gts, dets = reference_detectors()["tradeoff"]
+        assert map_over_taus(gts, dets, [1], (0.5, 0.75)) > 0
+
+    @settings(deadline=None)
+    @given(instances())
+    def test_all_variants_against_rematch_oracle(self, instance):
+        gts, dets = instance
+        labels = labels_at(gts, dets, 0.5)
+        points = rematch_rp_points(gts, dets, 1, tau=0.5)
+        for variant in AP_VARIANTS:
+            expected = integrate_rp_points(points, variant)
+            assert ap(labels, variant) == pytest.approx(expected, abs=1e-9), variant
+
+    @settings(deadline=None)
+    @given(instances())
+    def test_score_transform_invariance(self, instance):
+        gts, dets = instance
+        squared = [Detection(d.image_id, d.class_id, d.box, d.score**2) for d in dets]
+        for variant in AP_VARIANTS:
+            a = ap(labels_at(gts, dets, 0.5), variant)
+            b = ap(labels_at(gts, squared, 0.5), variant)
+            assert a == b
 
     def test_grid_variants_converge_on_dense_curves(self):
         # a smooth curve with >= 100 evenly spread recall points
@@ -152,10 +174,10 @@ class TestAp:
         for i in range(120):
             dets.append(Detection(0, 1, box_at(i), scores[2 * i] / 100000))
             dets.append(Detection(0, 1, box_at(i + 500), scores[2 * i + 1] / 100000))
-        curve = rp_curve(gts, dets, 1, tau=0.5)
-        cont = ap(curve, "continuous")
-        assert ap(curve, "pascal11") == pytest.approx(cont, abs=0.02)
-        assert ap(curve, "coco101") == pytest.approx(cont, abs=0.02)
+        labels = labels_at(gts, dets, 0.5)
+        cont = ap(labels, "continuous")
+        assert ap(labels, "pascal11") == pytest.approx(cont, abs=0.02)
+        assert ap(labels, "coco101") == pytest.approx(cont, abs=0.02)
 
 
 def map_over_taus(gts, dets, class_ids, taus):
@@ -177,44 +199,35 @@ def labels_from_kinds(kinds, n_real, tau=0.5):
 
 
 @st.composite
-def labeled_curves(draw):
-    """Curves from kind sequences: n_real of 4, 10 or 100 puts recalls
+def tau_labels(draw):
+    """Labels from kind sequences: n_real of 4, 10 or 100 puts recalls
     exactly on 11- and 101-point grid recalls, FP runs repeat a recall,
-    and all-ignored or empty sequences give the empty curve."""
+    and all-ignored or empty sequences give no point."""
     n_real = draw(st.sampled_from((4, 10, 100)) | st.integers(1, 30))
     kinds = draw(st.lists(st.sampled_from((TP, FP, IGNORED)), max_size=60))
     # A class cannot have more TPs than ground truths.
     tp_seen = accumulate(k == TP for k in kinds)
     kinds = [FP if k == TP and seen > n_real else k for k, seen in zip(kinds, tp_seen)]
-    return curve_from_labels(labels_from_kinds(kinds, n_real), 1)
-
-
-@st.composite
-def random_curves(draw):
-    """Curves with arbitrary non-decreasing recalls in [0, 1] and arbitrary
-    precisions, including repeated recalls and recalls on grid points."""
-    recall = st.floats(0.0, 1.0) | st.integers(0, 100).map(lambda i: i / 100)
-    recalls = sorted(draw(st.lists(recall, max_size=40)))
-    precisions = draw(st.lists(st.floats(0.0, 1.0), min_size=len(recalls),
-                               max_size=len(recalls)))
-    interp = list(accumulate(reversed(precisions), max))[::-1]
-    points = tuple((r, p, 0.5) for r, p in zip(recalls, precisions))
-    return RPCurve(1, 0.5, points, tuple(interp))
+    return labels_from_kinds(kinds, n_real)
 
 
 class TestApMergeWalk:
-    """The merge walk over the recall grid gives the bisect-per-grid-point
-    reference's float for every variant."""
+    """`ap` reads only the TPs of the labels; for every variant it gives
+    the float of the bisect-per-grid-point reference on the full curve."""
 
     @settings(max_examples=400, deadline=None)
-    @given(labeled_curves() | random_curves())
-    @example(RPCurve(1, 0.5, (), ()))
-    @example(curve_from_labels(labels_from_kinds([TP, FP, TP, FP, TP, TP], 4), 1))
-    @example(curve_from_labels(labels_from_kinds([TP] * 10 + [FP] * 3, 10), 1))
-    @example(curve_from_labels(labels_from_kinds([FP, TP] * 100, 100), 1))
-    def test_equals_bisect_reference(self, curve):
+    @given(tau_labels())
+    @example(labels_from_kinds([], 4))
+    @example(labels_from_kinds([FP] * 5, 10))
+    @example(labels_from_kinds([IGNORED] * 3, 100))
+    @example(labels_from_kinds([IGNORED, TP, FP, IGNORED, TP], 4))
+    @example(labels_from_kinds([TP, FP, TP, FP, TP, TP], 4))
+    @example(labels_from_kinds([TP] * 10 + [FP] * 3, 10))
+    @example(labels_from_kinds([FP, TP] * 100, 100))
+    def test_equals_bisect_reference(self, labels):
+        curve = curve_from_labels(labels, 1)
         for variant in AP_VARIANTS:
-            assert ap(curve, variant) == oracles.ap(curve, variant), variant
+            assert ap(labels, variant) == oracles.ap(curve, variant), variant
 
 
 class TestMapOverTaus:
@@ -229,15 +242,16 @@ class TestMapOverTaus:
         gts = [GroundTruth(0, 1, box_at(0))]
         dets = [Detection(0, 1, shrunk(box_at(0), 0.52), 0.9)]
         value = map_over_taus(gts, dets, [1], self.TAUS)
-        at_half = ap(rp_curve(gts, dets, 1, 0.5), "coco101")
+        at_half = ap(labels_at(gts, dets, 0.5), "coco101")
         assert at_half > 0
         assert value == pytest.approx(at_half / 10)
 
-    def test_composition_equals_mean_of_per_tau_aps(self):
-        rng = random.Random(105)
-        gts, dets = random_instance(rng)
+    @settings(deadline=None)
+    @given(instances())
+    def test_composition_equals_mean_of_per_tau_aps(self, instance):
+        gts, dets = instance
         value = map_over_taus(gts, dets, [1], self.TAUS)
-        singles = [ap(rp_curve(gts, dets, 1, t), "coco101") for t in self.TAUS]
+        singles = [ap(labels_at(gts, dets, t), "coco101") for t in self.TAUS]
         assert value == pytest.approx(sum(singles) / len(singles), abs=1e-15)
 
     def test_classes_without_gt_are_excluded(self):

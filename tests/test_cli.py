@@ -58,6 +58,17 @@ class TestParseTauList:
         assert len(taus) == 10
         assert taus[0] == 0.5 and taus[-1] == 0.95
 
+    def test_range_ends_at_or_before_stop(self):
+        # A step that does not divide the range stops short of stop ...
+        assert parse_tau_list("0.5:0.2:0.85") == (0.5, 0.7)
+        assert parse_tau_list("0.5:0.3:0.95") == (0.5, 0.8)
+        # ... and float error in (stop - start) / step does not drop stop.
+        assert parse_tau_list("0.1:0.1:0.3") == (0.1, 0.2, 0.3)
+        assert parse_tau_list("0.5:0.05:0.95") == (
+            0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+        # Start and stop round alike, so the range is never empty.
+        assert parse_tau_list("0.12345678916:0.1:0.12345678916") == (0.1234567892,)
+
     def test_comma_list(self):
         assert parse_tau_list("0.5,0.75") == (0.5, 0.75)
 
@@ -66,6 +77,8 @@ class TestParseTauList:
             parse_tau_list("0.5:0.05")
         with pytest.raises(ValueError):
             parse_tau_list("0.9:0.05:0.5")
+        with pytest.raises(ValueError, match="bad tau range"):
+            parse_tau_list("0.5:inf:0.9")
 
 
 class TestEval:
@@ -502,7 +515,8 @@ class TestMalformedInputs:
     def base_docs(self):
         return {
             "gt": {
-                "images": [{"id": 0, "width": 100, "height": 100}],
+                "images": [{"id": 0, "width": 100, "height": 100},
+                           {"id": 1, "width": 100, "height": 100}],
                 "annotations": [{"id": 1, "image_id": 0, "category_id": "a",
                                  "bbox": [0, 0, 10, 10], "iscrowd": 0}],
                 "categories": [{"id": "a", "name": "a"}],
@@ -565,6 +579,7 @@ class TestMalformedInputs:
          "frames[0].detections[0].bbox"),
         ("stream", "stream", _set(["frames", 0, "detections", 0, "bbox"], _HUGE_BOX),
          "frames[0].detections[0].bbox"),
+        ("stream", "stream", _set(["frames", 0, "frame_index"], 7), "frames[0].frame_index"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -579,7 +594,7 @@ class TestMalformedInputs:
         "huge-int-det-bbox", "huge-int-annotation-bbox", "huge-int-class-scores",
         "underflow-area-annotation-bbox", "underflow-area-det-bbox",
         "overflow-area-annotation-bbox", "overflow-area-det-bbox",
-        "underflow-area-stream-bbox", "overflow-area-stream-bbox",
+        "underflow-area-stream-bbox", "overflow-area-stream-bbox", "unknown-frame-index",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()

@@ -19,6 +19,7 @@ from lrpeval import (
     build_report,
     export_curves,
     export_report,
+    label_classes,
     load_detections,
     load_ground_truth,
     load_stream,
@@ -192,9 +193,10 @@ class TestLoadDetections:
         assert again == dets
 
 
-def with_categories(*ids):
-    """A dataset that declares the given category ids and nothing else."""
-    return Dataset((), tuple(Category(c, str(c)) for c in ids), ())
+def with_categories(*ids, frames=()):
+    """A dataset that declares the given category ids, an image for each
+    given frame index, and nothing else."""
+    return Dataset(tuple(map(ImageInfo, frames)), tuple(Category(c, str(c)) for c in ids), ())
 
 
 class TestStreamIO:
@@ -211,7 +213,7 @@ class TestStreamIO:
         ]
         path = tmp_path / "stream.json"
         save_stream(frames, path)
-        assert load_stream(path, with_categories("a", "b")) == frames
+        assert load_stream(path, with_categories("a", "b", frames=(0, 1))) == frames
 
     def test_bad_distribution_names_field(self, tmp_path):
         doc = {
@@ -226,7 +228,7 @@ class TestStreamIO:
         }
         path = write_json(tmp_path / "stream.json", doc)
         with pytest.raises(SchemaError, match=r"frames\[0\].detections\[0\].class_scores"):
-            load_stream(path, with_categories("a"))
+            load_stream(path, with_categories("a", frames=(0,)))
 
     def test_missing_frames_key(self, tmp_path):
         path = write_json(tmp_path / "stream.json", {"video": []})
@@ -427,9 +429,9 @@ class TestBuildAndExportReport:
         # At tau, the row's variant value also serves the tau-averaged mean.
         real_ap, calls = dataio.ap, Counter()
 
-        def counting_ap(curve, variant):
-            calls[(curve.tau, variant)] += 1
-            return real_ap(curve, variant)
+        def counting_ap(labels, variant):
+            calls[(labels.tau, variant)] += 1
+            return real_ap(labels, variant)
 
         monkeypatch.setattr(dataio, "ap", counting_ap)
         ds, dets = trio_dataset()
@@ -438,8 +440,8 @@ class TestBuildAndExportReport:
             (0.5, "continuous"): 1, (0.5, "pascal11"): 1, (0.5, "coco101"): 1,
             (0.6, "pascal11"): 1, (0.7, "pascal11"): 1,
         }
-        gts = ds.ground_truths
-        expected = [real_ap(rp_curve(gts, dets, 1, t), "pascal11") for t in (0.5, 0.6, 0.7)]
+        per_tau = label_classes(ds.ground_truths, dets, (1,), (0.5, 0.6, 0.7))
+        expected = [real_ap(labels, "pascal11") for _, labels in per_tau]
         assert report.mean_ap == sum(expected) / 3
 
     def test_every_class_has_s_star_column(self):
@@ -530,9 +532,9 @@ _FIELD_VALUES = {
     "score": st.sampled_from([0.0, 1.0, 0, 1, 0.25, 1.5, -0.1, -0.0, _NAN, "0.5", True]),
     "width": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
     "height": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
-    # Non-integer values only: frame indices stay increasing here, their
-    # order is checked in tests/test_cli.py::TestMalformedInputs.
-    "frame_index": st.sampled_from([True, False, 1.5, 3.0, "3", None, [3], _NAN]),
+    # The one integer, 7, names no image. Frame indices stay increasing
+    # here, their order is checked in tests/test_cli.py::TestMalformedInputs.
+    "frame_index": st.sampled_from([True, False, 1.5, 3.0, "3", None, [3], _NAN, 7]),
 }
 _FIELDS = {
     "gt": ("images", "annotations", "categories"),
@@ -555,10 +557,11 @@ _MUTATED_KINDS = {
 
 @st.composite
 def loader_documents(draw, target):
-    """A valid GT document, detection array and stream, then one to three
-    mutations of the target document: a field set to an odd value, a
-    field deleted, or a record replaced by a non-object. Frame indices
-    stay increasing; tests/test_cli.py covers their order."""
+    """A valid GT document, detection array and stream whose frames are
+    some of the images, then one to three mutations of the target
+    document: a field set to an odd value, a field deleted, or a record
+    replaced by a non-object. Frame indices stay increasing;
+    tests/test_cli.py covers their order."""
     cat_ids = draw(st.sampled_from(([1, 2, 3], ["a", "b", "c"])))[: draw(st.integers(1, 3))]
     n_images = draw(st.integers(1, 3))
     box = st.sampled_from([[0.0, 0.0, 10.0, 10.0], [5.5, 2.25, 20.0, 30.0], [0, 0, 10, 10],
@@ -582,11 +585,11 @@ def loader_documents(draw, target):
     dists = draw(st.sampled_from(([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]],
                                   [[0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])))
     stream = {"frames": [
-        {"frame_index": 3 * f, "detections": [
+        {"frame_index": f, "detections": [
             {"class_id": draw(cat_id), "bbox": draw(box), "class_scores": draw(st.sampled_from(dists))}
             for _ in range(draw(st.integers(1, 3)))
         ]}
-        for f in range(draw(st.integers(1, 3)))
+        for f in sorted(draw(st.sets(image_id, min_size=1)))
     ]}
     docs = {"gt": gt, "det": det, "stream": stream}
     # (container, key of the record in it) by kind of record
