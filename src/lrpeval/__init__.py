@@ -22,11 +22,10 @@ from .lrp import (
     lrp_total,
 )
 from .sweep import MoLrpReport, SweepResult, molrp, sweep_class, sweep_labels, threshold_grid
-from .ap import RPCurve, ap, curve_from_labels, rp_curve
+from .ap import RPCurve, curve_from_labels, rp_curve
 from .video import (
     FrameDetections,
     StreamDetection,
-    StreamResult,
     TrackedStream,
     Tubelet,
     bayes_update,
@@ -47,8 +46,6 @@ from .dataio import (
     load_ground_truth,
     load_stream,
     load_thresholds,
-    save_detections,
-    save_ground_truth,
     save_stream,
     save_thresholds,
     threshold_rows,
@@ -60,15 +57,14 @@ __all__ = [
     "hungarian", "label_classes", "label_detections", "match_optimal",
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
-    "RPCurve", "ap", "curve_from_labels", "rp_curve",
-    "FrameDetections", "StreamDetection", "StreamResult", "TrackedStream", "Tubelet",
+    "RPCurve", "curve_from_labels", "rp_curve",
+    "FrameDetections", "StreamDetection", "TrackedStream", "Tubelet",
     "bayes_update", "emit_stream", "link_frames", "run_stream", "stream_to_detections",
     "track_stream",
     "Dataset", "EvalReport", "SchemaError",
     "build_report", "export_curves", "export_report",
     "load_detections", "load_ground_truth", "load_stream", "load_thresholds",
-    "save_detections", "save_ground_truth", "save_stream", "save_thresholds",
-    "threshold_rows",
+    "save_stream", "save_thresholds", "threshold_rows",
 ]
 
 __version__ = "0.1.0"

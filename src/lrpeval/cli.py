@@ -39,7 +39,9 @@ from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels, threshold_grid
 from .video import (
     DEFAULT_ALPHA,
     DEFAULT_COST_CUTOFF,
+    DEFAULT_THRESHOLD,
     check_link_params,
+    check_threshold,
     emit_stream,
     stream_to_detections,
     track_stream,
@@ -79,17 +81,22 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
 
 def check_flags(args) -> None:
     """Put every flag value through the check of the code that uses it, so
-    that a bad value fails before any input file is read."""
-    check_tau(args.tau)
-    threshold_grid(args.grid_step)
+    that a bad value fails before any input file is read, naming the flag."""
+    checks = [("--tau", check_tau, args.tau), ("--grid-step", threshold_grid, args.grid_step)]
     for name in ("tau_list", "taus"):
         if vars(args).get(name):
-            parse_tau_list(vars(args)[name])
+            checks.append((f"--{name.replace('_', '-')}", parse_tau_list, vars(args)[name]))
     if args.command == "stream":
-        check_link_params(args.alpha, args.cost_cutoff)
-        # A thresholds file's s_star must lie in [0, 1] too.
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ValueError(f"general threshold must be in [0, 1], got {args.threshold}")
+        checks += [
+            ("--alpha", partial(check_link_params, cost_cutoff=DEFAULT_COST_CUTOFF), args.alpha),
+            ("--cost-cutoff", partial(check_link_params, DEFAULT_ALPHA), args.cost_cutoff),
+            ("--threshold", check_threshold, args.threshold),
+        ]
+    for flag, check, value in checks:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
 
 
 def _add_shared_args(sub, tau_list=False):
@@ -181,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="COCO-style annotations with image id = frame index")
     p_stream.add_argument("--thresholds-file", default=None,
                           help="per-class thresholds JSON from the thresholds command")
-    p_stream.add_argument("--threshold", type=float, default=0.5,
-                          help="general score threshold baseline (default: 0.5)")
+    p_stream.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                          help=f"general score threshold baseline (default: {DEFAULT_THRESHOLD})")
     p_stream.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                           help=f"box-overlap weight in the linking cost (default: {DEFAULT_ALPHA})")
     p_stream.add_argument("--cost-cutoff", type=float, default=DEFAULT_COST_CUTOFF,

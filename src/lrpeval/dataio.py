@@ -22,7 +22,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
@@ -276,41 +276,6 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
     return dets
 
 
-def save_detections(dets: Sequence[Detection], path) -> None:
-    """Write detections as a COCO-style results array."""
-    records = [
-        {
-            "image_id": d.image_id,
-            "category_id": d.class_id,
-            "bbox": list(d.box.as_xywh()),
-            "score": d.score,
-        }
-        for d in dets
-    ]
-    write_json(records, path)
-
-
-def save_ground_truth(dataset: Dataset, path) -> None:
-    """Write a dataset back out in COCO annotation form."""
-    doc = {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height} for im in dataset.images
-        ],
-        "annotations": [
-            {
-                "id": i + 1,
-                "image_id": g.image_id,
-                "category_id": g.class_id,
-                "bbox": list(g.box.as_xywh()),
-                "iscrowd": int(g.ignore),
-            }
-            for i, g in enumerate(dataset.ground_truths)
-        ],
-        "categories": [{"id": c.id, "name": c.name} for c in dataset.categories],
-    }
-    write_json(doc, path)
-
-
 def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     """Load a stream fixture: {frames: [{frame_index, detections:
     [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
@@ -412,19 +377,9 @@ def _json_id(value) -> str:
     return json.dumps(value)
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    class_id: ClassId
-    class_name: str
-    s_star: float
-    olrp: float
-    warning: str | None
-
-
-def threshold_rows(
-    report: MoLrpReport, names: Mapping[ClassId, str] | None = None
-) -> list[ThresholdRow]:
-    """Per-class operating thresholds from a sweep report.
+def threshold_rows(report: MoLrpReport, names: Mapping[ClassId, str] | None = None) -> list[dict]:
+    """Per-class operating thresholds from a sweep report, as the rows of
+    the thresholds document: class_id, class_name, s_star, olrp, warning.
 
     A class with ground truth but no detections has every threshold tie
     at total error 1; exporting the tie-break winner (1.0) would suppress
@@ -443,15 +398,21 @@ def threshold_rows(
             s_star = 0.0
             warning = "class has ground truth but no detections; threshold forced to 0.00"
             logger.warning("class %s: %s", cid, warning)
-        rows.append(ThresholdRow(cid, str(names.get(cid, cid)), s_star, result.olrp, warning))
+        rows.append({
+            "class_id": cid,
+            "class_name": str(names.get(cid, cid)),
+            "s_star": s_star,
+            "olrp": result.olrp,
+            "warning": warning,
+        })
     return rows
 
 
-def save_thresholds(rows: Sequence[ThresholdRow], tau: float, path) -> None:
+def save_thresholds(rows: Sequence[Mapping], tau: float, path) -> None:
     doc = {
         "schema": THRESHOLDS_SCHEMA,
         "tau": tau,
-        "thresholds": [round_row(asdict(r)) for r in rows],
+        "thresholds": [round_row(r) for r in rows],
     }
     write_json(doc, path)
 

@@ -8,11 +8,17 @@ tubelet score, likelihood = current detection score), and the emitted
 stream is filtered by per-class score thresholds. Tubelet state always
 evolves on the unfiltered detections, so runs with different thresholds
 stay comparable; the thresholds shape only the output.
+
+Link rule: the assignment is solved over all (previous, current) pairs,
+then an assigned pair is severed if it costs more than the cutoff or its
+boxes do not overlap (IoU 0): far-apart boxes never link, however alike
+their class distributions, as SORT's IoU floor has it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .geometry import _NUMBER_TYPES, BoundingBox
@@ -20,6 +26,7 @@ from .matching import ClassId, Detection, hungarian
 
 DEFAULT_ALPHA = 0.7
 DEFAULT_COST_CUTOFF = 0.7
+DEFAULT_THRESHOLD = 0.5
 DOMINANCE_RISE = 0.2
 _SCORE_EPS = 1e-6
 
@@ -91,9 +98,9 @@ def bayes_update(prior: float, likelihood: float) -> float:
 
 def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float):
     """Matrix of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all
-    (prev, curr) pairs: box distance blended with class-distribution
-    distance, in [0, 1]. Every cell takes the float steps of the scalar
-    formula in the same order, the L1 sum accumulated bin by bin."""
+    (prev, curr) pairs, box distance blended with class-distribution
+    distance in [0, 1], and the IoU matrix. Every cell takes the float steps
+    of the scalar formula in the same order, the L1 sum accumulated bin by bin."""
     import numpy as np
 
     n_bins = len(prev[0].class_scores)
@@ -120,7 +127,7 @@ def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection]
     l1 = np.zeros_like(overlap)
     for k in range(4, 4 + n_bins):
         l1 += np.abs(p[:, k] - c[:, k])
-    return alpha * (1.0 - overlap) + (1.0 - alpha) * 0.5 * l1
+    return alpha * (1.0 - overlap) + (1.0 - alpha) * 0.5 * l1, overlap
 
 
 def check_link_params(alpha: float, cost_cutoff: float) -> None:
@@ -139,12 +146,15 @@ def link_frames(
     cost_cutoff: float = DEFAULT_COST_CUTOFF,
 ) -> list[tuple[int, int]]:
     """Associate two frames' detections; returns (prev index, curr index)
-    pairs. Assigned pairs costing more than cost_cutoff are severed."""
+    pairs. Assigned pairs costing more than cost_cutoff, or whose boxes do
+    not overlap, are severed."""
     check_link_params(alpha, cost_cutoff)
     if not prev.detections or not curr.detections:
         return []
-    cost = _link_costs(prev.detections, curr.detections, alpha)
-    return [(i, j) for i, j in hungarian(cost) if cost[i, j] <= cost_cutoff]
+    cost, overlap = _link_costs(prev.detections, curr.detections, alpha)
+    return [
+        (i, j) for i, j in hungarian(cost) if cost[i, j] <= cost_cutoff and overlap[i, j] > 0.0
+    ]
 
 
 def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:
@@ -195,19 +205,12 @@ def _capped(scores: tuple[float, ...], k: int, new_score: float) -> tuple[float,
 
 
 @dataclass(frozen=True)
-class StreamResult:
-    """Filtered, rescored frames plus the tubelet bookkeeping behind them."""
-
-    frames: tuple[FrameDetections, ...]
-    tubelets: tuple[Tubelet, ...]
-
-
-@dataclass(frozen=True)
 class TrackedStream:
-    """The threshold-free outcome of tracking a stream: each frame's
-    detections as they are emitted (a linked one with its distribution
-    rescored to its Bayes-updated score, one that starts a fresh tubelet
-    as given), the score each is filtered by, and the tubelets."""
+    """A tracked stream: each frame's detections as they are emitted (a
+    linked one with its distribution rescored to its Bayes-updated score,
+    one that starts a fresh tubelet as given), the score each is filtered
+    by, and the tubelets. `track_stream` returns every detection;
+    `emit_stream` returns the same record with only the kept ones."""
 
     frames: tuple[FrameDetections, ...]
     scores: tuple[tuple[float, ...], ...]
@@ -268,24 +271,32 @@ def track_stream(
     return TrackedStream(tuple(out_frames), tuple(scores), tuple(tubelets))
 
 
+def check_threshold(value: float) -> None:
+    """Reject a score threshold outside [0, 1], the range of every score."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"default threshold must be in [0, 1], got {value}")
+
+
 def emit_stream(
     tracked: TrackedStream,
     thresholds: Mapping[ClassId, float],
-    default_threshold: float = 0.5,
-) -> StreamResult:
+    default_threshold: float = DEFAULT_THRESHOLD,
+) -> TrackedStream:
     """Keep the tracked detections whose updated score reaches their
-    class threshold (default_threshold, in [0, 1], for unlisted classes);
-    linked ones come out with their distribution rescored to that score."""
-    if not 0.0 <= default_threshold <= 1.0:
-        raise ValueError(f"default threshold must be in [0, 1], got {default_threshold}")
-    out_frames = []
+    class threshold (default_threshold, in [0, 1], for unlisted classes),
+    with their scores and the same tubelets; linked ones come out with
+    their distribution rescored to that score."""
+    check_threshold(default_threshold)
+    out_frames, out_scores = [], []
     for frame, frame_scores in zip(tracked.frames, tracked.scores):
-        kept = tuple(
-            det for det, score in zip(frame.detections, frame_scores)
-            if score >= thresholds.get(det.class_id, default_threshold)
-        )
+        keep = [
+            score >= thresholds.get(det.class_id, default_threshold)
+            for det, score in zip(frame.detections, frame_scores)
+        ]
+        kept = tuple(compress(frame.detections, keep))
         out_frames.append(FrameDetections(frame.frame_index, kept))
-    return StreamResult(tuple(out_frames), tracked.tubelets)
+        out_scores.append(tuple(compress(frame_scores, keep)))
+    return TrackedStream(tuple(out_frames), tuple(out_scores), tracked.tubelets)
 
 
 def run_stream(
@@ -293,8 +304,8 @@ def run_stream(
     thresholds: Mapping[ClassId, float],
     alpha: float = DEFAULT_ALPHA,
     cost_cutoff: float = DEFAULT_COST_CUTOFF,
-    default_threshold: float = 0.5,
-) -> StreamResult:
+    default_threshold: float = DEFAULT_THRESHOLD,
+) -> TrackedStream:
     """Link, rescore and threshold a detection stream: `track_stream`
     followed by `emit_stream`. To filter one stream under several
     threshold maps, track it once and emit once per map."""

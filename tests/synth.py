@@ -7,7 +7,7 @@ integrates the recall-precision curve cannot tell them apart, the
 per-box error can. The stream generator builds multi-frame detection
 streams with controllable per-class score levels, box jitter and false
 positives, for exercising the linking/thresholding pipeline at desk
-scale.
+scale. The COCO writers turn fixtures into the files the loaders read.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from lrpeval.dataio import Dataset, write_json
 from lrpeval.geometry import BoundingBox
 from lrpeval.matching import ClassId, Detection, GroundTruth
 from lrpeval.video import FrameDetections, StreamDetection
@@ -200,3 +201,38 @@ def _spread_box(rng: random.Random, box_size: float, lane: int) -> BoundingBox:
     x0 = rng.uniform(0.0, 5000.0)
     y0 = 2000.0 + lane * (box_size + 500.0) + rng.uniform(0.0, 400.0)
     return BoundingBox(x0, y0, x0 + box_size, y0 + box_size)
+
+
+def save_detections(dets: Sequence[Detection], path) -> None:
+    """Write detections as a COCO-style results array."""
+    records = [
+        {
+            "image_id": d.image_id,
+            "category_id": d.class_id,
+            "bbox": list(d.box.as_xywh()),
+            "score": d.score,
+        }
+        for d in dets
+    ]
+    write_json(records, path)
+
+
+def save_ground_truth(dataset: Dataset, path) -> None:
+    """Write a dataset back out in COCO annotation form."""
+    doc = {
+        "images": [
+            {"id": im.id, "width": im.width, "height": im.height} for im in dataset.images
+        ],
+        "annotations": [
+            {
+                "id": i + 1,
+                "image_id": g.image_id,
+                "category_id": g.class_id,
+                "bbox": list(g.box.as_xywh()),
+                "iscrowd": int(g.ignore),
+            }
+            for i, g in enumerate(dataset.ground_truths)
+        ],
+        "categories": [{"id": c.id, "name": c.name} for c in dataset.categories],
+    }
+    write_json(doc, path)

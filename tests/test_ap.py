@@ -12,14 +12,13 @@ from lrpeval import (
     GroundTruth,
     RPCurve,
     TauLabels,
-    ap,
     build_report,
     curve_from_labels,
     label_classes,
     rp_curve,
 )
 from lrpeval.dataio import Category, Dataset, ImageInfo
-from lrpeval.ap import AP_VARIANTS
+from lrpeval.ap import AP_VARIANTS, ap
 from lrpeval.matching import FP, IGNORED, TP
 from oracles import integrate_rp_points, rematch_rp_points
 from synth import reference_detectors

@@ -1,11 +1,13 @@
 import csv
 import gc
 import hashlib
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +16,8 @@ import pytest
 import lrpeval
 from lrpeval import BoundingBox, Detection, GroundTruth, cli, sweep_class
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
-from lrpeval.dataio import Category, Dataset, ImageInfo, save_ground_truth, save_stream
-from synth import StreamClassSpec, generate_stream, reference_detectors
+from lrpeval.dataio import Category, Dataset, ImageInfo, save_stream
+from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
 
 
 def write_fixture(tmp_path, name, gts, dets, categories=None):
@@ -304,7 +306,6 @@ class TestLabelOnce:
                 dets.append(Detection(i, c, shrunk(box_at(c), 0.6 + i / 10), 0.3 + i / 10))
                 dets.append(Detection(i, c, box_at(c + 10), 0.5))
         gt_path, det_path = write_fixture(tmp_path, "three", gts, dets)
-        # lrpeval.ap is shadowed by the function ap, so reach modules via sys.modules
         matching = sys.modules["lrpeval.matching"]
         build, label = matching.iou_table, matching.label_at_tau
         table_class, tables, calls = {}, Counter(), Counter()
@@ -468,6 +469,22 @@ class TestExports:
         namespace = {}
         exec("from lrpeval import *", namespace)
         assert set(lrpeval.__all__) <= set(namespace)
+
+    def test_submodule_import_binds_the_module(self):
+        import lrpeval.ap as m
+
+        assert m.AP_VARIANTS == ("continuous", "pascal11", "coco101")
+
+    def test_benchmark_tracer_targets_resolve(self):
+        # Compiled from its source, so that no bytecode is written beside it.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        tracer = types.ModuleType("tracer")
+        exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+        missing = [
+            f"{module}.{attr}" for module, attr, _, _ in tracer.TARGETS
+            if not callable(getattr(importlib.import_module(f"lrpeval.{module}"), attr, None))
+        ]
+        assert tracer.TARGETS and missing == []
 
 
 class TestCompare:
@@ -669,7 +686,7 @@ class TestMalformedInputs:
                     *inputs.get(command, ["--det", str(paths["det"])]), *flags]
             assert main([*argv, "--output", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and value in err
+            assert err.startswith(f"error: {flags[0]}: ") and value in err
 
 def stream_fixture(tmp_path):
     specs = [

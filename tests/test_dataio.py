@@ -26,8 +26,6 @@ from lrpeval import (
     load_thresholds,
     molrp,
     rp_curve,
-    save_detections,
-    save_ground_truth,
     save_stream,
     save_thresholds,
     sweep_class,
@@ -37,7 +35,7 @@ from lrpeval.dataio import Category, Dataset, ImageInfo, report_to_dict
 from lrpeval.video import FrameDetections, StreamDetection
 import oracles
 from lrpeval import dataio
-from synth import reference_detectors
+from synth import reference_detectors, save_detections, save_ground_truth
 
 
 def write_json(path, obj):
@@ -331,6 +329,7 @@ class TestThresholds:
         gts, dets = reference_detectors()["half_recall"]
         report = molrp(gts, dets, [1], tau=0.5)
         rows = threshold_rows(report, {1: "obj"})
+        assert list(rows[0]) == ["class_id", "class_name", "s_star", "olrp", "warning"]
         path = tmp_path / "thr.json"
         save_thresholds(rows, 0.5, path)
         loaded = load_thresholds(path, with_categories(1))
@@ -342,9 +341,9 @@ class TestThresholds:
         assert report.per_class[1].s_star == 1.0  # largest-s tie break
         with caplog.at_level("WARNING", logger="lrpeval"):
             rows = threshold_rows(report)
-        assert rows[0].s_star == 0.0
-        assert rows[0].olrp == 1.0
-        assert "no detections" in rows[0].warning
+        assert rows[0]["s_star"] == 0.0
+        assert rows[0]["olrp"] == 1.0
+        assert "no detections" in rows[0]["warning"]
         assert "no detections" in caplog.text
 
     def test_rejects_other_documents(self, tmp_path):

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpeval import (
+    BoundingBox,
     DasaParams,
     MatchResult,
     UndefinedLrp,
@@ -13,6 +16,26 @@ from lrpeval import (
     match_optimal,
 )
 from oracles import random_boxes, weighted_form_total
+
+# Boxes as `oracles.random_box` draws them (corner in [0, 20]^2, sides in
+# [0.5, 10]), plus boxes on a unit grid, which repeat and tie exactly.
+BOXES = st.one_of(
+    st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+              st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+    st.builds(BoundingBox.from_xywh, st.integers(0, 20), st.integers(0, 20),
+              st.integers(1, 10), st.integers(1, 10)),
+)
+
+
+@st.composite
+def box_sets(draw, max_size: int, n_sets: int = 2):
+    """n_sets lists of up to max_size boxes, at most one of them empty, so
+    that every pair of them has something to evaluate."""
+    empty = draw(st.integers(-1, n_sets - 1))  # -1: none is empty
+    return [
+        [] if k == empty else draw(st.lists(BOXES, min_size=1, max_size=max_size))
+        for k in range(n_sets)
+    ]
 
 
 def synthetic_match(rng: random.Random, tau: float, max_size: int = 20) -> MatchResult:
@@ -165,32 +188,24 @@ class TestDasa:
         with pytest.raises(UndefinedLrp):
             dasa([], [], DasaParams())
 
-    def test_reduction_identity_on_random_instances(self):
-        rng = random.Random(53)
-        for _ in range(500):
-            xs = random_boxes(rng, rng.randint(0, 10))
-            ys = random_boxes(rng, rng.randint(0, 10))
-            if not xs and not ys:
-                continue
-            for tau in (0.5, 0.75):
-                m = match_optimal(xs, ys, tau)
-                z = m.n_tp + m.n_fp + m.n_fn
-                if z == 0:
-                    continue
-                total = lrp_total(m, tau)
-                e = dasa(xs, ys, DasaParams(p=1.0, c=1.0 - tau))
-                scaled = e * max(len(xs), len(ys)) / ((1.0 - tau) * z)
-                assert total == pytest.approx(scaled, rel=1e-9)
+    @settings(max_examples=500, deadline=None)
+    @given(box_sets(10))
+    def test_reduction_identity_on_random_instances(self, sets):
+        xs, ys = sets
+        for tau in (0.5, 0.75):
+            m = match_optimal(xs, ys, tau)
+            z = m.n_tp + m.n_fp + m.n_fn
+            total = lrp_total(m, tau)
+            e = dasa(xs, ys, DasaParams(p=1.0, c=1.0 - tau))
+            scaled = e * max(len(xs), len(ys)) / ((1.0 - tau) * z)
+            assert total == pytest.approx(scaled, rel=1e-9)
 
-    def test_symmetry(self):
-        rng = random.Random(54)
-        for _ in range(200):
-            xs = random_boxes(rng, rng.randint(0, 5))
-            ys = random_boxes(rng, rng.randint(0, 5))
-            if not xs and not ys:
-                continue
-            params = DasaParams(p=1.0, c=0.5)
-            assert dasa(xs, ys, params) == dasa(ys, xs, params)
+    @settings(max_examples=200, deadline=None)
+    @given(box_sets(5))
+    def test_symmetry(self, sets):
+        xs, ys = sets
+        params = DasaParams(p=1.0, c=0.5)
+        assert dasa(xs, ys, params) == dasa(ys, xs, params)
 
     def test_results_are_plain_floats(self):
         rng = random.Random(55)
@@ -232,36 +247,25 @@ class TestMetricModeProperties:
         m = match_optimal(xs, ys, tau)
         return lrp_total(m, tau=tau)
 
-    def test_symmetry_swaps_fp_fn(self):
-        rng = random.Random(61)
-        for _ in range(500):
-            xs = random_boxes(rng, rng.randint(0, 6))
-            ys = random_boxes(rng, rng.randint(0, 6))
-            if not xs and not ys:
-                continue
-            assert self.metric_lrp(xs, ys) == self.metric_lrp(ys, xs)
+    @settings(max_examples=500, deadline=None)
+    @given(box_sets(6))
+    def test_symmetry_swaps_fp_fn(self, sets):
+        xs, ys = sets
+        assert self.metric_lrp(xs, ys) == self.metric_lrp(ys, xs)
 
-    def test_triangle_inequality_sampled(self):
-        # the full-size sample lives in the acceptance suite; violations
-        # here must fail loudly, never be skipped
-        rng = random.Random(62)
-        checked = 0
-        for _ in range(3000):
-            xs = random_boxes(rng, rng.randint(0, 5))
-            ys = random_boxes(rng, rng.randint(0, 5))
-            zs = random_boxes(rng, rng.randint(0, 5))
-            if (not xs and not ys) or (not ys and not zs) or (not xs and not zs):
-                continue
-            checked += 1
-            d_xy = self.metric_lrp(xs, ys)
-            d_xz = self.metric_lrp(xs, zs)
-            d_zy = self.metric_lrp(zs, ys)
-            assert d_xy <= d_xz + d_zy + 1e-9, (
-                f"triangle violation: d(X,Y)={d_xy} > d(X,Z)+d(Z,Y)={d_xz + d_zy}"
-            )
-        assert checked > 2000
+    # Every drawn triple is checked: at most one of the sets is empty.
+    @settings(max_examples=3000, deadline=None)
+    @given(box_sets(5, n_sets=3))
+    def test_triangle_inequality_sampled(self, sets):
+        xs, ys, zs = sets
+        d_xy = self.metric_lrp(xs, ys)
+        d_xz = self.metric_lrp(xs, zs)
+        d_zy = self.metric_lrp(zs, ys)
+        assert d_xy <= d_xz + d_zy + 1e-9, (
+            f"triangle violation: d(X,Y)={d_xy} > d(X,Z)+d(Z,Y)={d_xz + d_zy}"
+        )
 
-    def test_identity(self):
-        rng = random.Random(63)
-        boxes = random_boxes(rng, 5)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(BOXES, min_size=1, max_size=5))
+    def test_identity(self, boxes):
         assert self.metric_lrp(boxes, list(boxes)) == 0.0

@@ -12,6 +12,7 @@ from lrpeval import (
     bayes_update,
     emit_stream,
     hungarian,
+    iou,
     link_frames,
     molrp,
     run_stream,
@@ -148,6 +149,16 @@ class TestLinkFrames:
         assert link_frames(a, b, alpha=1.0) == [(0, 0)]
         assert link_frames(a, b, alpha=0.0) == []
 
+    def test_boxes_that_do_not_overlap_never_link(self):
+        # IoU 0 with equal distributions costs exactly alpha, the default cutoff.
+        far = (StreamDetection(1, BoundingBox(0, 0, 10, 10), (0.8, 0.2)),
+               StreamDetection(1, BoundingBox(500, 500, 510, 510), (0.8, 0.2)))
+        frames = [FrameDetections(0, far[:1]), FrameDetections(1, far[1:])]
+        assert link_frames(*frames) == []
+        tracked = track_stream(frames)
+        assert tracked.scores == ((0.8,), (0.8,))
+        assert len(tracked.tubelets) == 2
+
     def test_mismatched_class_score_lengths_raise(self):
         a = FrameDetections(0, (StreamDetection(1, box_at(0), (1.0, 0.0)),))
         b = FrameDetections(1, (StreamDetection(1, box_at(0), (1.0, 0.0, 0.0)),))
@@ -176,7 +187,10 @@ class TestLinkFramesProperty:
            st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
     def test_matches_hungarian_over_reference_costs(self, prev, curr, alpha, cutoff):
         cost = [[link_cost(p, c, alpha) for c in curr] for p in prev]
-        expected = [(i, j) for i, j in hungarian(cost) if cost[i][j] <= cutoff]
+        expected = [
+            (i, j) for i, j in hungarian(cost)
+            if cost[i][j] <= cutoff and iou(prev[i].box, curr[j].box) > 0.0
+        ]
         got = link_frames(FrameDetections(0, tuple(prev)), FrameDetections(1, tuple(curr)),
                           alpha, cutoff)
         assert got == expected
@@ -292,6 +306,11 @@ class TestRunStream:
             emitted = emit_stream(tracked, thresholds, default)
             direct = run_stream(frames, thresholds, 0.5, 0.6, default)
             assert emitted.frames == direct.frames
+            assert emitted.scores == direct.scores == tuple(
+                tuple(s for d, s in zip(f.detections, scores)
+                      if s >= thresholds.get(d.class_id, default))
+                for f, scores in zip(tracked.frames, tracked.scores)
+            )
             assert [(t.boxes, t.score_history) for t in emitted.tubelets] == [
                 (t.boxes, t.score_history) for t in direct.tubelets
             ]
