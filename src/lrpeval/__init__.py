@@ -37,7 +37,6 @@ from .video import (
 )
 from .dataio import (
     Dataset,
-    EvalReport,
     SchemaError,
     build_report,
     export_curves,
@@ -61,7 +60,7 @@ __all__ = [
     "FrameDetections", "StreamDetection", "TrackedStream", "Tubelet",
     "bayes_update", "emit_stream", "link_frames", "run_stream", "stream_to_detections",
     "track_stream",
-    "Dataset", "EvalReport", "SchemaError",
+    "Dataset", "SchemaError",
     "build_report", "export_curves", "export_report",
     "load_detections", "load_ground_truth", "load_stream", "load_thresholds",
     "save_stream", "save_thresholds", "threshold_rows",

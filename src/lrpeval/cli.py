@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import math
 import sys
@@ -232,13 +231,12 @@ def _per_class_and_tau(args, consume):
 
 def cmd_sweep(args) -> int:
     dataset, results = _per_class_and_tau(args, partial(sweep_labels, grid_step=args.grid_step))
-    names = dataset.category_names()
     if not any(r.evaluable for r in results):
         raise UndefinedLrp("no class has anything to evaluate")
     rows = [
         round_row({
             "class_id": r.class_id,
-            "class_name": names[r.class_id],
+            "class_name": dataset.names[r.class_id],
             "tau": r.tau,
             "evaluable": r.evaluable,
             **r.optimum(),
@@ -270,7 +268,7 @@ def cmd_thresholds(args) -> int:
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
     report = molrp(dataset.ground_truths, dets, dataset.class_ids(), args.tau, args.grid_step)
-    rows = threshold_rows(report, dataset.category_names())
+    rows = threshold_rows(report, dataset.names)
     save_thresholds(rows, args.tau, args.output)
     return EXIT_OK
 
@@ -293,27 +291,28 @@ def cmd_compare(args) -> int:
 
 
 def _comparison_doc(a, b, args) -> dict:
+    """Side-by-side rows of two `build_report` documents; the delta is
+    taken before rounding."""
     classes = []
-    for ra, rb in zip(a.rows, b.rows):
-        sa, sb = ra.sweep, rb.sweep
+    for ra, rb in zip(a["classes"], b["classes"]):
         delta = None
-        if sa.olrp is not None and sb.olrp is not None:
-            delta = sb.olrp - sa.olrp
+        if ra["olrp"] is not None and rb["olrp"] is not None:
+            delta = rb["olrp"] - ra["olrp"]
         classes.append(round_row({
-            "class_id": sa.class_id,
-            "class_name": ra.class_name,
-            "olrp_a": sa.olrp, "olrp_b": sb.olrp,
+            "class_id": ra["class_id"],
+            "class_name": ra["class_name"],
+            "olrp_a": ra["olrp"], "olrp_b": rb["olrp"],
             "olrp_delta": delta,
-            "s_star_a": sa.s_star, "s_star_b": sb.s_star,
-            "ap_a": ra.ap_coco101, "ap_b": rb.ap_coco101,
+            "s_star_a": ra["s_star"], "s_star_b": rb["s_star"],
+            "ap_a": ra["ap_coco101"], "ap_b": rb["ap_coco101"],
         }))
     return {
         "schema": "lrp_compare_v1",
         "config": {"tau": args.tau, "grid_step": args.grid_step},
         "classes": classes,
         "summary": round_row({
-            "molrp_a": a.lrp.molrp, "molrp_b": b.lrp.molrp,
-            "mean_ap_a": a.mean_ap, "mean_ap_b": b.mean_ap,
+            "molrp_a": a["summary"]["molrp"], "molrp_b": b["summary"]["molrp"],
+            "mean_ap_a": a["summary"]["mean_ap"], "mean_ap_b": b["summary"]["mean_ap"],
         }),
     }
 
@@ -326,7 +325,6 @@ def cmd_stream(args) -> int:
         # A bad thresholds file fails before any evaluation or tracking.
         threshold_maps["class_specific"] = load_thresholds(args.thresholds_file, dataset)
     class_ids = dataset.class_ids()
-    names = dataset.category_names()
 
     def evaluate(frames):
         dets = stream_to_detections(frames)
@@ -344,7 +342,7 @@ def cmd_stream(args) -> int:
     classes = [
         round_row({
             "class_id": cid,
-            "class_name": names[cid],
+            "class_name": dataset.names[cid],
             **{f"olrp_{name}": report.per_class[cid].olrp for name, report in reports.items()},
         })
         for cid in class_ids
@@ -384,9 +382,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         check_flags(args)
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except UndefinedLrp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOTHING_EVALUABLE

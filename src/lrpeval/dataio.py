@@ -3,16 +3,20 @@
 Inputs follow the COCO conventions: an annotation document with images /
 annotations / categories (bbox as [x, y, w, h], iscrowd mapping to the
 ignore flag) and a results array of {image_id, category_id, bbox, score}.
-Schema violations raise SchemaError with a path to the offending field.
+Schema violations raise SchemaError with a path to the offending field;
+a file that does not parse as JSON raises one naming the file.
 The loaders check each record's fields in a fixed order and raise at the
 first broken rule, naming the field. The per-record loops test the hot
 fields (ids, score, bbox values) inline, with the same type sets the
 helpers use, and call a helper only when a test fails, to raise; the
 record's path (such as detections[12]) is formatted only then. Box and
-class-distribution values are checked by the constructors.
+class-distribution values are checked by the constructors. A loaded
+`Dataset` keeps two id maps, images and category names, that the later
+loaders test ids against.
 Outputs are deterministic byte streams: an evaluation report (JSON or
-CSV, schema lrp_report_v1), long-format curve data, per-class threshold
-files, and stream fixtures for the video-linking pipeline.
+CSV, schema lrp_report_v1, built by `build_report` as the document
+itself and rounded on export), long-format curve data, per-class
+threshold files, and stream fixtures for the video-linking pipeline.
 """
 
 from __future__ import annotations
@@ -51,32 +55,21 @@ class SchemaError(ValueError):
     offending field."""
 
 
-@dataclass(frozen=True, slots=True)
-class ImageInfo:
-    id: object
-    width: float | None = None
-    height: float | None = None
-
-
-@dataclass(frozen=True)
-class Category:
-    id: ClassId
-    name: str
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Validated ground-truth side of an evaluation."""
+    """Validated ground-truth side of an evaluation.
 
-    images: tuple[ImageInfo, ...]
-    categories: tuple[Category, ...]
+    images maps each image id to its (width, height), each None where the
+    file leaves it out; names maps each category id to its name. Both keep
+    the order of the file.
+    """
+
+    images: dict[object, tuple[float | None, float | None]]
+    names: dict[ClassId, str]
     ground_truths: tuple[GroundTruth, ...]
 
-    def category_names(self) -> dict[ClassId, str]:
-        return {c.id: c.name for c in self.categories}
-
     def class_ids(self) -> list[ClassId]:
-        return sorted(c.id for c in self.categories)
+        return sorted(self.names)
 
 
 _ID_TYPES = frozenset((int, float, str))
@@ -167,18 +160,28 @@ def _id_kind(value) -> str | None:
     return None
 
 
+def _read_json(path):
+    """The document in a JSON file. A file that is not UTF-8, does not
+    parse, or nests deeper than the parser recurses raises SchemaError
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: malformed JSON: {exc}") from None
+
+
 def load_ground_truth(path) -> Dataset:
     """Load and validate a COCO-style annotation file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError("root: annotation document must be a JSON object")
 
-    image_by_id = {}
+    images = {}
     for i, img in enumerate(_array(data, "images")):
         try:
             img_id = _require_id(img, "id")
-            if img_id in image_by_id:
+            if img_id in images:
                 raise _Invalid(".id", f"duplicate image id {img_id!r}")
             width, height = img.get("width"), img.get("height")
             for key, value in (("width", width), ("height", height)):
@@ -186,10 +189,9 @@ def load_ground_truth(path) -> Dataset:
                     raise _Invalid(f".{key}", f"must be a number, got {value!r}")
         except _Invalid as exc:
             raise exc.at(f"images[{i}]") from None
-        image_by_id[img_id] = ImageInfo(img_id, width, height)
+        images[img_id] = (width, height)
 
-    categories = []
-    category_ids = set()
+    names = {}
     id_kind = None
     for i, cat in enumerate(_array(data, "categories")):
         try:
@@ -201,25 +203,24 @@ def load_ground_truth(path) -> Dataset:
                     ".id", f"category ids must be all numbers or all strings, got {cat_id!r}"
                 )
             id_kind = kind
-            if cat_id in category_ids:
+            if cat_id in names:
                 raise _Invalid(".id", f"duplicate category id {cat_id!r}")
             name = cat.get("name", str(cat_id))
             if not isinstance(name, str):
                 raise _Invalid(".name", f"must be a string, got {name!r}")
         except _Invalid as exc:
             raise exc.at(f"categories[{i}]") from None
-        category_ids.add(cat_id)
-        categories.append(Category(cat_id, name))
+        names[cat_id] = name
 
     gts = []
     for i, ann in enumerate(_array(data, "annotations")):
         try:
             fields = ann if type(ann) is dict else {}  # a non-object fails below
             img_id, cat_id = fields.get("image_id"), fields.get("category_id")
-            if type(img_id) not in _ID_TYPES or img_id not in image_by_id:
-                img_id = _require_id(ann, "image_id", image_by_id, "image")
-            if type(cat_id) not in _ID_TYPES or cat_id not in category_ids:
-                cat_id = _require_id(ann, "category_id", category_ids, "category")
+            if type(img_id) not in _ID_TYPES or img_id not in images:
+                img_id = _require_id(ann, "image_id", images, "image")
+            if type(cat_id) not in _ID_TYPES or cat_id not in names:
+                cat_id = _require_id(ann, "category_id", names, "category")
             raw_bbox = fields.get("bbox")
             if raw_bbox is None:  # missing raises here, null in the parse
                 raw_bbox = _require(ann, "bbox")
@@ -233,36 +234,34 @@ def load_ground_truth(path) -> Dataset:
                 raise _Invalid(".iscrowd", f"must be 0, 1, false or true, got {crowd!r}")
         except _Invalid as exc:
             raise exc.at(f"annotations[{i}]") from None
-        image = image_by_id[img_id]
+        width, height = images[img_id]
         if box.x_min < 0 or box.y_min < 0 or (
-            image.width is not None and box.x_max > image.width
-        ) or (image.height is not None and box.y_max > image.height):
+            width is not None and box.x_max > width
+        ) or (height is not None and box.y_max > height):
             logger.warning(
                 "annotation id %s extends outside image %s; kept as annotated",
                 ann.get("id", "?"), img_id,
             )
         gts.append(GroundTruth(img_id, cat_id, box, bool(crowd)))
 
-    return Dataset(tuple(image_by_id.values()), tuple(categories), tuple(gts))
+    return Dataset(images, names, tuple(gts))
 
 
 def load_detections(path, dataset: Dataset) -> list[Detection]:
     """Load a COCO-style results array and validate it against a dataset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError("root: detection results must be a JSON array")
-    image_ids = {im.id for im in dataset.images}
-    category_ids = {c.id for c in dataset.categories}
+    images, names = dataset.images, dataset.names
     dets = []
     for i, rec in enumerate(data):
         try:
             fields = rec if type(rec) is dict else {}  # a non-object fails below
             img_id, cat_id = fields.get("image_id"), fields.get("category_id")
-            if type(img_id) not in _ID_TYPES or img_id not in image_ids:
-                img_id = _require_id(rec, "image_id", image_ids, "image")
-            if type(cat_id) not in _ID_TYPES or cat_id not in category_ids:
-                cat_id = _require_id(rec, "category_id", category_ids, "category")
+            if type(img_id) not in _ID_TYPES or img_id not in images:
+                img_id = _require_id(rec, "image_id", images, "image")
+            if type(cat_id) not in _ID_TYPES or cat_id not in names:
+                cat_id = _require_id(rec, "category_id", names, "category")
             score, raw_bbox = fields.get("score"), fields.get("bbox")
             if type(score) not in _NUMBER_TYPES or not 0.0 <= score <= 1.0:
                 score = _require(rec, "score")
@@ -281,12 +280,10 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
     [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
     frame_index one of the dataset's images and each class_id one of its
     categories."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
-    image_ids = {im.id for im in dataset.images}
-    category_ids = {c.id for c in dataset.categories}
+    names = dataset.names
     frames = []
     n_bins = None  # every class distribution has one bin per class
     for i, frame in enumerate(_array(data, "frames")):
@@ -295,7 +292,7 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
             index = _require(frame, "frame_index")
             if type(index) is not int:
                 raise _Invalid(".frame_index", f"must be an integer, got {index!r}")
-            if index not in image_ids:
+            if index not in dataset.images:
                 raise _Invalid(".frame_index", f"unknown image id {index!r}")
             if frames and index <= frames[-1].frame_index:
                 raise _Invalid(
@@ -309,8 +306,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
         for j, rec in enumerate(_array(frame, "detections", where)):
             try:
                 class_id = rec.get("class_id") if type(rec) is dict else None
-                if type(class_id) not in _ID_TYPES or class_id not in category_ids:
-                    class_id = _require_id(rec, "class_id", category_ids, "category")
+                if type(class_id) not in _ID_TYPES or class_id not in names:
+                    class_id = _require_id(rec, "class_id", names, "category")
                 box = _parse_bbox(_require(rec, "bbox"))
                 raw_scores = _require(rec, "class_scores")
                 if not isinstance(raw_scores, list):
@@ -420,15 +417,13 @@ def save_thresholds(rows: Sequence[Mapping], tau: float, path) -> None:
 def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
     """Load per-class thresholds, each class_id one of the dataset's
     categories."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or data.get("schema") != THRESHOLDS_SCHEMA:
         raise SchemaError(f"root: expected a {THRESHOLDS_SCHEMA} document")
-    category_ids = {c.id for c in dataset.categories}
     out = {}
     for i, rec in enumerate(_array(data, "thresholds")):
         try:
-            cid = _require_id(rec, "class_id", category_ids, "category")
+            cid = _require_id(rec, "class_id", dataset.names, "category")
             if cid in out:
                 raise _Invalid(".class_id", f"duplicate class id {cid!r}")
             s_star = _require(rec, "s_star")
@@ -440,34 +435,6 @@ def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
     return out
 
 
-@dataclass(frozen=True)
-class ClassReportRow:
-    """One class of an evaluation report: its sweep at the report's tau
-    plus the counts and AP variants the sweep does not hold."""
-
-    class_name: str
-    n_gt: int
-    n_det: int
-    sweep: SweepResult
-    ap_continuous: float | None
-    ap_pascal11: float | None
-    ap_coco101: float | None
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-class rows, the class-mean LRP report over their sweeps, and
-    the tau-averaged mean AP."""
-
-    tau: float
-    grid_step: float
-    ap_variant: str
-    tau_list: tuple[float, ...]
-    rows: tuple[ClassReportRow, ...]
-    lrp: MoLrpReport
-    mean_ap: float | None
-
-
 def build_report(
     dataset: Dataset,
     detections: Sequence[Detection],
@@ -475,9 +442,32 @@ def build_report(
     tau_list: Sequence[float] = DEFAULT_TAU_LIST,
     grid_step: float = DEFAULT_GRID_STEP,
     ap_variant: str = "coco101",
-) -> EvalReport:
-    """Evaluate detections against a dataset: per-class sweep optima, AP
-    variants at tau, and the tau-averaged mean AP over tau_list.
+) -> dict:
+    """Evaluate detections against a dataset and return the lrp_report_v1
+    document. Its reals stay unrounded; `export_report` rounds them as it
+    writes. The keys, in order:
+
+    - schema: "lrp_report_v1".
+    - config: tau, grid_step, ap_variant (the variant averaged into
+      mean_ap) and tau_list (the taus it averages over), as given.
+    - classes: one row per category in class-id order: class_id,
+      class_name, n_gt (non-crowd ground truths), n_det (detections),
+      evaluable, the sweep optimum at tau (olrp, its components olrp_iou,
+      olrp_fp and olrp_fn, and s_star), then ap_continuous, ap_pascal11
+      and ap_coco101 at tau.
+    - summary: molrp and its component means molrp_iou, molrp_fp and
+      molrp_fn over the evaluable classes; mean_ap, the ap_variant AP
+      averaged over tau_list and then over the classes with ground truth;
+      s_star_min and s_star_max over the evaluable classes; not_evaluable,
+      the ids, as strings, of the classes with neither ground truth nor
+      detections.
+
+    A value is None, not 0.0, where there is nothing to measure: a
+    component whose denominator is empty (olrp_iou without a TP, olrp_fp
+    without a kept detection, olrp_fn without ground truth) and a
+    component mean that no class has; every AP of a class without ground
+    truth; mean_ap when no class has ground truth; and the optimum of a
+    class that is not evaluable.
 
     Each (class, tau) in {tau} and tau_list is labeled once; the labels at
     tau feed both the sweep and the AP variants.
@@ -485,7 +475,6 @@ def build_report(
     if ap_variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {ap_variant!r}")
     class_ids = dataset.class_ids()
-    names = dataset.category_names()
 
     rows = []
     per_class_sweeps: dict[ClassId, SweepResult] = {}
@@ -497,7 +486,15 @@ def build_report(
         if t == tau:
             per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
             aps = {f"ap_{v}": ap(labels, v) if n_real else None for v in AP_VARIANTS}
-            rows.append(ClassReportRow(names[cid], n_real, len(labels.order), sweep, **aps))
+            rows.append({
+                "class_id": cid,
+                "class_name": dataset.names[cid],
+                "n_gt": n_real,
+                "n_det": len(labels.order),
+                "evaluable": sweep.evaluable,
+                **sweep.optimum(),
+                **aps,
+            })
         if n_real and t in tau_list:
             ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(labels, ap_variant)
     per_class_tau_ap = [
@@ -510,7 +507,26 @@ def build_report(
     else:
         logger.warning("no class has ground truth; mean AP left unset")
         mean_ap = None
-    return EvalReport(tau, grid_step, ap_variant, tuple(tau_list), tuple(rows), lrp, mean_ap)
+    return {
+        "schema": REPORT_SCHEMA,
+        "config": {
+            "tau": tau,
+            "grid_step": grid_step,
+            "ap_variant": ap_variant,
+            "tau_list": list(tau_list),
+        },
+        "classes": rows,
+        "summary": {
+            "molrp": lrp.molrp,
+            "molrp_iou": lrp.molrp_iou,
+            "molrp_fp": lrp.molrp_fp,
+            "molrp_fn": lrp.molrp_fn,
+            "mean_ap": mean_ap,
+            "s_star_min": lrp.s_star_min,
+            "s_star_max": lrp.s_star_max,
+            "not_evaluable": [str(c) for c in lrp.not_evaluable],
+        },
+    }
 
 
 def round_row(row: Mapping) -> dict:
@@ -522,43 +538,6 @@ def round_row(row: Mapping) -> dict:
     }
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready form of a report, reals at 4 decimal places."""
-    lrp = report.lrp
-    return {
-        "schema": REPORT_SCHEMA,
-        "config": {
-            "tau": report.tau,
-            "grid_step": report.grid_step,
-            "ap_variant": report.ap_variant,
-            "tau_list": list(report.tau_list),
-        },
-        "classes": [
-            round_row({
-                "class_id": r.sweep.class_id,
-                "class_name": r.class_name,
-                "n_gt": r.n_gt,
-                "n_det": r.n_det,
-                "evaluable": r.sweep.evaluable,
-                **r.sweep.optimum(),
-                "ap_continuous": r.ap_continuous,
-                "ap_pascal11": r.ap_pascal11,
-                "ap_coco101": r.ap_coco101,
-            })
-            for r in report.rows
-        ],
-        "summary": round_row({
-            "molrp": lrp.molrp,
-            "molrp_iou": lrp.molrp_iou,
-            "molrp_fp": lrp.molrp_fp,
-            "molrp_fn": lrp.molrp_fn,
-            "mean_ap": report.mean_ap,
-            "s_star_min": lrp.s_star_min,
-            "s_star_max": lrp.s_star_max,
-            "not_evaluable": [str(c) for c in lrp.not_evaluable],
-        }),
-    }
-
 _REPORT_CSV_FIELDS = [
     "class_id", "class_name", "n_gt", "n_det", "evaluable",
     "olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star",
@@ -567,16 +546,18 @@ _REPORT_CSV_FIELDS = [
 ]
 
 
-def export_report(report: EvalReport, path, fmt: str = "json") -> None:
-    """Write a report as JSON or CSV with stable field ordering; the CSV
-    ends with a summary row of the class means."""
+def export_report(report: Mapping, path, fmt: str = "json") -> None:
+    """Write a `build_report` document as JSON or CSV with stable field
+    ordering, the reals of its class rows and summary at 4 decimal places;
+    the CSV ends with a summary row of the class means."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}; expected json or csv")
-    doc = report_to_dict(report)
+    config = report["config"]
+    classes = [round_row(r) for r in report["classes"]]
+    summary = round_row(report["summary"])
     if fmt == "json":
-        write_json(doc, path)
+        write_json({**report, "classes": classes, "summary": summary}, path)
         return
-    classes, summary = doc["classes"], doc["summary"]
     summary_row = {
         "class_name": "summary",
         "n_gt": sum(r["n_gt"] for r in classes),
@@ -590,9 +571,9 @@ def export_report(report: EvalReport, path, fmt: str = "json") -> None:
         "s_star_max": summary["s_star_max"],
     }
     preamble = (
-        f"# {REPORT_SCHEMA} tau={report.tau:.4f} grid_step={report.grid_step:.4f} "
-        f"ap_variant={report.ap_variant} "
-        f"tau_list={','.join(f'{t:.2f}' for t in report.tau_list)}\n"
+        f"# {REPORT_SCHEMA} tau={config['tau']:.4f} grid_step={config['grid_step']:.4f} "
+        f"ap_variant={config['ap_variant']} "
+        f"tau_list={','.join(f'{t:.2f}' for t in config['tau_list'])}\n"
     )
     write_csv([*classes, summary_row], path, _REPORT_CSV_FIELDS, preamble)
 

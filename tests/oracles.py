@@ -21,7 +21,7 @@ import numpy as np
 from lrpeval import BoundingBox, LrpBreakdown, MatchResult
 from lrpeval.geometry import iou
 from lrpeval.ap import AP_VARIANTS
-from lrpeval.dataio import Category, Dataset, ImageInfo, SchemaError
+from lrpeval.dataio import Dataset, SchemaError
 from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
 from lrpeval.sweep import DEFAULT_GRID_STEP, SweepSample, threshold_grid
 from lrpeval.video import FrameDetections, StreamDetection
@@ -415,7 +415,7 @@ def load_ground_truth(path) -> Dataset:
     if not isinstance(data, dict):
         raise SchemaError("root: annotation document must be a JSON object")
 
-    images = []
+    sizes = {}
     image_ids = set()
     for i, img in enumerate(_array(data, "images")):
         img_id = _require_id(img, "id", f"images[{i}]")
@@ -425,10 +425,9 @@ def load_ground_truth(path) -> Dataset:
         for key in ("width", "height"):
             if img.get(key) is not None and not _is_number(img[key]):
                 raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
-        images.append(ImageInfo(img_id, img.get("width"), img.get("height")))
-    image_by_id = {im.id: im for im in images}
+        sizes[img_id] = (img.get("width"), img.get("height"))
 
-    categories = []
+    names = {}
     category_ids = set()
     id_kind = None
     for i, cat in enumerate(_array(data, "categories")):
@@ -447,7 +446,7 @@ def load_ground_truth(path) -> Dataset:
         name = cat.get("name", str(cat_id))
         if not isinstance(name, str):
             raise SchemaError(f"categories[{i}].name: must be a string, got {name!r}")
-        categories.append(Category(cat_id, name))
+        names[cat_id] = name
 
     gts = []
     for i, ann in enumerate(_array(data, "annotations")):
@@ -460,10 +459,10 @@ def load_ground_truth(path) -> Dataset:
         except SchemaError as exc:
             ann_id = ann.get("id", "?")
             raise SchemaError(f"{exc} (annotation id {ann_id})") from None
-        image = image_by_id[img_id]
+        width, height = sizes[img_id]
         if box.x_min < 0 or box.y_min < 0 or (
-            image.width is not None and box.x_max > image.width
-        ) or (image.height is not None and box.y_max > image.height):
+            width is not None and box.x_max > width
+        ) or (height is not None and box.y_max > height):
             logger.warning(
                 "annotation id %s extends outside image %s; kept as annotated",
                 ann.get("id", "?"), img_id,
@@ -473,7 +472,7 @@ def load_ground_truth(path) -> Dataset:
             raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
         gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
 
-    return Dataset(tuple(images), tuple(categories), tuple(gts))
+    return Dataset(sizes, names, tuple(gts))
 
 
 def load_detections(path, dataset: Dataset) -> list[Detection]:
@@ -482,8 +481,8 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise SchemaError("root: detection results must be a JSON array")
-    image_ids = {im.id for im in dataset.images}
-    category_ids = {c.id for c in dataset.categories}
+    image_ids = set(dataset.images)
+    category_ids = set(dataset.names)
     dets = []
     for i, rec in enumerate(data):
         where = f"detections[{i}]"
@@ -506,8 +505,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
         data = json.load(fh)
     if not isinstance(data, dict) or "frames" not in data:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
-    image_ids = {im.id for im in dataset.images}
-    category_ids = {c.id for c in dataset.categories}
+    image_ids = set(dataset.images)
+    category_ids = set(dataset.names)
     frames = []
     n_bins = None  # every class distribution has one bin per class
     for i, frame in enumerate(_array(data, "frames")):

@@ -221,7 +221,8 @@ def save_ground_truth(dataset: Dataset, path) -> None:
     """Write a dataset back out in COCO annotation form."""
     doc = {
         "images": [
-            {"id": im.id, "width": im.width, "height": im.height} for im in dataset.images
+            {"id": i, "width": width, "height": height}
+            for i, (width, height) in dataset.images.items()
         ],
         "annotations": [
             {
@@ -233,6 +234,6 @@ def save_ground_truth(dataset: Dataset, path) -> None:
             }
             for i, g in enumerate(dataset.ground_truths)
         ],
-        "categories": [{"id": c.id, "name": c.name} for c in dataset.categories],
+        "categories": [{"id": c, "name": name} for c, name in dataset.names.items()],
     }
     write_json(doc, path)

@@ -17,7 +17,7 @@ from lrpeval import (
     label_classes,
     rp_curve,
 )
-from lrpeval.dataio import Category, Dataset, ImageInfo
+from lrpeval.dataio import Dataset
 from lrpeval.ap import AP_VARIANTS, ap
 from lrpeval.matching import FP, IGNORED, TP
 from oracles import integrate_rp_points, rematch_rp_points
@@ -181,8 +181,8 @@ class TestAp:
 
 def map_over_taus(gts, dets, class_ids, taus):
     """Mean AP over classes and taus, as the evaluation report computes it."""
-    dataset = Dataset((ImageInfo(0),), tuple(Category(c, str(c)) for c in class_ids), tuple(gts))
-    return build_report(dataset, dets, tau_list=taus).mean_ap
+    dataset = Dataset({0: (None, None)}, {c: str(c) for c in class_ids}, tuple(gts))
+    return build_report(dataset, dets, tau_list=taus)["summary"]["mean_ap"]
 
 
 def labels_from_kinds(kinds, n_real, tau=0.5):

@@ -16,7 +16,7 @@ import pytest
 import lrpeval
 from lrpeval import BoundingBox, Detection, GroundTruth, cli, sweep_class
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
-from lrpeval.dataio import Category, Dataset, ImageInfo, save_stream
+from lrpeval.dataio import Dataset, save_stream
 from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
 
 
@@ -26,8 +26,8 @@ def write_fixture(tmp_path, name, gts, dets, categories=None):
         categories = sorted({g.class_id for g in gts} | {d.class_id for d in dets}, key=str)
     image_ids = sorted({g.image_id for g in gts} | {d.image_id for d in dets}, key=str)
     ds = Dataset(
-        tuple(ImageInfo(i) for i in image_ids),
-        tuple(Category(c, f"class-{c}") for c in categories),
+        dict.fromkeys(image_ids, (None, None)),
+        {c: f"class-{c}" for c in categories},
         tuple(gts),
     )
     gt_path = tmp_path / f"{name}_gt.json"
@@ -126,6 +126,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert "malformed JSON" in err
         assert "column" in err or "char" in err
+        assert "bad.json" in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "none.json"), "--det", str(tmp_path / "none.json")])
@@ -523,6 +524,8 @@ def _set(path, value):
 _TINY_BOX = [0, 0, 1e-200, 1e-200]
 _HUGE_BOX = [-1e308, -1e308, 1.7e308, 1.7e308]
 _LARGE_BOX = [0, 0, 1e154, 1e154]
+# Deeper than the JSON parser recurses.
+_NESTED = b"[" * 1000 + b"]" * 1000
 
 
 class TestMalformedInputs:
@@ -651,6 +654,26 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: annotations[0].bbox: degenerate box")
 
+    @pytest.mark.parametrize("doc, content", [
+        ("gt", _NESTED), ("det", _NESTED), ("stream", _NESTED), ("thr", _NESTED),
+        ("det", b'[{"image_id": 0, "category_id": "\xff"}]'),
+    ], ids=["nested-gt", "nested-det", "nested-stream", "nested-thresholds", "non-utf8-det"])
+    def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, doc, content):
+        # The nesting once escaped as a RecursionError traceback.
+        paths = {}
+        for name, value in self.base_docs().items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(value))
+        (tmp_path / f"{doc}.json").write_bytes(content)
+        if doc == "det":
+            argv = ["eval", "--gt", paths["gt"], "--det", paths["det"]]
+        else:
+            argv = ["stream", "--stream", paths["stream"], "--gt", paths["gt"],
+                    "--thresholds-file", paths["thr"]]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[doc]}: malformed JSON: ")
+
     @pytest.mark.parametrize("command, flags, value", [
         ("eval", ["--grid-step", "5e-324"], "got 5e-324"),
         ("eval", ["--grid-step", "1e-9"], "got 1e-09"),
@@ -698,8 +721,8 @@ def stream_fixture(tmp_path):
     save_stream(frames, stream_path)
     image_ids = sorted({g.image_id for g in gts})
     ds = Dataset(
-        tuple(ImageInfo(i) for i in image_ids),
-        (Category("high", "high"), Category("low", "low")),
+        dict.fromkeys(image_ids, (None, None)),
+        {"high": "high", "low": "low"},
         tuple(gts),
     )
     gt_path = tmp_path / "stream_gt.json"
@@ -730,7 +753,7 @@ class TestStreamCommand:
         stream_path = tmp_path / "s.json"
         save_stream(frames, stream_path)
         ds = Dataset(
-            (ImageInfo(0),), (Category("a", "a"),),
+            {0: (None, None)}, {"a": "a"},
             (GroundTruth(0, "a", box_at(0)), GroundTruth(0, "a", box_at(1))),
         )
         gt_path = tmp_path / "g.json"
@@ -815,8 +838,8 @@ class TestStreamCommand:
         stream_path = tmp_path / "s.json"
         save_stream(frames, stream_path)
         ds = Dataset(
-            (ImageInfo(0), ImageInfo(1)),
-            (Category("a", "a"), Category("b", "b")),
+            {0: (None, None), 1: (None, None)},
+            {"a": "a", "b": "b"},
             (GroundTruth(0, "a", box_at(0)), GroundTruth(1, "b", box_at(0))),
         )
         gt_path = tmp_path / "g.json"

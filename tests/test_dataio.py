@@ -31,7 +31,7 @@ from lrpeval import (
     sweep_class,
     threshold_rows,
 )
-from lrpeval.dataio import Category, Dataset, ImageInfo, report_to_dict
+from lrpeval.dataio import Dataset, round_row
 from lrpeval.video import FrameDetections, StreamDetection
 import oracles
 from lrpeval import dataio
@@ -59,8 +59,8 @@ class TestLoadGroundTruth:
     def test_minimal_file(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
         assert len(ds.ground_truths) == 1
-        assert ds.categories == (Category(3, "cat"),)
-        assert ds.images[0].id == 1
+        assert ds.names == {3: "cat"}
+        assert ds.images == {1: (640, 480)}
 
     def test_bbox_converted_to_corners(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
@@ -130,12 +130,19 @@ class TestLoadGroundTruth:
         assert "outside image" in caplog.text
 
     def test_round_trip(self, tmp_path):
-        ds = load_ground_truth(minimal_gt(tmp_path))
+        # Ids out of sorted order: both maps keep the order of the file.
+        ds = load_ground_truth(minimal_gt(
+            tmp_path,
+            images=[{"id": 1, "width": 640, "height": 480}, {"id": 0, "width": 32.5}],
+            categories=[{"id": 3, "name": "cat"}, {"id": 1, "name": "dog"}, {"id": 2}],
+        ))
+        assert list(ds.names.items()) == [(3, "cat"), (1, "dog"), (2, "2")]
         out = tmp_path / "roundtrip.json"
         save_ground_truth(ds, out)
         again = load_ground_truth(out)
         assert again.ground_truths == ds.ground_truths
-        assert again.categories == ds.categories
+        assert list(again.images.items()) == [(1, (640, 480)), (0, (32.5, None))]
+        assert list(again.names.items()) == list(ds.names.items())
 
 
 class TestLoadDetections:
@@ -194,7 +201,7 @@ class TestLoadDetections:
 def with_categories(*ids, frames=()):
     """A dataset that declares the given category ids, an image for each
     given frame index, and nothing else."""
-    return Dataset(tuple(map(ImageInfo, frames)), tuple(Category(c, str(c)) for c in ids), ())
+    return Dataset(dict.fromkeys(frames, (None, None)), {c: str(c) for c in ids}, ())
 
 
 class TestStreamIO:
@@ -318,7 +325,6 @@ class TestSlottedRecords:
         GroundTruth(0, "a", BoundingBox(0, 0, 1, 1)),
         StreamDetection("a", BoundingBox(0, 0, 1, 1), (1.0,)),
         FrameDetections(0, ()),
-        ImageInfo(0),
     ], ids=lambda record: type(record).__name__)
     def test_per_record_types_have_no_instance_dict(self, record):
         assert not hasattr(record, "__dict__")
@@ -354,20 +360,20 @@ class TestThresholds:
 
 def trio_dataset():
     gts, dets = reference_detectors()["half_recall"]
-    images = tuple(ImageInfo(i) for i in sorted({g.image_id for g in gts}))
-    ds = Dataset(images, (Category(1, "obj"),), tuple(gts))
+    images = dict.fromkeys(sorted({g.image_id for g in gts}), (None, None))
+    ds = Dataset(images, {1: "obj"}, tuple(gts))
     return ds, dets
 
 
 class TestBuildAndExportReport:
     def test_perfect_fixture_summary(self):
         box = BoundingBox(0, 0, 10, 10)
-        ds = Dataset((ImageInfo(0),), (Category(1, "obj"),), (GroundTruth(0, 1, box),))
+        ds = Dataset({0: (None, None)}, {1: "obj"}, (GroundTruth(0, 1, box),))
         report = build_report(ds, [Detection(0, 1, box, 0.9)])
-        assert report.lrp.molrp == 0.0
-        assert report.mean_ap == 1.0
-        assert report.rows[0].ap_continuous == 1.0
-        assert report.rows[0].sweep.s_star == 0.90
+        assert report["summary"]["molrp"] == 0.0
+        assert report["summary"]["mean_ap"] == 1.0
+        assert report["classes"][0]["ap_continuous"] == 1.0
+        assert report["classes"][0]["s_star"] == 0.90
 
     def test_json_export_round_trip(self, tmp_path):
         ds, dets = trio_dataset()
@@ -378,10 +384,10 @@ class TestBuildAndExportReport:
         assert loaded["schema"] == "lrp_report_v1"
         assert loaded["config"]["tau"] == 0.5
         row = loaded["classes"][0]
-        assert row["olrp"] == round(report.rows[0].sweep.olrp, 4)
+        assert row["olrp"] == round(report["classes"][0]["olrp"], 4)
         assert row["s_star"] == 0.8
-        assert loaded["summary"]["molrp"] == round(report.lrp.molrp, 4)
-        assert loaded["summary"]["mean_ap"] == round(report.mean_ap, 4)
+        assert loaded["summary"]["molrp"] == round(report["summary"]["molrp"], 4)
+        assert loaded["summary"]["mean_ap"] == round(report["summary"]["mean_ap"], 4)
 
     def test_csv_export_has_four_decimals_and_summary(self, tmp_path):
         ds, dets = trio_dataset()
@@ -407,10 +413,10 @@ class TestBuildAndExportReport:
         lines = path.read_text().splitlines()
         rows = list(csv.reader(lines[1:]))
         header = rows[0]
-        for raw, expected in zip(rows[1:], report.rows):
+        for raw, expected in zip(rows[1:], report["classes"]):
             for field in ("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star"):
                 text = raw[header.index(field)]
-                value = getattr(expected.sweep, field.replace("olrp_iou", "olrp_iou"))
+                value = expected[field]
                 if value is None:
                     assert text == ""
                 else:
@@ -441,17 +447,34 @@ class TestBuildAndExportReport:
         }
         per_tau = label_classes(ds.ground_truths, dets, (1,), (0.5, 0.6, 0.7))
         expected = [real_ap(labels, "pascal11") for _, labels in per_tau]
-        assert report.mean_ap == sum(expected) / 3
+        assert report["summary"]["mean_ap"] == sum(expected) / 3
 
     def test_every_class_has_s_star_column(self):
         gts = [GroundTruth(0, 1, BoundingBox(0, 0, 10, 10)), GroundTruth(0, 2, BoundingBox(20, 0, 30, 10))]
-        ds = Dataset(
-            (ImageInfo(0),), (Category(1, "a"), Category(2, "b")), tuple(gts)
-        )
+        ds = Dataset({0: (None, None)}, {1: "a", 2: "b"}, tuple(gts))
         report = build_report(ds, [Detection(0, 1, BoundingBox(0, 0, 10, 10), 0.9)])
-        doc = report_to_dict(report)
-        assert all("s_star" in row for row in doc["classes"])
-        assert len(doc["classes"]) == 2
+        assert all("s_star" in row for row in report["classes"])
+        assert len(report["classes"]) == 2
+
+    def test_export_writes_the_document_with_only_reals_rounded(self, tmp_path):
+        # Key for key and in order; the config's reals are written as given.
+        gts, dets = reference_detectors()["tradeoff"]
+        ds = Dataset({0: (None, None)}, {1: "obj", 2: "none"}, tuple(gts))
+        report = build_report(ds, dets, tau=0.55555, tau_list=(0.5, 0.55555), grid_step=0.02)
+        path = tmp_path / "report.json"
+        export_report(report, path, "json")
+        written = json.loads(path.read_text())
+        assert written["config"] == {
+            "tau": 0.55555, "grid_step": 0.02, "ap_variant": "coco101", "tau_list": [0.5, 0.55555],
+        }
+        expected = [report["summary"], *report["classes"]]
+        assert [list(row) for row in [written["summary"], *written["classes"]]] == [
+            list(row) for row in expected
+        ]
+        assert [written["summary"], *written["classes"]] == [round_row(row) for row in expected]
+        assert list(written) == list(report) == ["schema", "config", "classes", "summary"]
+        # Rounding changed something, so the rule above is not vacuous.
+        assert any(round_row(row) != row for row in expected)
 
 
 class TestExportCurves:
@@ -625,7 +648,10 @@ def _load_all(loaders, paths):
         dataset = loaders.load_ground_truth(paths["gt"])
     except SchemaError as exc:
         return [("error", str(exc))]
-    outcomes = [("ok", repr(dataset))]
+    # Dict equality ignores order, so the id maps are compared as item
+    # lists, in the order of the file.
+    outcomes = [("ok", repr(dataset), repr(list(dataset.images.items())),
+                 repr(list(dataset.names.items())))]
     for load, name in ((loaders.load_detections, "det"), (loaders.load_stream, "stream")):
         try:
             outcomes.append(("ok", repr(load(paths[name], dataset))))

@@ -17,14 +17,24 @@ from lrpeval import (
 )
 from oracles import random_boxes, weighted_form_total
 
-# Boxes as `oracles.random_box` draws them (corner in [0, 20]^2, sides in
-# [0.5, 10]), plus boxes on a unit grid, which repeat and tie exactly.
-BOXES = st.one_of(
-    st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
-              st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
-    st.builds(BoundingBox.from_xywh, st.integers(0, 20), st.integers(0, 20),
-              st.integers(1, 10), st.integers(1, 10)),
-)
+def unpack_box(code: int) -> BoundingBox:
+    """A box in the range `oracles.random_box` draws from (corner in
+    [0, 20]^2, sides in [0.5, 10]) on a 1/64 grid for an odd code, and on
+    the unit grid, where boxes repeat and tie exactly, for an even one."""
+    code, fine = divmod(code, 2)
+    scale, side_min = (64, 0.5) if fine else (1, 1)
+    n_corner, n_side = 20 * scale + 1, round((10 - side_min) * scale) + 1
+    code, x = divmod(code, n_corner)
+    code, y = divmod(code, n_corner)
+    code, w = divmod(code, n_side)
+    h = code % n_side
+    return BoundingBox.from_xywh(x / scale, y / scale, side_min + w / scale, side_min + h / scale)
+
+
+# One integer draw per box: drawing its four values apart, and the grid
+# besides, took most of this module's run time. The odd codes cover every
+# box of the 1/64 grid, (1281 * 609)^2 of them.
+BOXES = st.integers(0, 2 * (1281 * 609) ** 2 - 1).map(unpack_box)
 
 
 @st.composite
