@@ -27,7 +27,6 @@ from .video import (
     FrameDetections,
     StreamDetection,
     TrackedStream,
-    Tubelet,
     bayes_update,
     emit_stream,
     link_frames,
@@ -57,7 +56,7 @@ __all__ = [
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
     "RPCurve", "curve_from_labels", "rp_curve",
-    "FrameDetections", "StreamDetection", "TrackedStream", "Tubelet",
+    "FrameDetections", "StreamDetection", "TrackedStream",
     "bayes_update", "emit_stream", "link_frames", "run_stream", "stream_to_detections",
     "track_stream",
     "Dataset", "SchemaError",

@@ -2,7 +2,11 @@
 export, side-by-side comparison, and stream filtering.
 
 Progress and warnings go to standard error; data goes to standard output
-or to files. Exit codes: 0 success, 2 input or file error, 3 nothing evaluable.
+or to files. Exit codes: 0 success; 2 input error, that is a bad flag
+value or input file (`SchemaError`, naming the flag or field), a file that
+cannot be read or written (`OSError`) or a malformed command line; 3 nothing
+evaluable (`UndefinedLrp`). Any other exception is a program fault, not an
+input error: it propagates with its traceback, and the interpreter exits 1.
 Identical invocations on identical inputs write byte-identical outputs.
 """
 
@@ -17,6 +21,7 @@ from functools import partial
 
 from .dataio import (
     DEFAULT_TAU,
+    SchemaError,
     build_report,
     export_curves,
     export_report,
@@ -80,7 +85,8 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
 
 def check_flags(args) -> None:
     """Put every flag value through the check of the code that uses it, so
-    that a bad value fails before any input file is read, naming the flag."""
+    that a bad value fails before any input file is read, as a SchemaError
+    naming the flag."""
     checks = [("--tau", check_tau, args.tau), ("--grid-step", threshold_grid, args.grid_step)]
     for name in ("tau_list", "taus"):
         if vars(args).get(name):
@@ -95,7 +101,7 @@ def check_flags(args) -> None:
         try:
             check(value)
         except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+            raise SchemaError(f"{flag}: {exc}") from None
 
 
 def _add_shared_args(sub, tau_list=False):
@@ -377,6 +383,7 @@ def main(argv=None) -> int:
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     log.addHandler(handler)
+    level = log.level
     log.setLevel(logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
@@ -385,11 +392,12 @@ def main(argv=None) -> int:
     except UndefinedLrp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOTHING_EVALUABLE
-    except (OSError, ValueError) as exc:
+    except (OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:
         log.removeHandler(handler)
+        log.setLevel(level)
         if gc_was_enabled:
             gc.enable()
 

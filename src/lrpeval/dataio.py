@@ -27,7 +27,7 @@ import logging
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Iterable, Mapping, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap
@@ -59,9 +59,9 @@ class SchemaError(ValueError):
 class Dataset:
     """Validated ground-truth side of an evaluation.
 
-    images maps each image id to its (width, height), each None where the
-    file leaves it out; names maps each category id to its name. Both keep
-    the order of the file.
+    images maps each image id to its (width, height), each a finite number
+    > 0, or None where the file leaves it out or sets it null; names maps
+    each category id to its name. Both keep the order of the file.
     """
 
     images: dict[object, tuple[float | None, float | None]]
@@ -115,15 +115,33 @@ def _require_numbers(values: list, field: str) -> None:
             raise _Invalid(f"{field}[{k}]", f"must be a number, got {v!r}")
 
 
+def _int_too_large(field: str, value: int) -> _Invalid:
+    return _Invalid(field, f"must fit a float, got an integer of {len(str(abs(value)))} digits")
+
+
 def _too_large(values: list, field: str) -> _Invalid:
     """The error naming the first of values that float() overflows on."""
     for k, v in enumerate(values):
         try:
             float(v)
         except OverflowError:
-            return _Invalid(
-                f"{field}[{k}]", f"must fit a float, got an integer of {len(str(abs(v)))} digits"
-            )
+            return _int_too_large(f"{field}[{k}]", v)
+
+
+def _image_size(img: Mapping, key: str):
+    """An optional image width or height: absent, null, or a finite number > 0."""
+    value = img.get(key)
+    if value is None:
+        return None
+    if type(value) not in _NUMBER_TYPES:
+        raise _Invalid(f".{key}", f"must be a number, got {value!r}")
+    try:
+        size = float(value)
+    except OverflowError:
+        raise _int_too_large(f".{key}", value) from None
+    if not 0.0 < size < inf:  # NaN fails both
+        raise _Invalid(f".{key}", f"must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _array(record: Mapping, key: str, where: str = "") -> list:
@@ -183,13 +201,9 @@ def load_ground_truth(path) -> Dataset:
             img_id = _require_id(img, "id")
             if img_id in images:
                 raise _Invalid(".id", f"duplicate image id {img_id!r}")
-            width, height = img.get("width"), img.get("height")
-            for key, value in (("width", width), ("height", height)):
-                if value is not None and type(value) not in _NUMBER_TYPES:
-                    raise _Invalid(f".{key}", f"must be a number, got {value!r}")
+            images[img_id] = (_image_size(img, "width"), _image_size(img, "height"))
         except _Invalid as exc:
             raise exc.at(f"images[{i}]") from None
-        images[img_id] = (width, height)
 
     names = {}
     id_kind = None

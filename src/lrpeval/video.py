@@ -3,11 +3,14 @@
 A detection stream is processed online: each frame's boxes are associated
 with the previous frame's boxes by optimal assignment over a blended
 box-overlap / class-distribution cost, linked detections have their
-confidence updated by a two-hypothesis Bayes rule (prior = running
-tubelet score, likelihood = current detection score), and the emitted
-stream is filtered by per-class score thresholds. Tubelet state always
-evolves on the unfiltered detections, so runs with different thresholds
-stay comparable; the thresholds shape only the output.
+confidence updated by a two-hypothesis Bayes rule (prior = the tracked
+score of the previous-frame partner, likelihood = current detection
+score), and the emitted stream is filtered by per-class score
+thresholds. A chain of linked detections is a tubelet; the tracker keeps
+only the previous frame's scores and tubelet indices, and each
+tubelet's length. Tracking always runs on the unfiltered detections, so
+runs with different thresholds stay comparable; the thresholds shape
+only the output.
 
 Link rule: the assignment is solved over all (previous, current) pairs,
 then an assigned pair is severed if it costs more than the cutoff or its
@@ -17,7 +20,7 @@ their class distributions, as SORT's IoU floor has it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -27,8 +30,8 @@ from .matching import ClassId, Detection, hungarian
 DEFAULT_ALPHA = 0.7
 DEFAULT_COST_CUTOFF = 0.7
 DEFAULT_THRESHOLD = 0.5
-DOMINANCE_RISE = 0.2
 _SCORE_EPS = 1e-6
+_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +53,7 @@ class StreamDetection:
         # A NaN entry passes min and max but makes the sum NaN.
         if not (0.0 <= min(scores) and max(scores) <= 1.0 and total == total):
             raise ValueError(f"class_scores entries must be in [0, 1]: {scores}")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"class_scores must sum to 1, got {total}")
 
     @property
@@ -64,23 +67,6 @@ class FrameDetections:
 
     frame_index: int
     detections: tuple[StreamDetection, ...]
-
-
-@dataclass
-class Tubelet:
-    """A chain of linked detections with a running updated confidence.
-
-    A tubelet becomes "dominant" once its updated score has risen by at
-    least DOMINANCE_RISE over the minimum of its history; the flag is
-    informational output metadata.
-    """
-
-    id: int
-    class_id: ClassId
-    boxes: list[tuple[int, BoundingBox]] = field(default_factory=list)
-    score_history: list[float] = field(default_factory=list)
-    updated_score: float = 0.0
-    dominant: bool = False
 
 
 def bayes_update(prior: float, likelihood: float) -> float:
@@ -180,7 +166,10 @@ def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:
     else:
         fill = (1.0 - new_score) / (n - 1)
         new = tuple(new_score if i == k else fill for i in range(n))
-    if max(new) > new_score:
+    # The other bins' real mass may differ from 1 - peak by up to the sum
+    # tolerance, and the scaling can push that past it; `_capped` spreads
+    # by the real mass.
+    if max(new) > new_score or abs(sum(new) - 1.0) > _SUM_TOLERANCE:
         new = _capped(scores, k, new_score)
     return StreamDetection(det.class_id, det.box, new)
 
@@ -209,12 +198,14 @@ class TrackedStream:
     """A tracked stream: each frame's detections as they are emitted (a
     linked one with its distribution rescored to its Bayes-updated score,
     one that starts a fresh tubelet as given), the score each is filtered
-    by, and the tubelets. `track_stream` returns every detection;
-    `emit_stream` returns the same record with only the kept ones."""
+    by, and the length of each tubelet in detections, in the order of the
+    tubelets' first detections, so len(tubelets) is the tubelet count.
+    `track_stream` returns every detection; `emit_stream` returns the same
+    record with only the kept ones and the same lengths."""
 
     frames: tuple[FrameDetections, ...]
     scores: tuple[tuple[float, ...], ...]
-    tubelets: tuple[Tubelet, ...]
+    tubelets: tuple[int, ...]
 
 
 def track_stream(
@@ -224,9 +215,11 @@ def track_stream(
 ) -> TrackedStream:
     """Link a detection stream into tubelets, once for any thresholds.
 
-    Each frame is associated with the previous raw frame; linked
-    detections continue their tubelet with a Bayes-updated score and are
-    rescored to it, the rest start fresh tubelets at their raw score.
+    Each frame is associated with the previous raw frame. A linked
+    detection joins its partner's tubelet, takes the Bayes update of the
+    partner's tracked score by its own score, and is rescored to it; the
+    rest start fresh tubelets at their raw score. Besides the output, only
+    the previous frame's tubelet indices and the tubelet lengths are kept.
     """
     check_link_params(alpha, cost_cutoff)
     for prev_f, curr_f in zip(frames, frames[1:]):
@@ -236,39 +229,30 @@ def track_stream(
                 f"{prev_f.frame_index} then {curr_f.frame_index}"
             )
 
-    tubelets: list[Tubelet] = []
-    prev_frame: FrameDetections | None = None
-    prev_tubelets: dict[int, Tubelet] = {}
+    lengths: list[int] = []
+    prev_frame, prev_tubelets = None, []
     out_frames, scores = [], []
     for frame in frames:
         links: dict[int, int] = {}
         if prev_frame is not None:
             links = {c: p for p, c in link_frames(prev_frame, frame, alpha, cost_cutoff)}
-        curr_tubelets: dict[int, Tubelet] = {}
-        out_dets, frame_scores = [], []
+        out_dets, frame_scores, frame_tubelets = [], [], []
         for di, det in enumerate(frame.detections):
-            parent = prev_tubelets.get(links.get(di, -1))
-            if parent is not None:
-                tub = parent
-                new_score = bayes_update(tub.updated_score, det.score)
-                tub.class_id = det.class_id
+            p = links.get(di)
+            if p is None:
+                tub, new_score = len(lengths), det.score
+                lengths.append(0)
+                out_dets.append(det)
             else:
-                tub = Tubelet(id=len(tubelets), class_id=det.class_id)
-                tubelets.append(tub)
-                new_score = det.score
-            out_dets.append(det if parent is None else _rescored(det, new_score))
+                tub, new_score = prev_tubelets[p], bayes_update(scores[-1][p], det.score)
+                out_dets.append(_rescored(det, new_score))
+            lengths[tub] += 1
             frame_scores.append(new_score)
-            tub.boxes.append((frame.frame_index, det.box))
-            tub.score_history.append(new_score)
-            tub.updated_score = new_score
-            if new_score - min(tub.score_history) >= DOMINANCE_RISE:
-                tub.dominant = True
-            curr_tubelets[di] = tub
+            frame_tubelets.append(tub)
         out_frames.append(FrameDetections(frame.frame_index, tuple(out_dets)))
         scores.append(tuple(frame_scores))
-        prev_frame = frame
-        prev_tubelets = curr_tubelets
-    return TrackedStream(tuple(out_frames), tuple(scores), tuple(tubelets))
+        prev_frame, prev_tubelets = frame, frame_tubelets
+    return TrackedStream(tuple(out_frames), tuple(scores), tuple(lengths))
 
 
 def check_threshold(value: float) -> None:
@@ -284,8 +268,8 @@ def emit_stream(
 ) -> TrackedStream:
     """Keep the tracked detections whose updated score reaches their
     class threshold (default_threshold, in [0, 1], for unlisted classes),
-    with their scores and the same tubelets; linked ones come out with
-    their distribution rescored to that score."""
+    with their scores and the same tubelet lengths; linked ones come out
+    with their distribution rescored to that score."""
     check_threshold(default_threshold)
     out_frames, out_scores = [], []
     for frame, frame_scores in zip(tracked.frames, tracked.scores):

@@ -2,9 +2,10 @@
 
 Everything here recomputes expected values by brute force (rasterization,
 permutation enumeration, per-threshold re-matching, a full scan per
-detection, scalar link costs, one bisect per AP grid recall, an eager
-breakdown per sweep grid point, field-by-field loaders) so the tested
-code paths are checked against genuinely separate computations.
+detection, scalar link costs, explicit tubelet chains, one bisect per AP
+grid recall, an eager breakdown per sweep grid point, field-by-field
+loaders) so the tested code paths are checked against genuinely separate
+computations.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from lrpeval.ap import AP_VARIANTS
 from lrpeval.dataio import Dataset, SchemaError
 from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
 from lrpeval.sweep import DEFAULT_GRID_STEP, SweepSample, threshold_grid
-from lrpeval.video import FrameDetections, StreamDetection
+from lrpeval.video import FrameDetections, StreamDetection, bayes_update, link_frames
 
 logger = logging.getLogger("lrpeval")
 
@@ -238,6 +239,38 @@ def link_cost(prev, curr, alpha):
     )
 
 
+def track_reference(frames, alpha, cost_cutoff):
+    """Scores and tubelet lengths of a tracked stream, from explicit chains.
+
+    Every tubelet is kept whole as the list of its (frame position,
+    detection index) entries. A detection that `link_frames` pairs with a
+    previous-frame detection is appended to that detection's chain with
+    `bayes_update(partner's score, own score)`; any other starts a chain
+    at its raw score. Returns (scores per frame, chain lengths in the order
+    the chains start)."""
+    chains, chain_of, score = [], {}, {}
+    for f, frame in enumerate(frames):
+        partner = {}
+        if f > 0:
+            partner = {c: p for p, c in link_frames(frames[f - 1], frame, alpha, cost_cutoff)}
+        for j, det in enumerate(frame.detections):
+            if j in partner:
+                prev = (f - 1, partner[j])
+                chain = chain_of[prev]
+                score[f, j] = bayes_update(score[prev], det.score)
+            else:
+                chain = []
+                chains.append(chain)
+                score[f, j] = det.score
+            chain.append((f, j))
+            chain_of[f, j] = chain
+    scores = tuple(
+        tuple(score[f, j] for j in range(len(frame.detections)))
+        for f, frame in enumerate(frames)
+    )
+    return scores, tuple(len(chain) for chain in chains)
+
+
 def box_corner_check(x_min, y_min, x_max, y_max):
     """The ValueError `BoundingBox` raises for these corners, or None: each
     coordinate in turn (exactly an int or a float, and finite), then the
@@ -423,8 +456,22 @@ def load_ground_truth(path) -> Dataset:
             raise SchemaError(f"images[{i}].id: duplicate image id {img_id!r}")
         image_ids.add(img_id)
         for key in ("width", "height"):
-            if img.get(key) is not None and not _is_number(img[key]):
-                raise SchemaError(f"images[{i}].{key}: must be a number, got {img[key]!r}")
+            value = img.get(key)
+            if value is None:
+                continue
+            if not _is_number(value):
+                raise SchemaError(f"images[{i}].{key}: must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise SchemaError(
+                    f"images[{i}].{key}: must fit a float, got an integer of "
+                    f"{len(str(abs(value)))} digits"
+                ) from None
+            if not (finite and value > 0):
+                raise SchemaError(
+                    f"images[{i}].{key}: must be a finite number > 0, got {value!r}"
+                )
         sizes[img_id] = (img.get("width"), img.get("height"))
 
     names = {}

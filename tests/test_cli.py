@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib
 import json
+import logging
 import os
 import random
 import subprocess
@@ -14,9 +15,12 @@ from pathlib import Path
 import pytest
 
 import lrpeval
-from lrpeval import BoundingBox, Detection, GroundTruth, cli, sweep_class
+from lrpeval import (
+    BoundingBox, Detection, GroundTruth, cli, label_detections, link_frames, rp_curve,
+    run_stream, sweep_class, track_stream,
+)
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
-from lrpeval.dataio import Dataset, save_stream
+from lrpeval.dataio import Dataset, load_ground_truth, load_stream, save_stream
 from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
 
 
@@ -464,6 +468,67 @@ class TestCollectorState:
         assert during == [False, False]
 
 
+class TestLoggerLevel:
+    """`main` sets the package logger to WARNING for a command and puts back
+    the level it found, as it does the collector state."""
+
+    @pytest.mark.parametrize("level", [logging.NOTSET, logging.DEBUG, logging.ERROR],
+                             ids=["notset", "debug", "error"])
+    def test_main_restores_logger_level(self, tmp_path, monkeypatch, level):
+        box = box_at(0)
+        gt_path, det_path = write_fixture(
+            tmp_path, "p", [GroundTruth(0, 1, box)], [Detection(0, 1, box, 0.9)]
+        )
+        log = logging.getLogger("lrpeval")
+        during = []
+        load = cli.load_ground_truth
+        monkeypatch.setattr(
+            cli, "load_ground_truth", lambda path: during.append(log.level) or load(path)
+        )
+        was = log.level
+        log.setLevel(level)
+        try:
+            out = str(tmp_path / "r.json")
+            assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", out]) == 0
+            assert log.level == level
+            missing = str(tmp_path / "missing.json")
+            assert main(["eval", "--gt", missing, "--det", det_path, "--output", out]) == 2
+            assert log.level == level
+            with pytest.raises(SystemExit):
+                main(["eval", "--no-such-flag"])
+            assert log.level == level
+        finally:
+            log.setLevel(was)
+        assert during == [logging.WARNING, logging.WARNING]
+
+
+class TestProgramFaults:
+    """Only input errors (SchemaError, OSError) exit 2. A ValueError from
+    inside the evaluation is a fault of the program: `main` lets it
+    propagate instead of reporting it as bad input."""
+
+    @pytest.mark.parametrize("command", ["eval", "stream"])
+    def test_deep_value_error_is_not_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def fault(*args, **kwargs):
+            raise ValueError("count check failed")
+
+        if command == "eval":
+            gts, dets = reference_detectors()["half_recall"]
+            gt_path, det_path = write_fixture(tmp_path, "p", gts, dets)
+            monkeypatch.setattr(sys.modules["lrpeval.dataio"], "sweep_labels", fault)
+            argv = ["eval", "--gt", gt_path, "--det", det_path]
+        else:
+            stream_path, gt_path, _ = stream_fixture(tmp_path)
+            monkeypatch.setattr(sys.modules["lrpeval.video"], "bayes_update", fault)
+            argv = ["stream", "--stream", stream_path, "--gt", gt_path]
+        was_enabled = gc.isenabled()
+        with pytest.raises(ValueError, match="count check failed"):
+            main([*argv, "--output", str(tmp_path / "out.json")])
+        assert gc.isenabled() is was_enabled
+        assert "error:" not in capsys.readouterr().err
+
+
 class TestExports:
     def test_every_public_name_resolves(self):
         assert [name for name in lrpeval.__all__ if not hasattr(lrpeval, name)] == []
@@ -476,16 +541,63 @@ class TestExports:
 
         assert m.AP_VARIANTS == ("continuous", "pascal11", "coco101")
 
-    def test_benchmark_tracer_targets_resolve(self):
-        # Compiled from its source, so that no bytecode is written beside it.
+    @staticmethod
+    def benchmark_tracer():
+        """perfbench/tracer.py, compiled from its source so that no bytecode
+        is written beside it."""
         path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
         tracer = types.ModuleType("tracer")
         exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+        return tracer
+
+    def test_benchmark_tracer_targets_resolve(self):
+        tracer = self.benchmark_tracer()
         missing = [
             f"{module}.{attr}" for module, attr, _, _ in tracer.TARGETS
             if not callable(getattr(importlib.import_module(f"lrpeval.{module}"), attr, None))
         ]
         assert tracer.TARGETS and missing == []
+
+    def test_benchmark_tracer_counters_read_real_results(self):
+        # The counters read fields of the results and arguments of the
+        # functions they wrap; each must agree with a count taken here.
+        tracer = self.benchmark_tracer()
+        counts = tracer.Counts()
+        frames, gts = generate_stream(
+            [StreamClassSpec(1, n_objects=2, tp_score=0.7, fp_score=0.3, fp_per_frame=2),
+             StreamClassSpec(2, n_objects=1, tp_score=0.45)],
+            n_frames=5, seed=4, jitter=3.0, score_noise=0.05,
+        )
+        result = run_stream(frames, {1: 0.5})
+        tracer._count_tubelets(counts, run_stream, (frames, {1: 0.5}), {}, result)
+        n_links = n_cells = n_severed = 0
+        for prev, curr in zip(frames, frames[1:]):
+            links = link_frames(prev, curr)
+            tracer._count_links(counts, link_frames, (prev, curr), {}, links)
+            n_prev, n_curr = len(prev.detections), len(curr.detections)
+            n_links, n_cells = n_links + len(links), n_cells + n_prev * n_curr
+            n_severed += min(n_prev, n_curr) - len(links)
+        n_dets = sum(len(f.detections) for f in frames)
+        assert counts["video.tubelets"] == len(track_stream(frames).tubelets) == n_dets - n_links
+        assert (counts["video.links"], counts["video.link_cost_cells"],
+                counts["video.severed_pairs"]) == (n_links, n_cells, n_severed)
+
+        dets = [d for d in cli.stream_to_detections(frames) if d.class_id == 1]
+        class_gts = [g for g in gts if g.class_id == 1]
+        labels = label_detections(class_gts, dets, 0.5)
+        tracer._count_labels(counts, label_detections, (class_gts, dets, 0.5), {}, labels)
+        kinds = Counter(label.kind for label in labels)
+        assert kinds["tp"] > 0 and kinds["fp"] > 0
+        assert (counts["matching.tp"], counts["matching.fp"], counts["matching.ignored"]) == (
+            kinds["tp"], kinds["fp"], kinds["ignored"])
+        assert counts["matching.dets_labeled"] == len(dets)
+        assert counts["matching.candidate_pairs"] == sum(
+            g.image_id == d.image_id for g in class_gts for d in dets)
+        assert counts.keys_labeled == {(1, 0.5)}
+
+        curve = rp_curve(class_gts, dets, 1, 0.5)
+        tracer._count_curve(counts, rp_curve, (class_gts, dets, 1, 0.5), {}, curve)
+        assert counts["ap.rp_points"] == len(curve.points) > 0
 
 
 class TestCompare:
@@ -600,6 +712,12 @@ class TestMalformedInputs:
         ("stream", "stream", _set(["frames", 0, "detections", 0, "bbox"], _HUGE_BOX),
          "frames[0].detections[0].bbox"),
         ("stream", "stream", _set(["frames", 0, "frame_index"], 7), "frames[0].frame_index"),
+        ("eval", "gt", _set(["images", 0, "width"], float("nan")), "images[0].width"),
+        ("eval", "gt", _set(["images", 0, "height"], -5), "images[0].height"),
+        ("eval", "gt", _set(["images", 0, "width"], 0), "images[0].width"),
+        ("eval", "gt", _set(["images", 0, "height"], -0.0), "images[0].height"),
+        ("stream", "gt", _set(["images", 1, "height"], float("inf")), "images[1].height"),
+        ("eval", "gt", _set(["images", 0, "width"], 10 ** 400), "images[0].width"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -615,6 +733,8 @@ class TestMalformedInputs:
         "underflow-area-annotation-bbox", "underflow-area-det-bbox",
         "overflow-area-annotation-bbox", "overflow-area-det-bbox",
         "underflow-area-stream-bbox", "overflow-area-stream-bbox", "unknown-frame-index",
+        "nan-width", "negative-height", "zero-width", "negative-zero-height", "infinite-height",
+        "huge-int-width",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()
@@ -631,6 +751,23 @@ class TestMalformedInputs:
         assert main([*argv, "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {field}:" in err
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "must be a finite number > 0, got nan"),
+        (-5, "must be a finite number > 0, got -5"),
+        (10 ** 400, "must fit a float, got an integer of 401 digits"),
+        (-10 ** 400, "must fit a float, got an integer of 401 digits"),
+    ], ids=["nan", "negative", "huge-int", "huge-negative-int"])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_image_size_message(self, tmp_path, capsys, key, value, message):
+        # A NaN width and a height of -5 were once accepted with exit 0.
+        docs = self.base_docs()
+        docs["gt"]["images"][1][key] = value
+        for name, content in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        argv = ["eval", "--gt", str(tmp_path / "gt.json"), "--det", str(tmp_path / "det.json")]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: images[1].{key}: {message}\n"
 
     @pytest.mark.parametrize("bbox", [_TINY_BOX, _HUGE_BOX, _LARGE_BOX],
                              ids=["underflow", "overflow", "union-overflow"])
@@ -823,6 +960,33 @@ class TestStreamCommand:
         low = next(r for r in doc["classes"] if r["class_id"] == "low")
         assert low["olrp_class_specific"] < low["olrp_general"]
         assert doc["summary"]["molrp_class_specific"] < doc["summary"]["molrp_general"]
+
+    def test_rescoring_inside_the_sum_tolerance_exits_0(self, tmp_path, capsys):
+        # Frame 1's non-peak bins sum 9e-10 above 1 - peak, inside the loader's
+        # tolerance; rescoring them once raised "class_scores must sum to 1".
+        box = [0, 0, 10, 10]
+        gt = {"images": [{"id": 0}, {"id": 1}],
+              "annotations": [{"id": f + 1, "image_id": f, "category_id": 1, "bbox": box}
+                              for f in (0, 1)],
+              "categories": [{"id": c} for c in (1, 2, 3)]}
+        stream = {"frames": [
+            {"frame_index": 0, "detections": [
+                {"class_id": 1, "bbox": box, "class_scores": [0.34, 0.33, 0.33]}]},
+            {"frame_index": 1, "detections": [
+                {"class_id": 1, "bbox": box, "class_scores": [0.999, 0.0005, 0.0005000009]}]},
+        ]}
+        gt_path, stream_path = tmp_path / "gt.json", tmp_path / "stream.json"
+        gt_path.write_text(json.dumps(gt))
+        stream_path.write_text(json.dumps(stream))
+        filtered = tmp_path / "filtered.json"
+        assert main([
+            "stream", "--stream", str(stream_path), "--gt", str(gt_path), "--threshold", "0",
+            "--filtered-output", str(filtered), "--output", str(tmp_path / "out.json"),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        frames = load_stream(filtered, load_ground_truth(gt_path))
+        rescored = frames[1].detections[0]
+        assert rescored.score > 0.998 and abs(sum(rescored.class_scores) - 1.0) <= 1e-9
 
     def test_alpha_one_ignores_distributions(self, tmp_path):
         # orthogonal class vectors at the same spot: pure-overlap cost

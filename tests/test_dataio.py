@@ -552,8 +552,10 @@ _FIELD_VALUES = {
     ),
     "iscrowd": st.sampled_from([0, 1, True, False, 2, -1, "0", 0.0, 1.0, None]),
     "score": st.sampled_from([0.0, 1.0, 0, 1, 0.25, 1.5, -0.1, -0.0, _NAN, "0.5", True]),
-    "width": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
-    "height": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN]),
+    "width": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN, _INF, 0, -0.0, -5,
+                              10 ** 400, 5e-324]),
+    "height": st.sampled_from([100, 100.0, 5.0, None, "100", True, _NAN, -_INF, 0.0, -5.0,
+                               -10 ** 400, 1e308]),
     # The one integer, 7, names no image. Frame indices stay increasing
     # here, their order is checked in tests/test_cli.py::TestMalformedInputs.
     "frame_index": st.sampled_from([True, False, 1.5, 3.0, "3", None, [3], _NAN, 7]),

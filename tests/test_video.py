@@ -19,7 +19,7 @@ from lrpeval import (
     stream_to_detections,
     track_stream,
 )
-from oracles import class_scores_check, link_cost
+from oracles import class_scores_check, link_cost, track_reference
 from synth import StreamClassSpec, generate_stream
 
 
@@ -228,9 +228,8 @@ class TestRunStream:
     def test_linked_detections_keep_one_tubelet(self):
         frames = [FrameDetections(i, (sd(1, box_at(0), 0.7),)) for i in range(4)]
         result = run_stream(frames, {}, default_threshold=0.0)
-        assert len(result.tubelets) == 1
-        assert len(result.tubelets[0].boxes) == 4
-        assert len(result.tubelets[0].score_history) == 4
+        assert [link_frames(a, b) for a, b in zip(frames, frames[1:])] == [[(0, 0)]] * 3
+        assert result.tubelets == (4,)
 
     def test_severed_chain_starts_fresh_tubelet(self):
         # disjoint boxes and slightly different distributions: cost above cutoff
@@ -241,15 +240,6 @@ class TestRunStream:
         result = run_stream(frames, {}, default_threshold=0.0)
         assert len(result.tubelets) == 2
         assert result.frames[1].detections[0].score == 0.65  # raw, not updated
-
-    def test_dominance_flag_set_after_enough_rise(self):
-        frames = [FrameDetections(i, (sd(1, box_at(0), 0.75),)) for i in range(4)]
-        result = run_stream(frames, {}, default_threshold=0.0)
-        tube = result.tubelets[0]
-        # 0.75 -> 0.9 -> 0.964...: rise over 0.2 by frame 3
-        assert tube.dominant
-        short = run_stream(frames[:2], {}, default_threshold=0.0)
-        assert not short.tubelets[0].dominant
 
     def test_rescored_distribution_stays_normalized(self):
         frames = [FrameDetections(i, (sd(1, box_at(0), 0.6),)) for i in range(3)]
@@ -266,10 +256,11 @@ class TestRunStream:
             FrameDetections(1, (StreamDetection(1, box_at(0), (0.5, 0.4, 0.1)),)),
         ]
         result = run_stream(frames, {}, default_threshold=0.3)
-        (tube,) = result.tubelets
+        updated_score = result.scores[1][0]
         emitted = result.frames[1].detections[0]
-        assert tube.updated_score == pytest.approx(0.35, abs=1e-12)
-        assert emitted.score == tube.updated_score
+        assert result.tubelets == (2,)
+        assert updated_score == pytest.approx(0.35, abs=1e-12)
+        assert emitted.score == updated_score
         assert emitted.class_scores == pytest.approx((0.35, 0.35, 0.3), abs=1e-12)
 
     def test_capping_keeps_proportions_of_the_other_bins(self):
@@ -278,7 +269,7 @@ class TestRunStream:
             FrameDetections(1, (StreamDetection(1, box_at(0), (0.45, 0.4, 0.06, 0.05, 0.04)),)),
         ]
         result = run_stream(frames, {}, default_threshold=0.0)
-        score = result.tubelets[0].updated_score
+        score = result.scores[1][0]
         emitted = result.frames[1].detections[0]
         assert emitted.score == score
         # bin 1 is capped at the score; bins 2 to 4 keep their 6:5:4 ratio
@@ -292,7 +283,7 @@ class TestRunStream:
         # 0.3 then 0.3 updates to about 0.155, below 1/3: no distribution peaks there
         frames = [FrameDetections(i, (sd(1, box_at(0), 0.3, n_slots=3),)) for i in range(2)]
         result = run_stream(frames, {}, default_threshold=0.0)
-        assert result.tubelets[0].updated_score < 1 / 3
+        assert result.scores[1][0] < 1 / 3
         assert result.frames[1].detections[0].class_scores == (1 / 3,) * 3
 
     def test_track_once_emit_per_threshold_map(self):
@@ -311,9 +302,7 @@ class TestRunStream:
                       if s >= thresholds.get(d.class_id, default))
                 for f, scores in zip(tracked.frames, tracked.scores)
             )
-            assert [(t.boxes, t.score_history) for t in emitted.tubelets] == [
-                (t.boxes, t.score_history) for t in direct.tubelets
-            ]
+            assert emitted.tubelets == direct.tubelets == tracked.tubelets
 
     def test_each_linked_detection_rescored_once_for_any_maps(self, monkeypatch):
         frames, _ = generate_stream(
@@ -327,27 +316,38 @@ class TestRunStream:
         tracked = track_stream(frames)
         maps = (({}, 0.5), ({1: 0.6, 2: 0.3}, 0.5), ({}, 0.0))
         results = [emit_stream(tracked, thresholds, default) for thresholds, default in maps]
-        n_linked = sum(len(t.boxes) - 1 for t in tracked.tubelets)
-        assert n_linked > 0 and len(calls) == n_linked
         monkeypatch.undo()
+        # (frame position, detection index) of every detection linked to the previous frame
+        linked = {(f, j) for f in range(1, len(frames))
+                  for _, j in link_frames(frames[f - 1], frames[f])}
+        assert linked and len(calls) == len(linked)
 
-        # Reference: each tubelet entry after its first is a linked detection
-        # with that entry's score, rescored afresh for every map.
-        entries = {
-            (index, id(box)): (score, k > 0)
-            for t in tracked.tubelets
-            for k, ((index, box), score) in enumerate(zip(t.boxes, t.score_history))
-        }
+        # Reference: each linked detection is rescored afresh for every map.
         for (thresholds, default), result in zip(maps, results):
             expected = []
-            for frame in frames:
+            for f, (frame, scores) in enumerate(zip(frames, tracked.scores)):
                 kept = []
-                for det in frame.detections:
-                    score, linked = entries[frame.frame_index, id(det.box)]
+                for j, (det, score) in enumerate(zip(frame.detections, scores)):
                     if score >= thresholds.get(det.class_id, default):
-                        kept.append(video._rescored(det, score) if linked else det)
+                        kept.append(video._rescored(det, score) if (f, j) in linked else det)
                 expected.append(FrameDetections(frame.frame_index, tuple(kept)))
             assert list(result.frames) == expected
+
+    @pytest.mark.parametrize("first, second", [
+        # The other bins' mass is 9e-10 above 1 - peak.
+        ((0.34, 0.33, 0.33), (0.999, 0.0005, 0.0005000009)),
+        # The other bins hold no mass, though 1 - peak is 5e-10.
+        ((0.5, 0.3, 0.2), (0.9999999995, 0.0, 0.0)),
+    ], ids=["mass-above-rest", "no-mass-in-rest"])
+    def test_rescoring_a_distribution_inside_the_sum_tolerance(self, first, second):
+        # The scaling once left the sum off 1 by more than the tolerance and raised.
+        frames = [FrameDetections(i, (StreamDetection(1, box_at(0), dist),))
+                  for i, dist in enumerate((first, second))]
+        result = run_stream(frames, {}, default_threshold=0.0)
+        emitted = result.frames[1].detections[0]
+        assert result.tubelets == (2,)
+        assert emitted.score == result.scores[1][0] == bayes_update(max(first), max(second))
+        assert abs(sum(emitted.class_scores) - 1.0) <= 1e-9
 
     def test_track_checks_link_params_before_any_frame(self):
         frame = FrameDetections(0, (sd(1, box_at(0), 0.8),))
@@ -381,6 +381,49 @@ class TestRunStream:
         a = run_stream(frames, {1: 0.5})
         b = run_stream(frames, {1: 0.5})
         assert a.frames == b.frames
+
+
+class TestTrackReference:
+    """`track_stream` keeps one frame of state; an explicit-chain tracker
+    (`oracles.track_reference`) must give the same scores and tubelets."""
+
+    @staticmethod
+    def check(frames, alpha, cutoff):
+        tracked = track_stream(frames, alpha, cutoff)
+        assert (tracked.scores, tracked.tubelets) == track_reference(frames, alpha, cutoff)
+        n_dets = sum(len(f.detections) for f in frames)
+        n_linked = sum(len(link_frames(a, b, alpha, cutoff)) for a, b in zip(frames, frames[1:]))
+        assert sum(tracked.tubelets) == n_dets
+        assert len(tracked.tubelets) == n_dets - n_linked
+        return tracked
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 16), st.sampled_from((0.5, 4.0, 9.0)),
+           st.sampled_from((0.0, 0.05, 0.2)), st.sampled_from((0.0, 0.5, 0.7, 1.0)),
+           st.sampled_from((0.3, 0.6, 0.7)))
+    def test_generated_streams(self, n_frames, seed, jitter, noise, alpha, cutoff):
+        specs = [StreamClassSpec(1, n_objects=2, tp_score=0.7, fp_score=0.3, fp_per_frame=2),
+                 StreamClassSpec(2, n_objects=1, tp_score=0.45, fp_score=0.6, fp_per_frame=1,
+                                 fp_persistent=True)]
+        frames, _ = generate_stream(specs, n_frames, seed, jitter, noise)
+        self.check(frames, alpha, cutoff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just([]), _FRAME), max_size=6),
+           st.sampled_from((0.0, 0.7, 1.0)), st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    def test_grid_streams(self, frame_dets, alpha, cutoff):
+        # Many equal costs and boxes that touch or coincide; empty frames end every tubelet.
+        frames = [FrameDetections(i, tuple(dets)) for i, dets in enumerate(frame_dets)]
+        self.check(frames, alpha, cutoff)
+
+    def test_emit_keeps_the_tracked_lengths(self):
+        frames = [FrameDetections(0, (sd(1, box_at(0), 0.7), sd(1, box_at(1), 0.7))),
+                  FrameDetections(1, (sd(1, box_at(0), 0.7),)),
+                  FrameDetections(2, ()),
+                  FrameDetections(3, (sd(1, box_at(0), 0.7),))]
+        tracked = self.check(frames, 0.7, 0.7)
+        assert tracked.tubelets == (2, 1, 1)
+        assert emit_stream(tracked, {}, 1.0).tubelets == (2, 1, 1)
 
 
 class TestClassSpecificThresholding:
