@@ -1,6 +1,10 @@
 """Object-detection evaluation with the LRP (localization-recall-precision)
 error: per-class optimal thresholds, AP variants, set-distance property
-machinery, and a frame-linking pipeline for detection streams."""
+machinery, and a frame-linking pipeline for detection streams.
+
+Every record type is an immutable named tuple. `BoundingBox`, `Detection`,
+`GroundTruth`, `StreamDetection`, `MatchResult` and `DasaParams` check
+their fields whenever one is built, `_make` and `_replace` included."""
 
 from .geometry import BoundingBox, area, iou, iou_distance
 from .matching import (

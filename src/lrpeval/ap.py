@@ -11,17 +11,15 @@ equivalent to sweeping the score threshold through every value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .matching import FP, IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 AP_VARIANTS = ("continuous", "pascal11", "coco101")
 
 
-@dataclass(frozen=True)
-class RPCurve:
+class RPCurve(NamedTuple):
     """Recall-precision samples for one class, one point per counted
     detection in descending score order."""
 

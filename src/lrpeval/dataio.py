@@ -26,9 +26,8 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap
 from .geometry import _NUMBER_TYPES, BoundingBox
@@ -55,8 +54,7 @@ class SchemaError(ValueError):
     offending field."""
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Validated ground-truth side of an evaluation.
 
     images maps each image id to its (width, height), each a finite number

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import sys
 from math import isfinite
-
-_CORNERS = ("x_min", "y_min", "x_max", "y_max")
+from typing import NamedTuple
 
 # A number is exactly an int or a float, as JSON numbers parse; a bool has
 # its own type and would collide with the ids 0 and 1 and the coordinates
@@ -18,9 +16,22 @@ _NUMBER_TYPES = frozenset((int, float))
 MAX_AREA = sys.float_info.max / 2
 
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned rectangle in pixel coordinates, stored in corner form.
+def _checked_make(cls, iterable):
+    """`_make`, and so `_replace`, of a record that checks its fields: it
+    builds through the record's `__new__`, not around it."""
+    return cls(*iterable)
+
+
+class _Corners(NamedTuple):
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+
+class BoundingBox(_Corners):
+    """Axis-aligned rectangle in pixel coordinates, stored in corner form:
+    a named tuple (x_min, y_min, x_max, y_max), so it also unpacks.
 
     Degenerate boxes are rejected at construction: they are annotation
     errors and failing fast localizes the bug. A box is degenerate unless
@@ -28,19 +39,16 @@ class BoundingBox:
     underflowed to 0 or by a union that overflowed.
     """
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        x_min, y_min, x_max, y_max = self.x_min, self.y_min, self.x_max, self.y_max
+    def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float):
         if not (
             type(x_min) is type(y_min) is type(x_max) is type(y_max) is float
             and isfinite(x_min) and isfinite(y_min) and isfinite(x_max) and isfinite(y_max)
         ):
             # Not four finite floats: ints are fine, anything else is named.
-            for name, value in zip(_CORNERS, (x_min, y_min, x_max, y_max)):
+            for name, value in zip(cls._fields, (x_min, y_min, x_max, y_max)):
                 try:
                     finite = type(value) in _NUMBER_TYPES and isfinite(value)
                 except OverflowError:  # an int beyond float range; its repr may not print
@@ -57,6 +65,7 @@ class BoundingBox:
                 "degenerate box: need x_max > x_min, y_max > y_min and an area in "
                 f"(0, {MAX_AREA:g}], got ({x_min}, {y_min}, {x_max}, {y_max})"
             )
+        return tuple.__new__(cls, (x_min, y_min, x_max, y_max))
 
     @classmethod
     def from_xywh(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
@@ -64,7 +73,8 @@ class BoundingBox:
         return cls(x, y, x + w, y + h)
 
     def as_xywh(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max - self.x_min, self.y_max - self.y_min)
+        x_min, y_min, x_max, y_max = self
+        return (x_min, y_min, x_max - x_min, y_max - y_min)
 
 
 def area(box: BoundingBox) -> float:

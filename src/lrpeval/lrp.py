@@ -12,10 +12,9 @@ equality is enforced by tests, not by a runtime branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, _checked_make
 from .matching import TAU_MAX, MatchResult, check_tau, match_optimal
 
 
@@ -24,8 +23,7 @@ class UndefinedLrp(Exception):
     there is nothing to evaluate."""
 
 
-@dataclass(frozen=True)
-class LrpBreakdown:
+class LrpBreakdown(NamedTuple):
     """Total LRP error plus its components, weights and counts.
 
     A component is None ("absent") rather than 0 when its denominator is
@@ -110,8 +108,12 @@ def lrp_total(match: MatchResult, tau: float) -> float:
     return lrp_components(match, tau).total
 
 
-@dataclass(frozen=True)
-class DasaParams:
+class _DasaFields(NamedTuple):
+    p: float
+    c: float
+
+
+class DasaParams(_DasaFields):
     """Parameters of the generalized cutoff set distance.
 
     p is the norm exponent, c the cutoff distance at which an assigned
@@ -119,14 +121,15 @@ class DasaParams:
     matches at tau = 1 - c, so c must give a valid tau.
     """
 
-    p: float = 1.0
-    c: float = 0.5
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not 1.0 <= self.p < math.inf:  # NaN fails too; at inf, 0 ** 0 makes dasa(X, X) 1
-            raise ValueError(f"norm parameter p must be finite and >= 1, got {self.p}")
-        if not 0.0 <= 1.0 - self.c <= TAU_MAX:
-            raise ValueError(f"cutoff c must be in [{1.0 - TAU_MAX:.3g}, 1], got {self.c}")
+    def __new__(cls, p: float = 1.0, c: float = 0.5):
+        if not 1.0 <= p < math.inf:  # NaN fails too; at inf, 0 ** 0 makes dasa(X, X) 1
+            raise ValueError(f"norm parameter p must be finite and >= 1, got {p}")
+        if not 0.0 <= 1.0 - c <= TAU_MAX:
+            raise ValueError(f"cutoff c must be in [{1.0 - TAU_MAX:.3g}, 1], got {c}")
+        return tuple.__new__(cls, (p, c))
 
 
 def dasa(xs: Sequence[BoundingBox], ys: Sequence[BoundingBox], params: DasaParams) -> float:

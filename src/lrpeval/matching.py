@@ -17,11 +17,10 @@ the set-distance machinery (`match_optimal`) without NumPy, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, area, iou_distance
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou_distance
 
 ClassId = Hashable
 ImageId = Hashable
@@ -36,22 +35,35 @@ def check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in [0, {TAU_MAX}], got {tau}")
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """A scored, class-labeled box on one image."""
-
+class _DetectionFields(NamedTuple):
     image_id: ImageId
     class_id: ClassId
     box: BoundingBox
     score: float
 
-    def __post_init__(self):
-        if type(self.score) not in _NUMBER_TYPES or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score must be a number in [0, 1], got {self.score!r}")
+
+class Detection(_DetectionFields):
+    """A scored, class-labeled box on one image."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, image_id: ImageId, class_id: ClassId, box: BoundingBox, score: float):
+        if type(score) not in _NUMBER_TYPES or not 0.0 <= score <= 1.0:
+            raise ValueError(f"detection score must be a number in [0, 1], got {score!r}")
+        if not isinstance(box, BoundingBox):
+            raise ValueError(f"detection box must be a BoundingBox, got {box!r}")
+        return tuple.__new__(cls, (image_id, class_id, box, score))
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
+class _GroundTruthFields(NamedTuple):
+    image_id: ImageId
+    class_id: ClassId
+    box: BoundingBox
+    ignore: bool
+
+
+class GroundTruth(_GroundTruthFields):
     """An annotated box on one image.
 
     `ignore` marks crowd-style regions: they never count as false
@@ -65,14 +77,23 @@ class GroundTruth:
     region well enough to count as a detection of it.
     """
 
-    image_id: ImageId
-    class_id: ClassId
-    box: BoundingBox
-    ignore: bool = False
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, image_id: ImageId, class_id: ClassId, box: BoundingBox, ignore: bool = False):
+        if not isinstance(box, BoundingBox):
+            raise ValueError(f"ground truth box must be a BoundingBox, got {box!r}")
+        return tuple.__new__(cls, (image_id, class_id, box, ignore))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class _MatchFields(NamedTuple):
+    tp_pairs: tuple[tuple[int, int, float], ...]
+    n_tp: int
+    n_fp: int
+    n_fn: int
+
+
+class MatchResult(_MatchFields):
     """Outcome of assigning detections to ground truths.
 
     tp_pairs holds (detection index, ground-truth index, IoU) triples;
@@ -81,21 +102,19 @@ class MatchResult:
     TP nor the FP count. n_tp is len(tp_pairs); n_fp and n_fn are >= 0.
     """
 
-    tp_pairs: tuple[tuple[int, int, float], ...]
-    n_tp: int
-    n_fp: int
-    n_fn: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if self.n_tp != len(self.tp_pairs) or self.n_fp < 0 or self.n_fn < 0:
+    def __new__(cls, tp_pairs: tuple, n_tp: int, n_fp: int, n_fn: int):
+        if n_tp != len(tp_pairs) or n_fp < 0 or n_fn < 0:
             raise ValueError(
-                f"inconsistent match counts: {len(self.tp_pairs)} TP pairs, "
-                f"n_tp={self.n_tp}, n_fp={self.n_fp}, n_fn={self.n_fn}"
+                f"inconsistent match counts: {len(tp_pairs)} TP pairs, "
+                f"n_tp={n_tp}, n_fp={n_fp}, n_fn={n_fn}"
             )
+        return tuple.__new__(cls, (tp_pairs, n_tp, n_fp, n_fn))
 
 
-@dataclass(frozen=True)
-class DetectionLabel:
+class DetectionLabel(NamedTuple):
     """Per-detection outcome of greedy matching, in descending score order.
 
     kind is "tp", "fp" or "ignored"; gt_index/iou are set for TPs only.
@@ -114,8 +133,7 @@ TP, FP, IGNORED = 0, 1, 2
 KINDS = ("tp", "fp", "ignored")
 
 
-@dataclass(frozen=True)
-class TauLabels:
+class TauLabels(NamedTuple):
     """Greedy labels of one class at one tau, as columns.
 
     Every column runs in descending score order (ties by ascending input
@@ -151,8 +169,7 @@ def _single_class(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> None
         raise ValueError(f"matching is per class; got mixed classes {sorted(map(str, classes))}")
 
 
-@dataclass(frozen=True)
-class IouTable:
+class IouTable(NamedTuple):
     """The tau-independent part of greedy labeling for one class.
 
     order lists detection indices by descending score, ties broken by
@@ -174,7 +191,9 @@ class IouTable:
 
 
 def _corners(box: BoundingBox) -> tuple[float, float, float, float, float]:
-    return box.x_min, box.y_min, box.x_max, box.y_max, area(box)
+    """A box's corners and its area, with `geometry.area`'s float steps."""
+    x1, y1, x2, y2 = box
+    return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
 
 
 def _ious(x1, y1, x2, y2, a, gts) -> list[tuple[float, int]]:
@@ -204,25 +223,26 @@ def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable
     _single_class(gts, dets)
     real_by_image: dict[ImageId, list[tuple]] = {}
     ignore_by_image: dict[ImageId, list[tuple]] = {}
-    for gi, gt in enumerate(gts):
-        target = ignore_by_image if gt.ignore else real_by_image
-        target.setdefault(gt.image_id, []).append((gi, *_corners(gt.box)))
+    for gi, (image_id, _, box, ignore) in enumerate(gts):
+        target = ignore_by_image if ignore else real_by_image
+        target.setdefault(image_id, []).append((gi, *_corners(box)))
 
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    scores = [det.score for det in dets]
+    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
     candidates = []
     crowd_iou = []
     for di in order:
-        det = dets[di]
-        corners = _corners(det.box)
+        image_id, _, box, _ = dets[di]
+        corners = _corners(box)
         # Pairs come in ascending GT index and the sort is stable, so
         # equal IoUs keep the lowest index first.
-        pairs = _ious(*corners, real_by_image.get(det.image_id, ()))
+        pairs = _ious(*corners, real_by_image.get(image_id, ()))
         pairs.sort(key=itemgetter(0), reverse=True)
         candidates.append(pairs)
-        crowd = ignore_by_image.get(det.image_id)
+        crowd = ignore_by_image.get(image_id)
         crowd_iou.append(max(_ious(*corners, crowd))[0] if crowd else -1.0)
     n_real = sum(map(len, real_by_image.values()))
-    return IouTable(len(gts), n_real, order, [dets[i].score for i in order], candidates, crowd_iou)
+    return IouTable(len(gts), n_real, order, [scores[i] for i in order], candidates, crowd_iou)
 
 
 def label_at_tau(table: IouTable, tau: float) -> TauLabels:

@@ -21,10 +21,9 @@ read; the optimum and `SweepResult.optimum()` need no samples.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts, total_from_counts
 from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
@@ -45,8 +44,7 @@ def threshold_grid(grid_step: float = DEFAULT_GRID_STEP) -> list[float]:
     return [i / steps for i in range(steps + 1)]
 
 
-@dataclass(frozen=True)
-class SweepSample:
+class SweepSample(NamedTuple):
     """One grid threshold and its breakdown; None where the error is
     undefined (nothing left to evaluate at that threshold)."""
 
@@ -54,20 +52,7 @@ class SweepSample:
     breakdown: LrpBreakdown | None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-class sweep over the score grid.
-
-    olrp is the minimum total error over defined samples and s_star the
-    grid point attaining it; ties resolve to the largest s so that the
-    fewest detections are retained at equal error. A class with neither
-    ground truths nor detections has nothing to evaluate and is marked
-    evaluable=False with olrp and s_star unset.
-
-    counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
-    threshold in grid order; `samples` is built from it on first read.
-    """
-
+class _SweepFields(NamedTuple):
     class_id: ClassId
     tau: float
     counts: tuple[tuple[float, float, int, int, int], ...]
@@ -77,6 +62,21 @@ class SweepResult:
     olrp_iou: float | None
     olrp_fp: float | None
     olrp_fn: float | None
+
+
+class SweepResult(_SweepFields):
+    """Per-class sweep over the score grid.
+
+    olrp is the minimum total error over defined samples and s_star the
+    grid point attaining it; ties resolve to the largest s so that the
+    fewest detections are retained at equal error. A class with neither
+    ground truths nor detections has nothing to evaluate and is marked
+    evaluable=False with olrp and s_star unset.
+
+    counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
+    threshold in grid order; `samples` is built from it on first read and
+    cached in the instance dict, the one record type that has one.
+    """
 
     @cached_property
     def samples(self) -> tuple[SweepSample, ...]:
@@ -163,8 +163,7 @@ def sweep_labels(
     )
 
 
-@dataclass(frozen=True)
-class MoLrpReport:
+class MoLrpReport(NamedTuple):
     """Mean optimal LRP over classes, with component means and the range
     of class-specific optimal thresholds.
 

@@ -20,11 +20,10 @@ their class distributions, as SORT's IoU floor has it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make
 from .matching import ClassId, Detection, hungarian
 
 DEFAULT_ALPHA = 0.7
@@ -34,35 +33,40 @@ _SCORE_EPS = 1e-6
 _SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class StreamDetection:
-    """A detection inside a video frame, carrying its full per-class
-    confidence distribution. The scalar score is the largest entry."""
-
+class _StreamDetectionFields(NamedTuple):
     class_id: ClassId
     box: BoundingBox
     class_scores: tuple[float, ...]
 
-    def __post_init__(self):
-        scores = self.class_scores
-        if not scores:
+
+class StreamDetection(_StreamDetectionFields):
+    """A detection inside a video frame, carrying its full per-class
+    confidence distribution. The scalar score is the largest entry."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, class_id: ClassId, box: BoundingBox, class_scores: tuple[float, ...]):
+        if not class_scores:
             raise ValueError("class_scores must not be empty")
-        if not _NUMBER_TYPES.issuperset(map(type, scores)):
-            raise ValueError(f"class_scores entries must be numbers: {scores}")
-        total = sum(scores)
+        if not _NUMBER_TYPES.issuperset(map(type, class_scores)):
+            raise ValueError(f"class_scores entries must be numbers: {class_scores}")
+        total = sum(class_scores)
         # A NaN entry passes min and max but makes the sum NaN.
-        if not (0.0 <= min(scores) and max(scores) <= 1.0 and total == total):
-            raise ValueError(f"class_scores entries must be in [0, 1]: {scores}")
+        if not (0.0 <= min(class_scores) and max(class_scores) <= 1.0 and total == total):
+            raise ValueError(f"class_scores entries must be in [0, 1]: {class_scores}")
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"class_scores must sum to 1, got {total}")
+        if not isinstance(box, BoundingBox):
+            raise ValueError(f"stream detection box must be a BoundingBox, got {box!r}")
+        return tuple.__new__(cls, (class_id, box, class_scores))
 
     @property
     def score(self) -> float:
         return max(self.class_scores)
 
 
-@dataclass(frozen=True, slots=True)
-class FrameDetections:
+class FrameDetections(NamedTuple):
     """All detections of one frame."""
 
     frame_index: int
@@ -97,10 +101,7 @@ def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection]
             )
 
     def rows(dets):
-        return np.array(
-            [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max, *d.class_scores) for d in dets],
-            dtype=float,
-        )
+        return np.array([(*d.box, *d.class_scores) for d in dets], dtype=float)
 
     # Features on axis 1: x_min, y_min, x_max, y_max, then the class bins.
     p, c = rows(prev)[:, :, None], rows(curr).T[None, :, :]
@@ -193,8 +194,7 @@ def _capped(scores: tuple[float, ...], k: int, new_score: float) -> tuple[float,
     return tuple(new_score if i in capped else new[i] for i in range(n))
 
 
-@dataclass(frozen=True)
-class TrackedStream:
+class TrackedStream(NamedTuple):
     """A tracked stream: each frame's detections as they are emitted (a
     linked one with its distribution rescored to its Bayes-updated score,
     one that starts a fresh tubelet as given), the score each is filtered

@@ -47,7 +47,7 @@ def instances(draw, n_gt_max=8, n_det_max=25, images=3):
     """Single-class instance over a few images, with at least one ground
     truth and distinct detection scores."""
     image = st.integers(0, images - 1)
-    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), _BOX),
+    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), _BOX, ignore=st.just(False)),
                         min_size=1, max_size=n_gt_max))
     scores = draw(st.lists(st.integers(1, 9999), unique=True, max_size=n_det_max))
     dets = [Detection(draw(image), 1, draw(_BOX), s / 10000) for s in scores]

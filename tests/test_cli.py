@@ -346,9 +346,9 @@ class TestColumnarLabels:
         built = []
 
         class CountingLabel(matching.DetectionLabel):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 built.append(args)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(matching, "DetectionLabel", CountingLabel)
         out = str(tmp_path / "out.json")
@@ -372,9 +372,9 @@ class TestOneBreakdownPerClass:
         built = []
 
         class CountingBreakdown(lrp.LrpBreakdown):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 built.append(kwargs or args)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(lrp, "LrpBreakdown", CountingBreakdown)
         out = tmp_path / "out.json"
@@ -392,16 +392,18 @@ class TestOneBreakdownPerClass:
 
 class TestImportCost:
     @classmethod
-    def heavy_modules_loaded(cls, argv):
-        """Which of NumPy and SciPy a fresh interpreter has loaded after
-        running the command."""
-        return cls.heavy_modules_after(f"from lrpeval.cli import main\nassert main({argv!r}) == 0\n")
+    def heavy_modules_loaded(cls, argv, modules=("numpy", "scipy")):
+        """Which of modules a fresh interpreter has loaded after running the
+        command."""
+        return cls.heavy_modules_after(
+            f"from lrpeval.cli import main\nassert main({argv!r}) == 0\n", modules
+        )
 
     @staticmethod
-    def heavy_modules_after(code):
-        """Which of NumPy and SciPy a fresh interpreter has loaded after
-        running code."""
-        script = f"import sys\n{code}print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    def heavy_modules_after(code, modules=("numpy", "scipy")):
+        """Which of modules (by default NumPy and SciPy) a fresh interpreter
+        has loaded after running code."""
+        script = f"import sys\n{code}print(sorted(m for m in {modules!r} if m in sys.modules))\n"
         src = str(Path(lrpeval.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -409,14 +411,24 @@ class TestImportCost:
         assert run.returncode == 0, run.stderr
         return run.stdout.strip()
 
-    @pytest.mark.parametrize("command", ["eval", "sweep", "curves", "thresholds", "compare"])
-    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path, command):
+    @staticmethod
+    def command_argv(tmp_path, command):
+        """A command line that runs command on a small fixture."""
+        if command == "stream":
+            stream_path, gt_path, thr_path = stream_fixture(tmp_path)
+            return ["stream", "--stream", stream_path, "--gt", gt_path,
+                    "--thresholds-file", thr_path,
+                    "--filtered-output", str(tmp_path / "filtered.json"),
+                    "--output", str(tmp_path / "out.json")]
         gts, dets = reference_detectors()["half_recall"]
         gt_path, det_path = write_fixture(tmp_path, "small", gts, dets)
         det_args = (["--det-a", det_path, "--det-b", det_path] if command == "compare"
                     else ["--det", det_path])
-        argv = [command, "--gt", gt_path, *det_args, "--output", str(tmp_path / "out")]
-        assert self.heavy_modules_loaded(argv) == "[]"
+        return [command, "--gt", gt_path, *det_args, "--output", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "curves", "thresholds", "compare"])
+    def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path, command):
+        assert self.heavy_modules_loaded(self.command_argv(tmp_path, command)) == "[]"
 
     def test_set_distance_loads_neither_numpy_nor_scipy(self):
         code = (
@@ -429,11 +441,19 @@ class TestImportCost:
         assert self.heavy_modules_after(code) == "[]"
 
     def test_stream_never_loads_scipy(self, tmp_path):
-        stream_path, gt_path, thr_path = stream_fixture(tmp_path)
-        argv = ["stream", "--stream", stream_path, "--gt", gt_path, "--thresholds-file", thr_path,
-                "--filtered-output", str(tmp_path / "filtered.json"),
-                "--output", str(tmp_path / "out.json")]
-        assert self.heavy_modules_loaded(argv) == "['numpy']"
+        assert self.heavy_modules_loaded(self.command_argv(tmp_path, "stream")) == "['numpy']"
+
+    # Records are named tuples: importing `dataclasses`, and the `inspect`
+    # it pulls in, would add to the start-up of every run.
+    def test_package_import_loads_no_dataclasses(self):
+        assert self.heavy_modules_after("import lrpeval\n", ("dataclasses",)) == "[]"
+
+    @pytest.mark.parametrize(
+        "command", ["eval", "sweep", "curves", "thresholds", "compare", "stream"]
+    )
+    def test_commands_load_no_dataclasses(self, tmp_path, command):
+        argv = self.command_argv(tmp_path, command)
+        assert self.heavy_modules_loaded(argv, ("dataclasses",)) == "[]"
 
 
 class TestCollectorState:

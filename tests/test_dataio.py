@@ -31,8 +31,12 @@ from lrpeval import (
     sweep_class,
     threshold_rows,
 )
+from lrpeval.ap import curve_from_labels
 from lrpeval.dataio import Dataset, round_row
-from lrpeval.video import FrameDetections, StreamDetection
+from lrpeval.lrp import DasaParams, lrp_components
+from lrpeval.matching import MatchResult, iou_table, label_at_tau, match_optimal
+from lrpeval.sweep import SweepResult, aggregate_molrp, sweep_labels
+from lrpeval.video import FrameDetections, StreamDetection, track_stream
 import oracles
 from lrpeval import dataio
 from synth import reference_detectors, save_detections, save_ground_truth
@@ -318,16 +322,90 @@ class TestSaveStreamProperty:
         assert path.read_bytes() == b'{\n  "frames": []\n}\n'
 
 
+def one_record_of_each_type():
+    """One record of each of the 17 record types, all named tuples."""
+    box = BoundingBox(0, 0, 1, 1)
+    gt, det = GroundTruth(0, "a", box), Detection(0, "a", box, 0.5)
+    table = iou_table([gt], [det])
+    labels = label_at_tau(table, 0.5)
+    sweep = sweep_labels(labels, "a")
+    stream_det = StreamDetection("a", box, (1.0,))
+    frame = FrameDetections(0, (stream_det,))
+    return [
+        box, det, gt, stream_det, frame,
+        MatchResult((), 0, 1, 1), labels.detection_labels()[0], labels, table,
+        lrp_components(match_optimal([box], [box], 0.5), 0.5), DasaParams(),
+        sweep.samples[0], sweep, aggregate_molrp({"a": sweep}, 0.5),
+        curve_from_labels(labels, "a"), track_stream([frame]),
+        Dataset({0: (None, None)}, {"a": "a"}, (gt,)),
+    ]
+
+
+RECORDS = one_record_of_each_type()
+
+
+def type_name(record):
+    return type(record).__name__
+
+
 class TestSlottedRecords:
-    @pytest.mark.parametrize("record", [
-        BoundingBox(0, 0, 1, 1),
-        Detection(0, "a", BoundingBox(0, 0, 1, 1), 0.5),
-        GroundTruth(0, "a", BoundingBox(0, 0, 1, 1)),
-        StreamDetection("a", BoundingBox(0, 0, 1, 1), (1.0,)),
-        FrameDetections(0, ()),
-    ], ids=lambda record: type(record).__name__)
+    """Every record type but `SweepResult`, whose instance dict caches its
+    samples, has `__slots__ = ()`."""
+
+    @pytest.mark.parametrize(
+        "record", [r for r in RECORDS if type(r) is not SweepResult], ids=type_name
+    )
     def test_per_record_types_have_no_instance_dict(self, record):
         assert not hasattr(record, "__dict__")
+
+
+class TestRecordSemantics:
+    def test_one_tuple_per_record_type(self):
+        assert len({type(r) for r in RECORDS}) == 17
+        assert all(isinstance(r, tuple) for r in RECORDS)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=type_name)
+    def test_setting_a_field_raises_attribute_error(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    @pytest.mark.parametrize("make", [
+        lambda: BoundingBox(0, 0.5, 2, 2.5),
+        lambda: Detection(0, "a", BoundingBox(0, 0, 1, 1), 0.5),
+        lambda: GroundTruth(0, "a", BoundingBox(0, 0, 1, 1), True),
+        lambda: StreamDetection("a", BoundingBox(0, 0, 1, 1), (0.25, 0.75)),
+    ], ids=["BoundingBox", "Detection", "GroundTruth", "StreamDetection"])
+    def test_equal_values_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("record, field, bad", [
+        (BoundingBox(0, 0, 1, 1), "x_max", -1),
+        (Detection(0, "a", BoundingBox(0, 0, 1, 1), 0.5), "score", 2.0),
+        (GroundTruth(0, "a", BoundingBox(0, 0, 1, 1)), "box", (5, 5, 1, 1)),
+        (StreamDetection("a", BoundingBox(0, 0, 1, 1), (1.0,)), "class_scores", (0.5,)),
+        (MatchResult((), 0, 1, 1), "n_tp", 1),
+        (DasaParams(), "p", 0.5),
+    ], ids=["BoundingBox", "Detection", "GroundTruth", "StreamDetection", "MatchResult",
+            "DasaParams"])
+    def test_replace_and_make_run_the_checks(self, record, field, bad):
+        with pytest.raises(ValueError):
+            record._replace(**{field: bad})
+        with pytest.raises(ValueError):
+            type(record)._make(bad if f == field else v for f, v in zip(record._fields, record))
+        assert record._replace() == record
+
+    def test_reprs_name_every_field(self):
+        box = BoundingBox(0, 0, 1, 1)
+        box_repr = "BoundingBox(x_min=0, y_min=0, x_max=1, y_max=1)"
+        assert repr(box) == box_repr
+        assert repr(Detection(0, "a", box, 0.5)) == (
+            f"Detection(image_id=0, class_id='a', box={box_repr}, score=0.5)"
+        )
+        assert repr(GroundTruth(0, "a", box)) == (
+            f"GroundTruth(image_id=0, class_id='a', box={box_repr}, ignore=False)"
+        )
 
 
 class TestThresholds:

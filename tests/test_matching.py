@@ -16,9 +16,10 @@ from lrpeval import (
     label_classes,
     match_optimal,
     sweep_class,
+    threshold_grid,
 )
-from lrpeval.geometry import iou
-from lrpeval.matching import TauLabels, iou_table, label_detections
+from lrpeval.geometry import _Corners, iou
+from lrpeval.matching import TAU_MAX, TauLabels, iou_table, label_detections
 from oracles import brute_force_assignment_cost, count_real, random_boxes
 
 
@@ -66,6 +67,66 @@ class TestConstructorNumberTypes:
         with pytest.raises(ValueError, match="entries must be numbers"):
             StreamDetection(1, box_at(0), (True, False))
         assert StreamDetection(1, box_at(0), (1, 0)).score == 1
+
+
+class TestRecordBoxType:
+    """Records that hold a box take only a `BoundingBox`, so no box reaches
+    matching or linking without the box rules."""
+
+    @pytest.mark.parametrize("box", [(5, 5, 1, 1), [0, 0, 10, 10], _Corners(5, 5, 1, 1), None],
+                             ids=["tuple", "list", "unchecked-corners", "None"])
+    @pytest.mark.parametrize("owner, make", [
+        ("detection", lambda box: Detection(0, 1, box, 0.8)),
+        ("ground truth", lambda box: GroundTruth(0, 1, box)),
+        ("stream detection", lambda box: StreamDetection(1, box, (1.0,))),
+    ], ids=["Detection", "GroundTruth", "StreamDetection"])
+    def test_rejects_a_box_that_is_not_a_bounding_box(self, owner, make, box):
+        with pytest.raises(ValueError, match=f"^{owner} box must be a BoundingBox, got "):
+            make(box)
+
+
+_GRID_BOXES = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
+)
+
+
+# Corners on a small integer grid make disjoint, touching (shared edge or
+# corner), nested and identical pairs common; float corners cover the rest.
+_IOU_BOXES = st.one_of(
+    _GRID_BOXES,
+    st.builds(
+        lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+        st.floats(0, 20), st.floats(0, 20), st.floats(0.01, 20), st.floats(0.01, 20),
+    ),
+)
+
+
+@st.composite
+def prefix_scenes(draw):
+    """One class over three images with crowd regions. Scores come from a
+    small pool of multiples of 0.005, so ties and scores on the 0.01 grid
+    are common."""
+    box = st.sampled_from(draw(st.lists(_IOU_BOXES, min_size=1, max_size=6)))
+    image = st.integers(0, 2)
+    crowd = st.sampled_from((False, False, True))
+    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), box, crowd), max_size=10))
+    score = st.sampled_from(draw(st.lists(st.integers(0, 200), min_size=1, max_size=6)))
+    dets = draw(st.lists(
+        st.builds(Detection, image, st.just(1), box, score.map(lambda k: k / 200)), max_size=16
+    ))
+    tau = draw(st.one_of(st.sampled_from((0.0, 0.3, 0.5, TAU_MAX)), st.floats(0.0, TAU_MAX)))
+    return gts, dets, tau
+
+
+def seed_13_scene():
+    """Eight ground truths and fifteen distinct scores on one image at tau
+    0.3, from seed 13."""
+    rng = random.Random(13)
+    gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, 8)]
+    scores = rng.sample(range(1, 200), 15)
+    dets = [Detection(0, 1, b, s / 200) for b, s in zip(random_boxes(rng, 15), scores)]
+    return gts, dets, 0.3
 
 
 class TestMatchGreedy:
@@ -196,21 +257,20 @@ class TestMatchGreedy:
         labels = label_detections(gts, [Detection(0, 1, shared, 0.9)], tau=0.5)
         assert tp_pairs(labels)[0][1] == 0
 
-    def test_labels_are_prefix_stable(self):
-        rng = random.Random(13)
-        gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, 8)]
-        scores = rng.sample(range(1, 200), 15)
-        dets = [Detection(0, 1, b, s / 200) for b, s in zip(random_boxes(rng, 15), scores)]
-        full = label_detections(gts, dets, tau=0.3)
-        for cut in (0.25, 0.5, 0.75):
-            kept = [d for d in dets if d.score >= cut]
-            index_map = [i for i, d in enumerate(dets) if d.score >= cut]
-            sub = label_detections(gts, kept, tau=0.3)
-            expected = [lab for lab in full if lab.score >= cut]
-            assert len(sub) == len(expected)
-            for lab, exp in zip(sub, expected):
-                assert index_map[lab.det_index] == exp.det_index
-                assert (lab.kind, lab.gt_index, lab.iou) == (exp.kind, exp.gt_index, exp.iou)
+    @settings(max_examples=200, deadline=None)
+    @given(prefix_scenes())
+    @example(seed_13_scene())
+    def test_labels_are_prefix_stable(self, scene):
+        # Cutting the detections at any grid threshold leaves the labels of
+        # the survivors unchanged, so one labeling pass serves the sweep.
+        gts, dets, tau = scene
+        full = label_detections(gts, dets, tau)
+        for cut in threshold_grid(0.01):
+            kept = [i for i, d in enumerate(dets) if d.score >= cut]
+            sub = label_detections(gts, [dets[i] for i in kept], tau)
+            assert [lab._replace(det_index=kept[lab.det_index]) for lab in sub] == [
+                lab for lab in full if lab.score >= cut
+            ]
 
 
 class TestCrowdRegion:
@@ -244,12 +304,6 @@ class TestCrowdRegion:
         assert [(lab.kind, lab.gt_index) for lab in labels] == [("tp", 1)]
 
 
-_GRID_BOXES = st.builds(
-    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
-    st.integers(0, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
-)
-
-
 @st.composite
 def labeling_scenes(draw):
     """Two classes over three images. Boxes come from a small pool, so
@@ -281,17 +335,6 @@ class TestLabelClassesProperty:
             assert isinstance(labels, TauLabels)
             got.append((labels.tau, cid, labels.detection_labels(), labels.n_real))
         assert got == expected
-
-
-# Corners on a small integer grid make disjoint, touching (shared edge or
-# corner), nested and identical pairs common; float corners cover the rest.
-_IOU_BOXES = st.one_of(
-    _GRID_BOXES,
-    st.builds(
-        lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
-        st.floats(0, 20), st.floats(0, 20), st.floats(0.01, 20), st.floats(0.01, 20),
-    ),
-)
 
 
 class TestIouTableProperty:
