@@ -86,22 +86,23 @@ def parse_tau_list(text: str) -> tuple[float, ...]:
 def check_flags(args) -> None:
     """Put every flag value through the check of the code that uses it, so
     that a bad value fails before any input file is read, as a SchemaError
-    naming the flag."""
-    checks = [("--tau", check_tau, args.tau), ("--grid-step", threshold_grid, args.grid_step)]
-    for name in ("tau_list", "taus"):
-        if vars(args).get(name):
-            checks.append((f"--{name.replace('_', '-')}", parse_tau_list, vars(args)[name]))
+    naming the flag. A tau list flag keeps the tuple it parses to."""
+    checks = [("tau", check_tau), ("grid_step", threshold_grid)]
+    checks += [(name, parse_tau_list) for name in ("tau_list", "taus")
+               if vars(args).get(name) is not None]
     if args.command == "stream":
         checks += [
-            ("--alpha", partial(check_link_params, cost_cutoff=DEFAULT_COST_CUTOFF), args.alpha),
-            ("--cost-cutoff", partial(check_link_params, DEFAULT_ALPHA), args.cost_cutoff),
-            ("--threshold", check_threshold, args.threshold),
+            ("alpha", partial(check_link_params, cost_cutoff=DEFAULT_COST_CUTOFF)),
+            ("cost_cutoff", partial(check_link_params, DEFAULT_ALPHA)),
+            ("threshold", check_threshold),
         ]
-    for flag, check, value in checks:
+    for name, check in checks:
         try:
-            check(value)
+            parsed = check(getattr(args, name))
         except ValueError as exc:
-            raise SchemaError(f"{flag}: {exc}") from None
+            raise SchemaError(f"--{name.replace('_', '-')}: {exc}") from None
+        if check is parse_tau_list:
+            setattr(args, name, parsed)
 
 
 def _add_shared_args(sub, tau_list=False):
@@ -213,7 +214,7 @@ def cmd_eval(args) -> int:
     report = build_report(
         dataset, dets,
         tau=args.tau,
-        tau_list=parse_tau_list(args.tau_list),
+        tau_list=args.tau_list,
         grid_step=args.grid_step,
         ap_variant=args.ap_variant,
     )
@@ -221,24 +222,29 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _per_class_and_tau(args, consume):
-    """Load the inputs, label every (class, tau) of --taus once, and return
-    the dataset plus consume(labels, class_id) for each pair in tau-major
-    order, the order of the printed tables."""
+def _per_class_and_tau(args, consume=lambda sweep, labels: sweep):
+    """Load the inputs, label and sweep every (class, tau) of --taus once,
+    and return the dataset plus consume(sweep, labels) for each pair in
+    tau-major order, the order of the printed tables. Raises UndefinedLrp
+    when no sweep has anything to evaluate."""
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
-    taus = parse_tau_list(args.taus) if args.taus else (args.tau,)
+    taus = args.taus or (args.tau,)
     # label_classes runs class-major so that each class's IoU table serves
     # all its taus; consuming the labels as they come keeps them out of memory.
     labeled = label_classes(dataset.ground_truths, dets, dataset.class_ids(), taus)
-    results = [consume(labels, cid) for cid, labels in labeled]
+    results, evaluable = [], False
+    for cid, labels in labeled:
+        sweep = sweep_labels(labels, cid, args.grid_step)
+        evaluable = evaluable or sweep.evaluable
+        results.append(consume(sweep, labels))
+    if not evaluable:
+        raise UndefinedLrp("no class has anything to evaluate")
     return dataset, [r for j in range(len(taus)) for r in results[j::len(taus)]]
 
 
 def cmd_sweep(args) -> int:
-    dataset, results = _per_class_and_tau(args, partial(sweep_labels, grid_step=args.grid_step))
-    if not any(r.evaluable for r in results):
-        raise UndefinedLrp("no class has anything to evaluate")
+    dataset, results = _per_class_and_tau(args)
     rows = [
         round_row({
             "class_id": r.class_id,
@@ -257,15 +263,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    def curves(labels, cid):
-        sweep = sweep_labels(labels, cid, args.grid_step)
+    def curves(sweep, labels):
         if args.no_rp or labels.n_real == 0:
             return [sweep]
-        return [sweep, curve_from_labels(labels, cid)]
+        return [sweep, curve_from_labels(labels, sweep.class_id)]
 
     _, blocks = _per_class_and_tau(args, curves)
-    if not any(block[0].evaluable for block in blocks):
-        raise UndefinedLrp("no class has anything to evaluate")
     export_curves([item for block in blocks for item in block], args.output)
     return EXIT_OK
 
@@ -281,12 +284,11 @@ def cmd_thresholds(args) -> int:
 
 def cmd_compare(args) -> int:
     dataset = load_ground_truth(args.gt)
-    tau_list = parse_tau_list(args.tau_list)
     reports = {}
     for side, path in (("a", args.det_a), ("b", args.det_b)):
         dets = load_detections(path, dataset)
         reports[side] = build_report(
-            dataset, dets, tau=args.tau, tau_list=tau_list, grid_step=args.grid_step
+            dataset, dets, tau=args.tau, tau_list=args.tau_list, grid_step=args.grid_step
         )
     doc = _comparison_doc(reports["a"], reports["b"], args)
     if args.format == "json":

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap
 from .geometry import _NUMBER_TYPES, BoundingBox
+from .lrp import breakdown_from_counts
 from .matching import ClassId, Detection, GroundTruth, label_classes
 from .sweep import (
     DEFAULT_GRID_STEP,
@@ -486,6 +487,8 @@ def build_report(
     """
     if ap_variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {ap_variant!r}")
+    if not tau_list:
+        raise ValueError("tau_list must hold at least one tau for mean AP")
     class_ids = dataset.class_ids()
 
     rows = []
@@ -599,7 +602,7 @@ CURVE_CSV_FIELDS = [
 def export_curves(items: Iterable[SweepResult | RPCurve], path) -> None:
     """Write long-format curve records.
 
-    Sweep results yield one record per defined grid sample (recall and
+    Sweep results yield one record per defined grid point (recall and
     precision recovered from the FN/FP components, the optimal threshold
     flagged on exactly one record); recall-precision curves yield one
     record per point with the detection score in the s column.
@@ -610,17 +613,17 @@ def export_curves(items: Iterable[SweepResult | RPCurve], path) -> None:
 def _curve_records(items: Iterable[SweepResult | RPCurve]):
     for item in items:
         if isinstance(item, SweepResult):
-            for sample in item.samples:
-                bd = sample.breakdown
-                if bd is None:
+            for s, loc, n_tp, n_fp, n_fn in item.counts:
+                if not n_tp + n_fp + n_fn:
                     continue
+                bd = breakdown_from_counts(loc, n_tp, n_fp, n_fn, item.tau)
                 yield {
-                    "class_id": item.class_id, "tau": item.tau, "source": "sweep", "s": sample.s,
+                    "class_id": item.class_id, "tau": item.tau, "source": "sweep", "s": s,
                     "recall": None if bd.fn_component is None else 1.0 - bd.fn_component,
                     "precision": None if bd.fp_component is None else 1.0 - bd.fp_component,
                     "lrp_total": bd.total, "lrp_iou": bd.loc_component,
                     "lrp_fp": bd.fp_component, "lrp_fn": bd.fn_component,
-                    "is_optimal": item.evaluable and sample.s == item.s_star,
+                    "is_optimal": item.evaluable and s == item.s_star,
                 }
         elif isinstance(item, RPCurve):
             for recall, precision, score in item.points:

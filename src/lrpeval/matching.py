@@ -153,21 +153,6 @@ class TauLabels(NamedTuple):
     gt_index: list[int]
     iou: list[float]
 
-    def detection_labels(self) -> list[DetectionLabel]:
-        """The same labels as one `DetectionLabel` per detection."""
-        return [
-            DetectionLabel(di, score, "tp", gi, overlap) if kind == TP
-            else DetectionLabel(di, score, KINDS[kind])
-            for di, score, kind, gi, overlap
-            in zip(self.order, self.scores, self.kinds, self.gt_index, self.iou)
-        ]
-
-
-def _single_class(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> None:
-    classes = {g.class_id for g in gts} | {d.class_id for d in dets}
-    if len(classes) > 1:
-        raise ValueError(f"matching is per class; got mixed classes {sorted(map(str, classes))}")
-
 
 class IouTable(NamedTuple):
     """The tau-independent part of greedy labeling for one class.
@@ -218,9 +203,9 @@ def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable
     so that labeling at any number of taus reuses them.
 
     Each box's corners and area are read once, and every entry equals
-    `iou(det.box, gt.box)` bitwise (see `_ious`).
+    `iou(det.box, gt.box)` bitwise (see `_ious`). The records are taken
+    to be of one class, as `label_classes` groups them.
     """
-    _single_class(gts, dets)
     real_by_image: dict[ImageId, list[tuple]] = {}
     ignore_by_image: dict[ImageId, list[tuple]] = {}
     for gi, (image_id, _, box, ignore) in enumerate(gts):
@@ -289,10 +274,19 @@ def label_detections(
 
     Labels are prefix-stable: truncating the detection list at any score
     threshold leaves the surviving labels unchanged, which is what makes
-    a single labeling pass serve every threshold of a sweep.
-    Evaluation paths read the `TauLabels` columns instead.
+    a single labeling pass serve every threshold of a sweep. The records
+    must share one class. Evaluation paths read the `TauLabels` columns.
     """
-    return label_at_tau(iou_table(gts, dets), tau).detection_labels()
+    classes = {g.class_id for g in gts} | {d.class_id for d in dets}
+    if len(classes) > 1:
+        raise ValueError(f"matching is per class; got mixed classes {sorted(map(str, classes))}")
+    labels = label_at_tau(iou_table(gts, dets), tau)
+    return [
+        DetectionLabel(di, score, "tp", gi, overlap) if kind == TP
+        else DetectionLabel(di, score, KINDS[kind])
+        for di, score, kind, gi, overlap
+        in zip(labels.order, labels.scores, labels.kinds, labels.gt_index, labels.iou)
+    ]
 
 
 def label_classes(

@@ -2,7 +2,7 @@
 
 The score domain is discretized into a fixed grid (0.01 steps by default,
 101 points) and the LRP error is evaluated at every grid threshold; the
-optimal LRP is the minimum over the defined samples. Greedy matching
+optimal LRP is the minimum over the defined grid points. Greedy matching
 labels are prefix-stable, so one labeling pass at tau serves the whole
 grid and thresholds sharing the same retained detection set produce
 bitwise-identical breakdowns. The sweep reads the columns of one
@@ -13,19 +13,18 @@ precision (`ap.ap`): callers label each (class, tau) once with
 
 At each grid point the sweep keeps only the counts and the total error
 (`lrp.total_from_counts`, the formula `lrp.breakdown_from_counts` uses),
-and builds one `LrpBreakdown`, for the optimum. `SweepResult.samples`,
-one breakdown per grid point, is built from the stored counts on first
-read; the optimum and `SweepResult.optimum()` need no samples.
+and builds one `LrpBreakdown`, for the optimum. `SweepResult.counts` is
+the one per-grid form: the breakdown at any grid point is
+`breakdown_from_counts` of its counts, as the curve export builds it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .lrp import LrpBreakdown, UndefinedLrp, breakdown_from_counts, total_from_counts
+from .lrp import UndefinedLrp, breakdown_from_counts, total_from_counts
 from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 DEFAULT_GRID_STEP = 0.01
@@ -44,15 +43,21 @@ def threshold_grid(grid_step: float = DEFAULT_GRID_STEP) -> list[float]:
     return [i / steps for i in range(steps + 1)]
 
 
-class SweepSample(NamedTuple):
-    """One grid threshold and its breakdown; None where the error is
-    undefined (nothing left to evaluate at that threshold)."""
+class SweepResult(NamedTuple):
+    """Per-class sweep over the score grid.
 
-    s: float
-    breakdown: LrpBreakdown | None
+    olrp is the minimum total error over the defined grid points and
+    s_star the grid point attaining it; ties resolve to the largest s so
+    that the fewest detections are retained at equal error. A class with
+    neither ground truths nor detections has nothing to evaluate and is
+    marked evaluable=False with olrp and s_star unset.
 
+    counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
+    threshold in grid order. The error is defined where
+    n_tp + n_fp + n_fn > 0, and there its breakdown is
+    `breakdown_from_counts(loc_error_sum, n_tp, n_fp, n_fn, tau)`.
+    """
 
-class _SweepFields(NamedTuple):
     class_id: ClassId
     tau: float
     counts: tuple[tuple[float, float, int, int, int], ...]
@@ -63,33 +68,8 @@ class _SweepFields(NamedTuple):
     olrp_fp: float | None
     olrp_fn: float | None
 
-
-class SweepResult(_SweepFields):
-    """Per-class sweep over the score grid.
-
-    olrp is the minimum total error over defined samples and s_star the
-    grid point attaining it; ties resolve to the largest s so that the
-    fewest detections are retained at equal error. A class with neither
-    ground truths nor detections has nothing to evaluate and is marked
-    evaluable=False with olrp and s_star unset.
-
-    counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
-    threshold in grid order; `samples` is built from it on first read and
-    cached in the instance dict, the one record type that has one.
-    """
-
-    @cached_property
-    def samples(self) -> tuple[SweepSample, ...]:
-        """One sample per grid threshold, built on first read from counts."""
-        return tuple(
-            SweepSample(s, breakdown_from_counts(loc, n_tp, n_fp, n_fn, self.tau)
-                        if n_tp + n_fp + n_fn else None)
-            for s, loc, n_tp, n_fp, n_fn in self.counts
-        )
-
     def optimum(self) -> dict[str, float | None]:
-        """oLRP, its three components and s*, keyed as in reports; reads
-        no samples."""
+        """oLRP, its three components and s*, keyed as in reports."""
         return {
             "olrp": self.olrp, "olrp_iou": self.olrp_iou, "olrp_fp": self.olrp_fp,
             "olrp_fn": self.olrp_fn, "s_star": self.s_star,

@@ -24,7 +24,7 @@ from lrpeval.geometry import iou
 from lrpeval.ap import AP_VARIANTS
 from lrpeval.dataio import Dataset, SchemaError
 from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
-from lrpeval.sweep import DEFAULT_GRID_STEP, SweepSample, threshold_grid
+from lrpeval.sweep import DEFAULT_GRID_STEP, threshold_grid
 from lrpeval.video import FrameDetections, StreamDetection, bayes_update, link_frames
 
 logger = logging.getLogger("lrpeval")
@@ -330,8 +330,10 @@ def eager_breakdown(loc_error_sum, n_tp, n_fp, n_fn, tau):
 
 def eager_sweep(labels, grid_step=DEFAULT_GRID_STEP):
     """The sweep that builds a breakdown at every grid point and picks the
-    last minimal total. Returns (samples, evaluable, optimum) with the
-    optimum keyed as `SweepResult.optimum()`."""
+    last minimal total. Returns (samples, evaluable, optimum): samples
+    holds one (s, breakdown) pair per grid point, the breakdown None where
+    nothing is left to evaluate, and the optimum is keyed as
+    `SweepResult.optimum()`."""
     grid = threshold_grid(grid_step)
     tau, n_real = labels.tau, labels.n_real
 
@@ -352,27 +354,25 @@ def eager_sweep(labels, grid_step=DEFAULT_GRID_STEP):
         n_fp = k - cum_ign[k] - n_tp
         n_fn = n_real - n_tp
         if n_tp + n_fp + n_fn == 0:
-            samples.append(SweepSample(s, None))
+            samples.append((s, None))
             continue
-        samples.append(
-            SweepSample(s, eager_breakdown(cum_loc[k], n_tp, n_fp, n_fn, tau))
-        )
+        samples.append((s, eager_breakdown(cum_loc[k], n_tp, n_fp, n_fn, tau)))
 
     best = None
-    for sample in samples:
-        if sample.breakdown is None:
+    for s, bd in samples:
+        if bd is None:
             continue
-        if best is None or sample.breakdown.total <= best.breakdown.total:
-            best = sample
+        if best is None or bd.total <= best[1].total:
+            best = (s, bd)
     if best is None:
         optimum = dict.fromkeys(("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star"))
-        return tuple(samples), False, optimum
-    bd = best.breakdown
+        return samples, False, optimum
+    s_star, bd = best
     optimum = {
         "olrp": bd.total, "olrp_iou": bd.loc_component, "olrp_fp": bd.fp_component,
-        "olrp_fn": bd.fn_component, "s_star": best.s,
+        "olrp_fn": bd.fn_component, "s_star": s_star,
     }
-    return tuple(samples), True, optimum
+    return samples, True, optimum
 
 
 # The loaders below check every record field by field through helpers that

@@ -20,8 +20,9 @@ from lrpeval import (
     run_stream, sweep_class, track_stream,
 )
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
-from lrpeval.dataio import Dataset, load_ground_truth, load_stream, save_stream
+from lrpeval.dataio import Dataset, export_curves, load_ground_truth, load_stream, save_stream
 from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
+from test_matching import grid_breakdowns
 
 
 def write_fixture(tmp_path, name, gts, dets, categories=None):
@@ -233,7 +234,7 @@ class TestSweepAndCurves:
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         sweep = sweep_class(gts, dets, 1, 0.5)
-        defined = sum(1 for s in sweep.samples if s.breakdown is not None)
+        defined = sum(1 for _, bd in grid_breakdowns(sweep) if bd is not None)
         assert len(rows) == defined
 
 
@@ -362,7 +363,7 @@ class TestColumnarLabels:
 class TestOneBreakdownPerClass:
     def test_eval_builds_one_breakdown_per_evaluable_class(self, tmp_path, monkeypatch):
         # The sweep keeps counts and totals per grid point and builds an
-        # LrpBreakdown for the optimum only; samples are built on demand.
+        # LrpBreakdown for the optimum only; the curve export builds the rest.
         gts = [GroundTruth(i, c, box_at(c)) for c in (1, 2) for i in range(3)]
         dets = [Detection(i, c, shrunk(box_at(c), 0.6 + i / 10), 0.3 + i / 10)
                 for c in (1, 2) for i in range(3)]
@@ -382,12 +383,13 @@ class TestOneBreakdownPerClass:
         evaluable = [row for row in json.loads(out.read_text())["classes"] if row["evaluable"]]
         assert len(evaluable) == 3
         assert len(built) == len(evaluable)
-        # Reading the samples builds them, through the same constructor.
+        # Exporting the curve builds one per defined grid point, through the
+        # same constructor.
         sweep = sweep_class(gts, dets, 1, tau=0.5)
+        defined = sum(1 for _, bd in grid_breakdowns(sweep) if bd is not None)
         before = len(built)
-        defined = [s for s in sweep.samples if s.breakdown is not None]
-        assert len(built) == before + len(defined)
-        assert sweep.samples is sweep.samples
+        export_curves([sweep], tmp_path / "curves.csv")
+        assert len(built) == before + defined
 
 
 class TestImportCost:
@@ -848,12 +850,16 @@ class TestMalformedInputs:
         ("stream", ["--threshold", "5"], "got 5.0"),
         ("stream", ["--cost-cutoff", "nan"], "got nan"),
         ("stream", ["--tau", "nan"], "got nan"),
+        ("compare", ["--tau-list", ""], "''"),
+        ("curves", ["--taus", ""], "''"),
     ], ids=["subnormal-grid-step", "tiny-grid-step", "subnormal-tau-step", "tiny-tau-step",
             "nan-tau-step", "tau-above-max", "zero-tau-step", "tau-list-value-above-max",
             "tau-range-stop-above-max", "uneven-grid-step", "alpha-above-one", "nan-alpha",
-            "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "nan-stream-tau"])
+            "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "nan-stream-tau",
+            "empty-tau-list", "empty-taus"])
     def test_exits_2_naming_the_flag_value(self, tmp_path, capsys, command, flags, value):
         # The tiny steps would ask for 10**9 grid points or taus if not bounded first.
+        # An empty --tau-list once escaped as a ValueError traceback.
         # With a missing --gt the flag is still named: flags are checked before any read.
         paths = {}
         for name in ("gt", "det", "stream"):

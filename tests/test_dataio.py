@@ -1,6 +1,8 @@
 import csv
+import importlib
 import io
 import json
+import pkgutil
 import random
 import tempfile
 from collections import Counter
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrpeval
 from lrpeval import (
     BoundingBox,
     Detection,
@@ -34,12 +37,13 @@ from lrpeval import (
 from lrpeval.ap import curve_from_labels
 from lrpeval.dataio import Dataset, round_row
 from lrpeval.lrp import DasaParams, lrp_components
-from lrpeval.matching import MatchResult, iou_table, label_at_tau, match_optimal
-from lrpeval.sweep import SweepResult, aggregate_molrp, sweep_labels
+from lrpeval.matching import MatchResult, iou_table, label_at_tau, label_detections, match_optimal
+from lrpeval.sweep import aggregate_molrp, sweep_labels
 from lrpeval.video import FrameDetections, StreamDetection, track_stream
 import oracles
 from lrpeval import dataio
 from synth import reference_detectors, save_detections, save_ground_truth
+from test_matching import grid_breakdowns
 
 
 def write_json(path, obj):
@@ -323,7 +327,7 @@ class TestSaveStreamProperty:
 
 
 def one_record_of_each_type():
-    """One record of each of the 17 record types, all named tuples."""
+    """One record of each of the 16 record types, all named tuples."""
     box = BoundingBox(0, 0, 1, 1)
     gt, det = GroundTruth(0, "a", box), Detection(0, "a", box, 0.5)
     table = iou_table([gt], [det])
@@ -333,9 +337,9 @@ def one_record_of_each_type():
     frame = FrameDetections(0, (stream_det,))
     return [
         box, det, gt, stream_det, frame,
-        MatchResult((), 0, 1, 1), labels.detection_labels()[0], labels, table,
+        MatchResult((), 0, 1, 1), label_detections([gt], [det], 0.5)[0], labels, table,
         lrp_components(match_optimal([box], [box], 0.5), 0.5), DasaParams(),
-        sweep.samples[0], sweep, aggregate_molrp({"a": sweep}, 0.5),
+        sweep, aggregate_molrp({"a": sweep}, 0.5),
         curve_from_labels(labels, "a"), track_stream([frame]),
         Dataset({0: (None, None)}, {"a": "a"}, (gt,)),
     ]
@@ -349,20 +353,32 @@ def type_name(record):
 
 
 class TestSlottedRecords:
-    """Every record type but `SweepResult`, whose instance dict caches its
-    samples, has `__slots__ = ()`."""
+    """Every record type has `__slots__ = ()`."""
 
-    @pytest.mark.parametrize(
-        "record", [r for r in RECORDS if type(r) is not SweepResult], ids=type_name
-    )
+    @pytest.mark.parametrize("record", RECORDS, ids=type_name)
     def test_per_record_types_have_no_instance_dict(self, record):
         assert not hasattr(record, "__dict__")
 
 
 class TestRecordSemantics:
     def test_one_tuple_per_record_type(self):
-        assert len({type(r) for r in RECORDS}) == 17
+        assert len({type(r) for r in RECORDS}) == 16
         assert all(isinstance(r, tuple) for r in RECORDS)
+
+    def test_every_named_tuple_type_has_a_record(self):
+        # A record type missing from one_record_of_each_type() would skip
+        # the slot, immutability and _replace checks; a field base is
+        # covered by the record of its subclass.
+        defined = {
+            cls
+            for info in pkgutil.iter_modules(lrpeval.__path__, "lrpeval.")
+            for cls in vars(importlib.import_module(info.name)).values()
+            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+            and cls.__module__ == info.name
+        }
+        assert {type(r) for r in RECORDS} <= defined
+        missing = {cls for cls in defined if not any(isinstance(r, cls) for r in RECORDS)}
+        assert missing == set()
 
     @pytest.mark.parametrize("record", RECORDS, ids=type_name)
     def test_setting_a_field_raises_attribute_error(self, record):
@@ -452,6 +468,12 @@ class TestBuildAndExportReport:
         assert report["summary"]["mean_ap"] == 1.0
         assert report["classes"][0]["ap_continuous"] == 1.0
         assert report["classes"][0]["s_star"] == 0.90
+
+    def test_empty_tau_list_rejected(self):
+        # It once logged "no class has ground truth" and left mean AP unset.
+        ds, dets = trio_dataset()
+        with pytest.raises(ValueError, match="tau_list"):
+            build_report(ds, dets, tau_list=())
 
     def test_json_export_round_trip(self, tmp_path):
         ds, dets = trio_dataset()
@@ -559,7 +581,7 @@ class TestExportCurves:
     def test_record_count_matches_defined_samples(self, tmp_path):
         gts, dets = reference_detectors()["tradeoff"]
         sweep = sweep_class(gts, dets, 1, tau=0.5)
-        defined = sum(1 for s in sweep.samples if s.breakdown is not None)
+        defined = sum(1 for _, bd in grid_breakdowns(sweep) if bd is not None)
         path = tmp_path / "curves.csv"
         export_curves([sweep], path)
         rows = list(csv.DictReader(path.read_text().splitlines()))

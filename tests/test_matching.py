@@ -19,7 +19,8 @@ from lrpeval import (
     threshold_grid,
 )
 from lrpeval.geometry import _Corners, iou
-from lrpeval.matching import TAU_MAX, TauLabels, iou_table, label_detections
+from lrpeval.lrp import breakdown_from_counts
+from lrpeval.matching import KINDS, TAU_MAX, TauLabels, iou_table, label_detections
 from oracles import brute_force_assignment_cost, count_real, random_boxes
 
 
@@ -45,9 +46,18 @@ def tp_pairs(labels):
     return [(lab.det_index, lab.gt_index, lab.iou) for lab in labels if lab.kind == "tp"]
 
 
+def grid_breakdowns(result):
+    """(s, breakdown) at every grid point of a sweep, built from its counts
+    by `breakdown_from_counts`; None where nothing is left to evaluate."""
+    return [
+        (s, breakdown_from_counts(loc, n_tp, n_fp, n_fn, result.tau) if n_tp + n_fp + n_fn else None)
+        for s, loc, n_tp, n_fp, n_fn in result.counts
+    ]
+
+
 def sample_at(result, s):
-    (sample,) = [x for x in result.samples if x.s == s]
-    return sample.breakdown
+    (breakdown,) = [bd for t, bd in grid_breakdowns(result) if t == s]
+    return breakdown
 
 
 class TestConstructorNumberTypes:
@@ -318,6 +328,18 @@ def labeling_scenes(draw):
     return gts, dets, taus
 
 
+def label_columns(labels):
+    """The `TauLabels` columns order, scores, kinds, gt_index and iou of a
+    list of `DetectionLabel`."""
+    return (
+        [lab.det_index for lab in labels],
+        [lab.score for lab in labels],
+        [KINDS.index(lab.kind) for lab in labels],
+        [-1 if lab.gt_index is None else lab.gt_index for lab in labels],
+        [0.0 if lab.iou is None else lab.iou for lab in labels],
+    )
+
+
 class TestLabelClassesProperty:
     @settings(max_examples=300, deadline=None)
     @given(labeling_scenes())
@@ -329,11 +351,12 @@ class TestLabelClassesProperty:
             class_dets = [d for d in dets if d.class_id == cid]
             for tau in taus:
                 labels = oracles.label_detections(class_gts, class_dets, tau)
-                expected.append((tau, cid, labels, count_real(class_gts)))
+                expected.append((tau, cid, *label_columns(labels), count_real(class_gts)))
         got = []
         for cid, labels in label_classes(gts, dets, ("a", "b"), taus):
             assert isinstance(labels, TauLabels)
-            got.append((labels.tau, cid, labels.detection_labels(), labels.n_real))
+            got.append((labels.tau, cid, labels.order, labels.scores, labels.kinds,
+                        labels.gt_index, labels.iou, labels.n_real))
         assert got == expected
 
 

@@ -17,9 +17,9 @@ from lrpeval import (
     sweep_labels,
     threshold_grid,
 )
-from oracles import eager_sweep, random_boxes, rematch
+from oracles import eager_sweep, rematch
 from synth import reference_detectors
-from test_matching import labeling_scenes
+from test_matching import grid_breakdowns, labeling_scenes
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
@@ -28,6 +28,21 @@ def box_at(i: int, side: float = 10.0) -> BoundingBox:
 
 def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
     return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
+
+
+# Boxes over the ranges of `oracles.random_box`, and scores in whole percent.
+_BOX = st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+                 st.floats(0.5, 10.0), st.floats(0.5, 10.0))
+_SCORE = st.integers(1, 99).map(lambda k: k / 100)
+
+
+def class_one(max_gts, max_dets, images=1):
+    """Ground truths and detections of class 1 on the first images."""
+    image = st.integers(0, images - 1)
+    return st.tuples(
+        st.lists(st.builds(GroundTruth, image, st.just(1), _BOX, st.just(False)), max_size=max_gts),
+        st.lists(st.builds(Detection, image, st.just(1), _BOX, _SCORE), max_size=max_dets),
+    )
 
 
 class TestThresholdGrid:
@@ -55,13 +70,13 @@ class TestSweepClass:
         assert result.evaluable
         assert result.olrp == 0.0
         assert result.s_star == 0.70
-        assert len(result.samples) == 101
-        for sample in result.samples:
-            assert sample.breakdown is not None  # above 0.7 the lone GT is a FN
-            if sample.s <= 0.70:
-                assert sample.breakdown.total == 0.0
+        assert len(result.counts) == 101
+        for s, bd in grid_breakdowns(result):
+            assert bd is not None  # above 0.7 the lone GT is a FN
+            if s <= 0.70:
+                assert bd.total == 0.0
             else:
-                assert sample.breakdown.total == 1.0
+                assert bd.total == 1.0
 
     def test_two_detection_plateau_against_raw_count_oracle(self):
         gts = [GroundTruth(0, 1, box_at(0))]
@@ -71,13 +86,13 @@ class TestSweepClass:
         ]
         result = sweep_class(gts, dets, 1, tau=0.5)
         # independent recomputation from raw counts at every grid point
-        for sample in result.samples:
-            n_det = sum(1 for d in dets if d.score >= sample.s)
-            n_tp = 1 if 0.9 >= sample.s else 0
+        for s, bd in grid_breakdowns(result):
+            n_det = sum(1 for d in dets if d.score >= s)
+            n_tp = 1 if 0.9 >= s else 0
             n_fp = n_det - n_tp
             n_fn = 1 - n_tp
             expected = (0.0 / 0.5 + n_fp + n_fn) / (n_tp + n_fp + n_fn)
-            assert sample.breakdown.total == pytest.approx(expected, abs=1e-15)
+            assert bd.total == pytest.approx(expected, abs=1e-15)
         assert 0.40 < result.s_star <= 0.90
         assert result.s_star == 0.90  # largest grid point on the optimal plateau
         assert result.olrp == 0.0
@@ -94,7 +109,7 @@ class TestSweepClass:
         result = sweep_class([], [], 1, tau=0.5)
         assert not result.evaluable
         assert result.olrp is None and result.s_star is None
-        assert all(s.breakdown is None for s in result.samples)
+        assert all(bd is None for _, bd in grid_breakdowns(result))
 
     def test_class_with_gts_but_no_detections(self):
         gts = [GroundTruth(0, 1, box_at(i)) for i in range(3)]
@@ -111,55 +126,47 @@ class TestSweepClass:
         assert result.evaluable
         assert result.olrp == 1.0
         # beyond the top score there is nothing left to evaluate
-        defined = [s.s for s in result.samples if s.breakdown is not None]
+        defined = [s for s, bd in grid_breakdowns(result) if bd is not None]
         assert max(defined) == 0.60
 
-    def test_samples_match_direct_evaluation_bitwise(self):
-        rng = random.Random(71)
-        gts = [GroundTruth(rng.randint(0, 2), 1, b) for b in random_boxes(rng, 8)]
-        dets = [
-            Detection(rng.randint(0, 2), 1, b, rng.randint(1, 99) / 100)
-            for b in random_boxes(rng, 14)
-        ]
+    @settings(max_examples=100, deadline=None)
+    @given(class_one(max_gts=8, max_dets=14, images=3))
+    def test_samples_match_direct_evaluation_bitwise(self, instance):
+        gts, dets = instance
         result = sweep_class(gts, dets, 1, tau=0.5)
-        for sample in result.samples:
-            m = rematch(gts, dets, s=sample.s, tau=0.5)
+        for s, bd in grid_breakdowns(result):
+            m = rematch(gts, dets, s=s, tau=0.5)
             if m.n_tp + m.n_fp + m.n_fn == 0:
-                assert sample.breakdown is None
+                assert bd is None
                 continue
             direct = lrp_components(m, tau=0.5)
-            assert sample.breakdown == direct
+            assert bd == direct
 
-    def test_optimum_bounds_every_sample(self):
-        rng = random.Random(72)
-        for trial in range(20):
-            gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, rng.randint(0, 6))]
-            dets = [
-                Detection(0, 1, b, rng.randint(1, 99) / 100)
-                for b in random_boxes(rng, rng.randint(0, 10))
-            ]
-            result = sweep_class(gts, dets, 1, tau=0.5)
-            if not result.evaluable:
-                continue
-            for sample in result.samples:
-                if sample.breakdown is not None:
-                    assert result.olrp <= sample.breakdown.total
+    @settings(max_examples=100, deadline=None)
+    @given(class_one(max_gts=6, max_dets=10))
+    def test_optimum_bounds_every_sample(self, instance):
+        gts, dets = instance
+        result = sweep_class(gts, dets, 1, tau=0.5)
+        if not result.evaluable:
+            return
+        for _, bd in grid_breakdowns(result):
+            if bd is not None:
+                assert result.olrp <= bd.total
 
     def test_plateau_samples_are_identical(self):
         gts = [GroundTruth(0, 1, box_at(0))]
         dets = [Detection(0, 1, box_at(0), 0.75)]
         result = sweep_class(gts, dets, 1, tau=0.5)
         # every s in (0, 0.75] retains the same detection set
-        reference = result.samples[10].breakdown
-        for sample in result.samples[1:76]:
-            assert sample.breakdown == reference
+        breakdowns = [bd for _, bd in grid_breakdowns(result)]
+        reference = breakdowns[10]
+        for bd in breakdowns[1:76]:
+            assert bd == reference
 
-    def test_tp_set_shrinks_as_s_grows(self):
-        rng = random.Random(73)
-        gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, 10)]
-        dets = [
-            Detection(0, 1, b, rng.randint(1, 99) / 100) for b in random_boxes(rng, 15)
-        ]
+    @settings(max_examples=100, deadline=None)
+    @given(class_one(max_gts=10, max_dets=15))
+    def test_tp_set_shrinks_as_s_grows(self, instance):
+        gts, dets = instance
         full = label_detections(gts, dets, tau=0.3)
         prev = None
         for s in threshold_grid():
@@ -196,8 +203,8 @@ class TestLazySamplesProperty:
             samples, evaluable, optimum = eager_sweep(labels, grid_step)
             assert result.evaluable == evaluable
             assert result.optimum() == optimum
-            assert result.samples == samples
-            assert [s.s for s in result.samples] == threshold_grid(grid_step)
+            assert grid_breakdowns(result) == samples
+            assert [s for s, *_ in result.counts] == threshold_grid(grid_step)
 
 
 class TestRematchProperty:
@@ -221,13 +228,13 @@ class TestRematchProperty:
             class_dets = [d for d in dets if d.class_id == cid]
             result = sweep_class(class_gts, class_dets, cid, tau, grid_step)
             totals = {}
-            for sample in result.samples:
-                m = rematch(class_gts, class_dets, s=sample.s, tau=tau)
+            for s, bd in grid_breakdowns(result):
+                m = rematch(class_gts, class_dets, s=s, tau=tau)
                 if m.n_tp + m.n_fp + m.n_fn == 0:
-                    assert sample.breakdown is None
+                    assert bd is None
                 else:
-                    assert sample.breakdown == lrp_components(m, tau)
-                    totals[sample.s] = sample.breakdown.total
+                    assert bd == lrp_components(m, tau)
+                    totals[s] = bd.total
             if not totals:
                 assert not result.evaluable
                 continue
@@ -256,14 +263,17 @@ class TestMolrp:
         assert report.per_class[2].olrp == pytest.approx(0.6)
         assert report.molrp == pytest.approx(0.5)
 
-    def test_equals_hand_average_of_class_sweeps(self):
-        rng = random.Random(81)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(st.lists(_BOX, min_size=1, max_size=5),
+                  st.lists(st.tuples(_BOX, _SCORE), min_size=1, max_size=8)),
+        min_size=3, max_size=3,
+    ))
+    def test_equals_hand_average_of_class_sweeps(self, classes):
         gts, dets = [], []
-        for cid in (1, 2, 3):
-            for b in random_boxes(rng, rng.randint(1, 5)):
-                gts.append(GroundTruth(0, cid, b))
-            for b in random_boxes(rng, rng.randint(1, 8)):
-                dets.append(Detection(0, cid, b, rng.randint(1, 99) / 100))
+        for cid, (gt_boxes, scored_boxes) in zip((1, 2, 3), classes):
+            gts += [GroundTruth(0, cid, b) for b in gt_boxes]
+            dets += [Detection(0, cid, b, score) for b, score in scored_boxes]
         report = molrp(gts, dets, [1, 2, 3], tau=0.5)
         singles = [sweep_class(gts, dets, cid, 0.5).olrp for cid in (1, 2, 3)]
         assert report.molrp == pytest.approx(sum(singles) / 3, abs=1e-15)
