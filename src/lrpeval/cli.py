@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import sys
 from functools import partial
@@ -380,13 +379,6 @@ def main(argv=None) -> int:
     # the way out because main may run inside a longer-lived process.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    # bind warnings to the stderr of this invocation
-    log = logging.getLogger("lrpeval")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    log.addHandler(handler)
-    level = log.level
-    log.setLevel(logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
         check_flags(args)
@@ -398,8 +390,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
         if gc_was_enabled:
             gc.enable()
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import sys
 from contextlib import contextmanager
 from math import inf, isfinite
@@ -42,8 +41,6 @@ from .sweep import (
 )
 from .video import FrameDetections, StreamDetection
 
-logger = logging.getLogger("lrpeval")
-
 REPORT_SCHEMA = "lrp_report_v1"
 THRESHOLDS_SCHEMA = "lrp_thresholds_v1"
 DEFAULT_TAU = 0.5
@@ -53,6 +50,13 @@ DEFAULT_TAU_LIST = tuple(i / 100 for i in range(50, 100, 5))
 class SchemaError(ValueError):
     """An input file violates its declared schema; the message names the
     offending field."""
+
+
+def _warn(message: str) -> None:
+    """Print "warning: <message>" to the standard error in force at the call,
+    or nowhere without one: print would send it to stdout, which may hold a report."""
+    if sys.stderr is not None:
+        print(f"warning: {message}", file=sys.stderr)
 
 
 class Dataset(NamedTuple):
@@ -96,13 +100,16 @@ def _require(record: Mapping, key: str):
 
 def _require_id(record: Mapping, key: str, known=None, what: str = ""):
     """A required field that is used as a dictionary key: a number or a
-    string and, when known ids are given, one of them.
+    string and, when known ids are given, one of them. A float must be
+    finite, as JSON has no spelling for NaN or infinity to write it back.
 
     The loaders' record loops test `type(value) in _ID_TYPES and value in
     known` inline and call this only when that fails, to raise."""
     value = _require(record, key)
     if type(value) not in _ID_TYPES:
         raise _Invalid(f".{key}", f"must be a number or a string, got {value!r}")
+    if type(value) is float and not isfinite(value):
+        raise _Invalid(f".{key}", f"must be a finite number or a string, got {value!r}")
     if known is not None and value not in known:
         raise _Invalid(f".{key}", f"unknown {what} id {value!r}")
     return value
@@ -169,14 +176,6 @@ def _parse_bbox(raw) -> BoundingBox:
         raise _too_large(raw, ".bbox") from None
 
 
-def _id_kind(value) -> str | None:
-    if type(value) is str:
-        return "string"
-    if type(value) in _NUMBER_TYPES:
-        return "number"
-    return None
-
-
 def _read_json(path):
     """The document in a JSON file. A file that is not UTF-8, does not
     parse, or nests deeper than the parser recurses raises SchemaError
@@ -205,17 +204,17 @@ def load_ground_truth(path) -> Dataset:
             raise exc.at(f"images[{i}]") from None
 
     names = {}
-    id_kind = None
+    strings = None  # whether the category ids are strings, once one is read
     for i, cat in enumerate(_array(data, "categories")):
         try:
-            cat_id = _require(cat, "id")
+            cat_id = _require_id(cat, "id")
             # Category ids are sorted, so they must all be numbers or all strings.
-            kind = _id_kind(cat_id)
-            if kind is None or kind != (id_kind or kind):
+            is_string = type(cat_id) is str
+            if strings not in (None, is_string):
                 raise _Invalid(
                     ".id", f"category ids must be all numbers or all strings, got {cat_id!r}"
                 )
-            id_kind = kind
+            strings = is_string
             if cat_id in names:
                 raise _Invalid(".id", f"duplicate category id {cat_id!r}")
             name = cat.get("name", str(cat_id))
@@ -251,10 +250,8 @@ def load_ground_truth(path) -> Dataset:
         if box.x_min < 0 or box.y_min < 0 or (
             width is not None and box.x_max > width
         ) or (height is not None and box.y_max > height):
-            logger.warning(
-                "annotation id %s extends outside image %s; kept as annotated",
-                ann.get("id", "?"), img_id,
-            )
+            _warn(f"annotation id {ann.get('id', '?')} extends outside image {img_id}; "
+                  "kept as annotated")
         gts.append(GroundTruth(img_id, cat_id, box, bool(crowd)))
 
     return Dataset(images, names, tuple(gts))
@@ -407,7 +404,7 @@ def threshold_rows(report: MoLrpReport, names: Mapping[ClassId, str] | None = No
         if n_tp + n_fp == 0:
             s_star = 0.0
             warning = "class has ground truth but no detections; threshold forced to 0.00"
-            logger.warning("class %s: %s", cid, warning)
+            _warn(f"class {cid}: {warning}")
         rows.append({
             "class_id": cid,
             "class_name": str(names.get(cid, cid)),
@@ -520,7 +517,7 @@ def build_report(
     if per_class_tau_ap:
         mean_ap = sum(per_class_tau_ap) / len(per_class_tau_ap)
     else:
-        logger.warning("no class has ground truth; mean AP left unset")
+        _warn("no class has ground truth; mean AP left unset")
         mean_ap = None
     return {
         "schema": REPORT_SCHEMA,
@@ -664,9 +661,10 @@ def write_csv(rows: Iterable[Mapping], path, fields: Sequence[str] | None = None
 
 
 def write_json(obj, path) -> None:
-    """Write obj as indented JSON plus a final newline; "-" is stdout."""
+    """Write obj as indented JSON plus a final newline; "-" is stdout. A
+    non-finite float raises ValueError, as JSON cannot spell it."""
     with _open_out(path) as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -21,6 +21,7 @@ their class distributions, as SORT's IoU floor has it.
 from __future__ import annotations
 
 from itertools import compress
+from math import inf
 from typing import Mapping, NamedTuple, Sequence
 
 from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make
@@ -118,12 +119,14 @@ def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection]
 
 
 def check_link_params(alpha: float, cost_cutoff: float) -> None:
-    """Reject an alpha outside [0, 1], and a NaN cost cutoff, under which
-    every pair would be severed without a word."""
+    """Reject an alpha outside [0, 1], and a cost cutoff that is not finite:
+    under NaN every pair would be severed without a word, and JSON cannot
+    record infinity. Costs lie in [0, 1], so any cutoff above 1 already
+    severs nothing on cost."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if cost_cutoff != cost_cutoff:
-        raise ValueError(f"cost cutoff must be a number, got {cost_cutoff}")
+    if not -inf < cost_cutoff < inf:  # NaN fails both
+        raise ValueError(f"cost cutoff must be a finite number, got {cost_cutoff}")
 
 
 def link_frames(

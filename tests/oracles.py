@@ -391,11 +391,14 @@ def _require(record: Mapping, key: str, where: str):
 
 
 def _require_id(record: Mapping, key: str, where: str):
-    """A required field that is used as a dictionary key: a number or a
-    string (a bool would collide with the ids 0 and 1)."""
+    """A required field that is used as a dictionary key: a finite number
+    or a string (a bool would collide with the ids 0 and 1, and JSON cannot
+    spell NaN or infinity in an output)."""
     value = _require(record, key, where)
     if _id_kind(value) is None:
         raise SchemaError(f"{where}.{key}: must be a number or a string, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{where}.{key}: must be a finite number or a string, got {value!r}")
     return value
 
 
@@ -478,10 +481,10 @@ def load_ground_truth(path) -> Dataset:
     category_ids = set()
     id_kind = None
     for i, cat in enumerate(_array(data, "categories")):
-        cat_id = _require(cat, "id", f"categories[{i}]")
+        cat_id = _require_id(cat, "id", f"categories[{i}]")
         # Category ids are sorted, so they must all be numbers or all strings.
         kind = _id_kind(cat_id)
-        if kind is None or kind != (id_kind or kind):
+        if kind != (id_kind or kind):
             raise SchemaError(
                 f"categories[{i}].id: category ids must be all numbers or all strings, "
                 f"got {cat_id!r}"

@@ -261,6 +261,6 @@ class TestMapOverTaus:
         ]
         assert map_over_taus(gts, dets, [1, 2], self.TAUS) == 1.0
 
-    def test_no_scorable_class_leaves_mean_ap_unset(self, caplog):
+    def test_no_scorable_class_leaves_mean_ap_unset(self, capsys):
         assert map_over_taus([], [Detection(0, 1, box_at(0), 0.8)], [1], self.TAUS) is None
-        assert "mean AP left unset" in caplog.text
+        assert "mean AP left unset" in capsys.readouterr().err

@@ -6,13 +6,19 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import types
 from collections import Counter
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrpeval
 from lrpeval import (
@@ -22,6 +28,7 @@ from lrpeval import (
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Dataset, export_curves, load_ground_truth, load_stream, save_stream
 from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
+from test_dataio import loader_documents
 from test_matching import grid_breakdowns
 
 
@@ -457,6 +464,18 @@ class TestImportCost:
         argv = self.command_argv(tmp_path, command)
         assert self.heavy_modules_loaded(argv, ("dataclasses",)) == "[]"
 
+    # Warnings are plain standard error lines: `logging`, with the
+    # `traceback` it imports, would add to the start-up of every run.
+    def test_package_import_loads_no_logging(self):
+        assert self.heavy_modules_after("import lrpeval\n", ("logging", "traceback")) == "[]"
+
+    @pytest.mark.parametrize(
+        "command", ["eval", "sweep", "curves", "thresholds", "compare", "stream"]
+    )
+    def test_commands_load_no_logging(self, tmp_path, command):
+        argv = self.command_argv(tmp_path, command)
+        assert self.heavy_modules_loaded(argv, ("logging", "traceback")) == "[]"
+
 
 class TestCollectorState:
     """`main` runs a command with the cyclic collector off and leaves it as
@@ -491,8 +510,9 @@ class TestCollectorState:
 
 
 class TestLoggerLevel:
-    """`main` sets the package logger to WARNING for a command and puts back
-    the level it found, as it does the collector state."""
+    """`main` leaves the `lrpeval` logger as it found it, level and
+    handlers, as it does the collector state: warnings are plain standard
+    error lines, and no logger carries them."""
 
     @pytest.mark.parametrize("level", [logging.NOTSET, logging.DEBUG, logging.ERROR],
                              ids=["notset", "debug", "error"])
@@ -505,23 +525,51 @@ class TestLoggerLevel:
         during = []
         load = cli.load_ground_truth
         monkeypatch.setattr(
-            cli, "load_ground_truth", lambda path: during.append(log.level) or load(path)
+            cli, "load_ground_truth",
+            lambda path: during.append((log.level, list(log.handlers))) or load(path),
         )
         was = log.level
         log.setLevel(level)
+        handlers = list(log.handlers)
         try:
             out = str(tmp_path / "r.json")
             assert main(["eval", "--gt", gt_path, "--det", det_path, "--output", out]) == 0
-            assert log.level == level
+            assert (log.level, log.handlers) == (level, handlers)
             missing = str(tmp_path / "missing.json")
             assert main(["eval", "--gt", missing, "--det", det_path, "--output", out]) == 2
-            assert log.level == level
+            assert (log.level, log.handlers) == (level, handlers)
             with pytest.raises(SystemExit):
                 main(["eval", "--no-such-flag"])
-            assert log.level == level
+            assert (log.level, log.handlers) == (level, handlers)
         finally:
             log.setLevel(was)
-        assert during == [logging.WARNING, logging.WARNING]
+        assert during == [(level, handlers)] * 2
+
+
+class TestWarnings:
+    """A warning is one "warning: " line on standard error, and never
+    reaches standard output, which holds the report under --output -."""
+
+    WARNING = ("warning: class 2: class has ground truth but no detections; "
+               "threshold forced to 0.00\n")
+
+    @pytest.mark.parametrize("stderr", ["captured", "none"])
+    def test_warning_leaves_stdout_equal_to_the_report(self, tmp_path, capsys, monkeypatch,
+                                                       stderr):
+        # Class 2 has ground truth but no detections, so its threshold is forced to 0.
+        gts = [GroundTruth(0, 1, box_at(0)), GroundTruth(0, 2, box_at(1))]
+        gt_path, det_path = write_fixture(tmp_path, "p", gts, [Detection(0, 1, box_at(0), 0.9)])
+        argv = ["thresholds", "--gt", gt_path, "--det", det_path]
+        out = tmp_path / "thr.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == self.WARNING
+        if stderr == "none":  # as under pythonw; print(file=None) writes to stdout
+            monkeypatch.setattr(sys, "stderr", None)
+        assert main([*argv, "--output", "-"]) == 0
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        assert captured.err == ("" if stderr == "none" else self.WARNING)
 
 
 class TestProgramFaults:
@@ -740,6 +788,13 @@ class TestMalformedInputs:
         ("eval", "gt", _set(["images", 0, "height"], -0.0), "images[0].height"),
         ("stream", "gt", _set(["images", 1, "height"], float("inf")), "images[1].height"),
         ("eval", "gt", _set(["images", 0, "width"], 10 ** 400), "images[0].width"),
+        ("eval", "gt", _set(["categories", 0, "id"], float("nan")), "categories[0].id"),
+        ("eval", "gt", _set(["images", 0, "id"], float("inf")), "images[0].id"),
+        ("eval", "det", _set([0, "category_id"], -float("inf")), "detections[0].category_id"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_id"], float("nan")),
+         "frames[0].detections[0].class_id"),
+        ("stream", "thr", _set(["thresholds", 0, "class_id"], float("inf")),
+         "thresholds[0].class_id"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -756,7 +811,8 @@ class TestMalformedInputs:
         "overflow-area-annotation-bbox", "overflow-area-det-bbox",
         "underflow-area-stream-bbox", "overflow-area-stream-bbox", "unknown-frame-index",
         "nan-width", "negative-height", "zero-width", "negative-zero-height", "infinite-height",
-        "huge-int-width",
+        "huge-int-width", "nan-category-id", "infinite-image-id", "infinite-det-category-id",
+        "nan-stream-class-id", "infinite-thresholds-class-id",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()
@@ -849,14 +905,15 @@ class TestMalformedInputs:
         ("stream", ["--threshold", "nan"], "got nan"),
         ("stream", ["--threshold", "5"], "got 5.0"),
         ("stream", ["--cost-cutoff", "nan"], "got nan"),
+        ("stream", ["--cost-cutoff", "inf"], "got inf"),
         ("stream", ["--tau", "nan"], "got nan"),
         ("compare", ["--tau-list", ""], "''"),
         ("curves", ["--taus", ""], "''"),
     ], ids=["subnormal-grid-step", "tiny-grid-step", "subnormal-tau-step", "tiny-tau-step",
             "nan-tau-step", "tau-above-max", "zero-tau-step", "tau-list-value-above-max",
             "tau-range-stop-above-max", "uneven-grid-step", "alpha-above-one", "nan-alpha",
-            "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "nan-stream-tau",
-            "empty-tau-list", "empty-taus"])
+            "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "infinite-cost-cutoff",
+            "nan-stream-tau", "empty-tau-list", "empty-taus"])
     def test_exits_2_naming_the_flag_value(self, tmp_path, capsys, command, flags, value):
         # The tiny steps would ask for 10**9 grid points or taus if not bounded first.
         # An empty --tau-list once escaped as a ValueError traceback.
@@ -873,6 +930,54 @@ class TestMalformedInputs:
             assert main([*argv, "--output", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {flags[0]}: ") and value in err
+
+
+_FIELD_PATH = re.compile(r"[a-z_]+(\[\d+\]|\.[a-z_]+)*")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestCliProperty:
+    """Whatever loader documents a command reads, valid or mutated, `main`
+    returns 0, 2 or 3 and never raises. Exit 2's error line names a file or
+    a field path, and on exit 0 every output is strict JSON: no NaN or
+    Infinity, which Python's `json` writes and reads but JSON has no
+    spelling for."""
+
+    @pytest.mark.parametrize("command", ["eval", "thresholds", "stream"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_2_or_3(self, command, data):
+        target = data.draw(st.sampled_from(("gt", "stream" if command == "stream" else "det")))
+        docs = data.draw(loader_documents(target, min_mutations=0))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, doc in docs.items():
+                paths[name] = os.path.join(tmp, f"{name}.json")
+                Path(paths[name]).write_text(json.dumps(doc))
+            outputs = [os.path.join(tmp, "out.json")]
+            if command == "stream":
+                outputs.append(os.path.join(tmp, "filtered.json"))
+                argv = ["stream", "--stream", paths["stream"], "--gt", paths["gt"],
+                        "--filtered-output", outputs[1]]
+            else:
+                argv = [command, "--gt", paths["gt"], "--det", paths["det"]]
+            with redirect_stderr(StringIO()) as err:
+                code = main([*argv, "--output", outputs[0]])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3)
+            if code:
+                assert lines[-1].startswith("error: ")
+                where = lines[-1][len("error: "):].split(": ")[0]
+                assert code == 3 or where in paths.values() or _FIELD_PATH.fullmatch(where)
+                lines.pop()
+            else:
+                for path in outputs:
+                    json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+            assert all(line.startswith("warning: ") for line in lines)
+
 
 def stream_fixture(tmp_path):
     specs = [

@@ -127,15 +127,14 @@ class TestLoadGroundTruth:
         with pytest.raises(SchemaError, match=r"annotations\[0\]\.bbox\[1\]: must be a number"):
             load_ground_truth(path)
 
-    def test_out_of_image_box_warns_but_loads(self, tmp_path, caplog):
+    def test_out_of_image_box_warns_but_loads(self, tmp_path, capsys):
         path = minimal_gt(
             tmp_path,
             annotations=[{"id": 1, "image_id": 1, "category_id": 3, "bbox": [600, 0, 100, 50]}],
         )
-        with caplog.at_level("WARNING", logger="lrpeval"):
-            ds = load_ground_truth(path)
+        ds = load_ground_truth(path)
         assert len(ds.ground_truths) == 1
-        assert "outside image" in caplog.text
+        assert "outside image" in capsys.readouterr().err
 
     def test_round_trip(self, tmp_path):
         # Ids out of sorted order: both maps keep the order of the file.
@@ -435,16 +434,15 @@ class TestThresholds:
         loaded = load_thresholds(path, with_categories(1))
         assert loaded == {1: 0.80}
 
-    def test_zero_detection_class_forced_to_zero_with_warning(self, tmp_path, caplog):
+    def test_zero_detection_class_forced_to_zero_with_warning(self, tmp_path, capsys):
         gts = [GroundTruth(0, 1, BoundingBox(0, 0, 10, 10))]
         report = molrp(gts, [], [1], tau=0.5)
         assert report.per_class[1].s_star == 1.0  # largest-s tie break
-        with caplog.at_level("WARNING", logger="lrpeval"):
-            rows = threshold_rows(report)
+        rows = threshold_rows(report)
         assert rows[0]["s_star"] == 0.0
         assert rows[0]["olrp"] == 1.0
         assert "no detections" in rows[0]["warning"]
-        assert "no detections" in caplog.text
+        assert "no detections" in capsys.readouterr().err
 
     def test_rejects_other_documents(self, tmp_path):
         path = write_json(tmp_path / "thr.json", {"schema": "other", "thresholds": []})
@@ -576,6 +574,15 @@ class TestBuildAndExportReport:
         # Rounding changed something, so the rule above is not vacuous.
         assert any(round_row(row) != row for row in expected)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_export_refuses_a_non_finite_real(self, tmp_path, value):
+        # Python's json would write NaN or Infinity, which no JSON reader accepts.
+        gts, dets = reference_detectors()["tradeoff"]
+        report = build_report(Dataset({0: (None, None)}, {1: "obj"}, tuple(gts)), dets)
+        report["summary"]["molrp"] = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            export_report(report, tmp_path / "report.json", "json")
+
 
 class TestExportCurves:
     def test_record_count_matches_defined_samples(self, tmp_path):
@@ -628,7 +635,8 @@ _ANY_VALUE = st.sampled_from([
     None, True, False, 0, 1, 2, 7, -1, 0.0, 0.5, 1.0, 1.5, -0.0, 1e308,
     "a", "b", "1", "0.5", "", _NAN, _INF, -_INF, [], [1], [[1.0]], {}, {"id": 1},
 ])
-_IDS = st.sampled_from([0, 1, 2, 3, 999, 1.0, "a", "b", "zzz", "1", True, False, None, [0]])
+_IDS = st.sampled_from([0, 1, 2, 3, 999, 1.0, "a", "b", "zzz", "1", True, False, None, [0],
+                        _NAN, _INF, -_INF])
 _BBOXES = st.sampled_from([
     [0.0, 0.0, 10.0, 10.0], [0, 0, 10, 10], [1.5, 2.5, 3.0, 4.0], [-5.0, -5.0, 10.0, 10.0],
     [95.0, 95.0, 10.0, 10.0], [0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, -1.0],
@@ -680,12 +688,13 @@ _MUTATED_KINDS = {
 
 
 @st.composite
-def loader_documents(draw, target):
+def loader_documents(draw, target, min_mutations=1):
     """A valid GT document, detection array and stream whose frames are
-    some of the images, then one to three mutations of the target
-    document: a field set to an odd value, a field deleted, or a record
-    replaced by a non-object. Frame indices stay increasing;
-    tests/test_cli.py covers their order."""
+    some of the images, maybe with one category id renamed in all three,
+    then min_mutations to three mutations of the target document: a field
+    set to an odd value, a field deleted, or a record replaced by a
+    non-object. Frame indices stay increasing; tests/test_cli.py covers
+    their order."""
     cat_ids = draw(st.sampled_from(([1, 2, 3], ["a", "b", "c"])))[: draw(st.integers(1, 3))]
     n_images = draw(st.integers(1, 3))
     box = st.sampled_from([[0.0, 0.0, 10.0, 10.0], [5.5, 2.25, 20.0, 30.0], [0, 0, 10, 10],
@@ -715,6 +724,16 @@ def loader_documents(draw, target):
         ]}
         for f in sorted(draw(st.sets(image_id, min_size=1)))
     ]}
+    if draw(st.booleans()):
+        # One category id renamed wherever it appears: an odd id that every
+        # record agrees on.
+        old, new = draw(st.sampled_from(cat_ids)), draw(_IDS)
+        stream_dets = [rec for frame in stream["frames"] for rec in frame["detections"]]
+        for records, key in ((gt["categories"], "id"), (gt["annotations"], "category_id"),
+                             (det, "category_id"), (stream_dets, "class_id")):
+            for rec in records:
+                if rec[key] == old:
+                    rec[key] = new
     docs = {"gt": gt, "det": det, "stream": stream}
     # (container, key of the record in it) by kind of record
     slots = {
@@ -727,7 +746,7 @@ def loader_documents(draw, target):
         "stream_dets": [(frame["detections"], j) for frame in stream["frames"]
                         for j in range(len(frame["detections"]))],
     }
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_mutations, 3))):
         kind = draw(st.sampled_from(_MUTATED_KINDS[target]))
         container, key = draw(st.sampled_from(slots[kind]))
         record = container[key]

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from lrpeval import (
     lrp_total,
     match_optimal,
 )
-from oracles import random_boxes, weighted_form_total
+from oracles import weighted_form_total
 
 def unpack_box(code: int) -> BoundingBox:
     """A box in the range `oracles.random_box` draws from (corner in
@@ -48,13 +47,25 @@ def box_sets(draw, max_size: int, n_sets: int = 2):
     ]
 
 
-def synthetic_match(rng: random.Random, tau: float, max_size: int = 20) -> MatchResult:
-    """A consistent random MatchResult."""
-    n_gt = rng.randint(0, max_size)
-    n_det = rng.randint(0, max_size)
-    n_tp = rng.randint(0, min(n_gt, n_det))
-    pairs = tuple((i, i, rng.uniform(tau, 1.0)) for i in range(n_tp))
-    return MatchResult(pairs, n_tp, n_det - n_tp, n_gt - n_tp)
+# Any float box in the range `oracles.random_box` draws from: corner in
+# [0, 20]^2, sides in [0.5, 10]. It holds every box of BOXES.
+REAL_BOXES = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.5, 10.0), st.floats(0.5, 10.0),
+)
+
+
+@st.composite
+def match_results(draw, taus, max_size: int = 20):
+    """A tau drawn from taus and a consistent MatchResult at it with
+    something to evaluate: up to max_size ground truths and detections,
+    each TP overlap in [tau, 1]."""
+    tau = draw(st.sampled_from(taus))
+    n_gt, n_det = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    n_tp = draw(st.integers(0, min(n_gt, n_det)))
+    overlaps = draw(st.lists(st.floats(tau, 1.0), min_size=n_tp, max_size=n_tp))
+    pairs = tuple((i, i, overlap) for i, overlap in enumerate(overlaps))
+    return tau, MatchResult(pairs, n_tp, n_det - n_tp, n_gt - n_tp)
 
 
 class TestLrpComponents:
@@ -135,15 +146,13 @@ class TestLrpTotal:
         perfect = MatchResult(((0, 0, 1.0), (1, 1, 1.0)), 2, 2, 2)
         assert lrp_total(perfect, tau=0.5) == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_one_exactly_when_nothing_matches(self):
-        rng = random.Random(41)
-        for _ in range(200):
-            n_fp = rng.randint(0, 10)
-            n_fn = rng.randint(0, 10)
-            if n_fp + n_fn == 0:
-                continue
-            m = MatchResult((), 0, n_fp, n_fn)
-            assert lrp_total(m, tau=0.5) == 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 10))
+    def test_one_exactly_when_nothing_matches(self, n_fp, n_fn):
+        if n_fp + n_fn == 0:
+            return
+        m = MatchResult((), 0, n_fp, n_fn)
+        assert lrp_total(m, tau=0.5) == 1.0
 
     def test_zero_only_for_perfect_detection(self):
         m = MatchResult(((0, 0, 1.0),), 1, 0, 0)
@@ -151,48 +160,45 @@ class TestLrpTotal:
         near = MatchResult(((0, 0, 0.999),), 1, 0, 0)
         assert lrp_total(near, tau=0.5) > 0.0
 
-    def test_range_and_equivalence_on_random_match_results(self):
-        rng = random.Random(42)
-        for _ in range(2000):
-            tau = rng.choice([0.0, 0.25, 0.5, 0.75])
-            m = synthetic_match(rng, tau)
-            if m.n_tp + m.n_fp + m.n_fn == 0:
-                continue
-            bd = lrp_components(m, tau)
-            assert 0.0 <= bd.total <= 1.0
-            assert abs(bd.total - weighted_form_total(bd)) <= 1e-12
-            if m.n_tp == 0:
-                assert bd.total == 1.0
+    @settings(max_examples=2000, deadline=None)
+    @given(match_results([0.0, 0.25, 0.5, 0.75]))
+    def test_range_and_equivalence_on_random_match_results(self, instance):
+        tau, m = instance
+        if m.n_tp + m.n_fp + m.n_fn == 0:
+            return
+        bd = lrp_components(m, tau)
+        assert 0.0 <= bd.total <= 1.0
+        assert abs(bd.total - weighted_form_total(bd)) <= 1e-12
+        if m.n_tp == 0:
+            assert bd.total == 1.0
 
-    def test_per_box_penalty_decomposition(self):
+    @settings(max_examples=500, deadline=None)
+    @given(match_results([0.25, 0.5, 0.75], max_size=10))
+    def test_per_box_penalty_decomposition(self, instance):
         # each FP and FN costs exactly 1, each TP costs (1-IoU)/(1-tau) in [0, 1]
-        rng = random.Random(43)
-        for _ in range(500):
-            tau = rng.choice([0.25, 0.5, 0.75])
-            m = synthetic_match(rng, tau, max_size=10)
-            if m.n_tp + m.n_fp + m.n_fn == 0:
-                continue
-            penalties = [(1.0 - ov) / (1.0 - tau) for _, _, ov in m.tp_pairs]
-            assert all(0.0 <= p <= 1.0 for p in penalties)
-            penalties += [1.0] * (m.n_fp + m.n_fn)
-            expected = sum(penalties) / len(penalties)
-            assert lrp_total(m, tau) == pytest.approx(expected, abs=1e-12)
+        tau, m = instance
+        if m.n_tp + m.n_fp + m.n_fn == 0:
+            return
+        penalties = [(1.0 - ov) / (1.0 - tau) for _, _, ov in m.tp_pairs]
+        assert all(0.0 <= p <= 1.0 for p in penalties)
+        penalties += [1.0] * (m.n_fp + m.n_fn)
+        expected = sum(penalties) / len(penalties)
+        assert lrp_total(m, tau) == pytest.approx(expected, abs=1e-12)
 
 
 class TestDasa:
-    def test_identical_sets_are_at_distance_zero(self):
-        rng = random.Random(51)
-        boxes = random_boxes(rng, 4)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REAL_BOXES, min_size=1, max_size=8))
+    def test_identical_sets_are_at_distance_zero(self, boxes):
         for p in (1.0, 2.0):
             for c in (0.25, 0.5, 1.0):
                 assert dasa(boxes, list(boxes), DasaParams(p=p, c=c)) == 0.0
 
-    def test_empty_against_k_gives_cutoff(self):
-        rng = random.Random(52)
-        for k in (1, 3, 7):
-            boxes = random_boxes(rng, k)
-            assert dasa([], boxes, DasaParams(p=1.0, c=0.3)) == pytest.approx(0.3)
-            assert dasa(boxes, [], DasaParams(p=2.0, c=0.4)) == pytest.approx(0.4)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REAL_BOXES, min_size=1, max_size=7))
+    def test_empty_against_k_gives_cutoff(self, boxes):
+        assert dasa([], boxes, DasaParams(p=1.0, c=0.3)) == pytest.approx(0.3)
+        assert dasa(boxes, [], DasaParams(p=2.0, c=0.4)) == pytest.approx(0.4)
 
     def test_both_empty_is_undefined(self):
         with pytest.raises(UndefinedLrp):
@@ -217,10 +223,10 @@ class TestDasa:
         params = DasaParams(p=1.0, c=0.5)
         assert dasa(xs, ys, params) == dasa(ys, xs, params)
 
-    def test_results_are_plain_floats(self):
-        rng = random.Random(55)
-        xs = random_boxes(rng, 4)
-        ys = [*xs[:3], *random_boxes(rng, 2)]
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REAL_BOXES, min_size=3, max_size=6), st.lists(REAL_BOXES, max_size=3))
+    def test_results_are_plain_floats(self, xs, extra):
+        ys = [*xs[:3], *extra]
         m = match_optimal(xs, ys, 0.5)
         assert m.n_tp >= 3
         bd = lrp_components(m, 0.5)
@@ -247,8 +253,9 @@ class TestDasa:
         with pytest.raises(ValueError, match=f"{name} must be"):
             DasaParams(**params)
 
-    def test_accepts_the_smallest_cutoff(self):
-        boxes = random_boxes(random.Random(56), 3)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REAL_BOXES, min_size=1, max_size=6))
+    def test_accepts_the_smallest_cutoff(self, boxes):
         assert dasa(boxes, boxes, DasaParams(c=0.001)) == 0.0
 
 

@@ -353,7 +353,8 @@ class TestRunStream:
         frame = FrameDetections(0, (sd(1, box_at(0), 0.8),))
         with pytest.raises(ValueError, match="alpha"):
             emit_stream(track_stream([frame], alpha=5.0), {}, math.nan)
-        for alpha, cutoff in ((5.0, 0.7), (math.nan, 0.7), (0.7, math.nan)):
+        for alpha, cutoff in ((5.0, 0.7), (math.nan, 0.7), (0.7, math.nan), (0.7, math.inf),
+                              (0.7, -math.inf)):
             with pytest.raises(ValueError, match="alpha|cost cutoff"):
                 track_stream([frame], alpha=alpha, cost_cutoff=cutoff)
 
