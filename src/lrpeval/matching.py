@@ -9,9 +9,9 @@ index and IoU per detection, in score order), the one input of the
 threshold sweep, AP and the recall-precision curve; `DetectionLabel` objects
 are built only at the API edge (`label_detections`). Optimal one-to-one
 assignment (`hungarian`, a shortest augmenting path solver written out in
-this module) minimizes the total 1-IoU distance; its list solver backs
-the set-distance machinery (`match_optimal`) without NumPy, and
-`hungarian`, its NumPy-checked entry, links video frames.
+this module over plain lists) minimizes a total cost: the 1-IoU distance
+of the set-distance machinery (`match_optimal`), and the link cost of
+video frames.
 """
 
 from __future__ import annotations
@@ -322,10 +322,9 @@ def label_classes(
 def hungarian(cost) -> list[tuple[int, int]]:
     """Optimal row-to-column assignment minimizing total cost.
 
-    Accepts any finite rectangular matrix (nested lists or an array) and
-    returns min(rows, cols) pairs sorted by row index. NumPy loads on the
-    first call to check the input; commands that never assign do not pay
-    for importing it.
+    Accepts any finite rectangular matrix as a sequence of rows (nested
+    lists, or an array) and returns min(rows, cols) pairs sorted by row
+    index.
 
     The solver is the shortest augmenting path algorithm (Jonker &
     Volgenant 1987, in the rectangular form of D. F. Crouse, "On
@@ -337,26 +336,27 @@ def hungarian(cost) -> list[tuple[int, int]]:
     It is O(n^3) and about 20-40x slower than SciPy's C++ per call: on
     one core of a 2-core Xeon VM, a frame pair of a detection stream
     with 42 boxes per frame takes 0.44 ms (SciPy 0.020 ms), with 88
-    boxes 2.7 ms (0.10 ms) and with 266 boxes 37 ms (0.98 ms). The
-    skipped `scipy.optimize` import (0.29 s once NumPy is loaded)
-    outweighs that on moderate streams: at 88 boxes per frame over 120
-    frames `stream` still ran in 1.14 s instead of 1.23 s. Denser or
-    longer streams lose. A NumPy-vectorized port was slower at 42 wide,
-    from per-call overhead on short vectors, and barely faster at 288.
+    boxes 2.7 ms (0.10 ms) and with 266 boxes 37 ms (0.98 ms). Dense
+    streams lose; in exchange no command imports NumPy or SciPy.
+    A NumPy-vectorized port was slower at 42 wide, from per-call overhead
+    on short vectors, and barely faster at 288.
     """
-    import numpy as np
-
-    arr = np.asarray(cost, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"cost must be a 2-d matrix, got shape {arr.shape}")
-    if arr.size == 0:
+    try:
+        rows = [list(map(float, row)) for row in cost]
+    except TypeError:  # a row, or the matrix, is not a sequence of numbers
+        raise ValueError("cost must be a 2-d matrix of numbers") from None
+    n_cols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != n_cols:
+            raise ValueError(f"cost rows differ in length: {n_cols} vs {len(row)}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError("cost matrix contains non-finite entries")
+    if not n_cols:
         return []
-    if not np.isfinite(arr).all():
-        raise ValueError("cost matrix contains non-finite entries")
     # Tall matrices are solved transposed, as SciPy does.
-    if arr.shape[1] < arr.shape[0]:
-        return sorted((r, c) for c, r in _assign_rows(arr.T.tolist()))
-    return _assign_rows(arr.tolist())
+    if n_cols < len(rows):
+        return sorted((r, c) for c, r in _assign_rows([list(col) for col in zip(*rows)]))
+    return _assign_rows(rows)
 
 
 def _assign_rows(cost: list[list[float]]) -> list[tuple[int, int]]:
@@ -429,9 +429,6 @@ def match_optimal(
     if n == 0 or m == 0:
         return MatchResult((), 0, m, n)
 
-    # The canonical matrix never has more rows than columns, so it goes to
-    # the list solver as it stands: `hungarian` would not transpose it, and
-    # its NumPy check of a matrix of finite distances would load NumPy.
     cost = [[iou_distance(x, y) for y in ys] for x in xs]
     transposed = [list(column) for column in zip(*cost)]
     if (n, m, cost) <= (m, n, transposed):

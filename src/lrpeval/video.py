@@ -24,8 +24,8 @@ from itertools import compress
 from math import inf
 from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make
-from .matching import ClassId, Detection, hungarian
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou
+from .matching import ClassId, Detection, _corners, _ious, hungarian
 
 DEFAULT_ALPHA = 0.7
 DEFAULT_COST_CUTOFF = 0.7
@@ -87,46 +87,41 @@ def bayes_update(prior: float, likelihood: float) -> float:
     return joint / (joint + (1.0 - p) * (1.0 - q))
 
 
-def _link_costs(prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float):
-    """Matrix of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all
-    (prev, curr) pairs, box distance blended with class-distribution
-    distance in [0, 1], and the IoU matrix. Every cell takes the float steps
-    of the scalar formula in the same order, the L1 sum accumulated bin by bin."""
-    import numpy as np
-
+def _link_costs(
+    prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float
+) -> list[list[float]]:
+    """Rows of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all (prev, curr)
+    pairs, box distance blended with class-distribution distance in [0, 1].
+    Every cell equals the scalar formula bitwise: the IoUs take `_ious`' float
+    steps, and each L1 sum starts from 0.0 and adds the bins in order."""
     n_bins = len(prev[0].class_scores)
     for det in (*prev, *curr):
         if len(det.class_scores) != n_bins:
             raise ValueError(
                 f"class score vectors differ in length: {n_bins} vs {len(det.class_scores)}"
             )
-
-    def rows(dets):
-        return np.array([(*d.box, *d.class_scores) for d in dets], dtype=float)
-
-    # Features on axis 1: x_min, y_min, x_max, y_max, then the class bins.
-    p, c = rows(prev)[:, :, None], rows(curr).T[None, :, :]
-    iw = np.minimum(p[:, 2], c[:, 2]) - np.maximum(p[:, 0], c[:, 0])
-    ih = np.minimum(p[:, 3], c[:, 3]) - np.maximum(p[:, 1], c[:, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_p = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
-    area_c = (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
-    overlap = inter / (area_p + area_c - inter)
-    l1 = np.zeros_like(overlap)
-    for k in range(4, 4 + n_bins):
-        l1 += np.abs(p[:, k] - c[:, k])
-    return alpha * (1.0 - overlap) + (1.0 - alpha) * 0.5 * l1, overlap
+    curr_rows = [(j, *_corners(det.box)) for j, det in enumerate(curr)]
+    curr_bins = list(zip(*(det.class_scores for det in curr)))
+    beta = (1.0 - alpha) * 0.5
+    cost = []
+    for det in prev:
+        l1 = [0.0] * len(curr)
+        for p_k, bin_k in zip(det.class_scores, curr_bins):
+            l1 = [acc + abs(p_k - c) for acc, c in zip(l1, bin_k)]
+        ious = _ious(*_corners(det.box), curr_rows)
+        cost.append([alpha * (1.0 - iou_j) + beta * d for (iou_j, _), d in zip(ious, l1)])
+    return cost
 
 
 def check_link_params(alpha: float, cost_cutoff: float) -> None:
-    """Reject an alpha outside [0, 1], and a cost cutoff that is not finite:
-    under NaN every pair would be severed without a word, and JSON cannot
-    record infinity. Costs lie in [0, 1], so any cutoff above 1 already
-    severs nothing on cost."""
+    """Reject an alpha outside [0, 1], and a cost cutoff that is not a finite
+    number >= 0: costs are >= 0, so under a negative cutoff or NaN every pair
+    would be severed without a word, and JSON cannot record infinity. Costs
+    lie in [0, 1], so any cutoff above 1 already severs nothing on cost."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not -inf < cost_cutoff < inf:  # NaN fails both
-        raise ValueError(f"cost cutoff must be a finite number, got {cost_cutoff}")
+    if not 0.0 <= cost_cutoff < inf:  # NaN fails both
+        raise ValueError(f"cost cutoff must be a finite number >= 0, got {cost_cutoff}")
 
 
 def link_frames(
@@ -141,9 +136,10 @@ def link_frames(
     check_link_params(alpha, cost_cutoff)
     if not prev.detections or not curr.detections:
         return []
-    cost, overlap = _link_costs(prev.detections, curr.detections, alpha)
+    cost = _link_costs(prev.detections, curr.detections, alpha)
     return [
-        (i, j) for i, j in hungarian(cost) if cost[i, j] <= cost_cutoff and overlap[i, j] > 0.0
+        (i, j) for i, j in hungarian(cost)
+        if cost[i][j] <= cost_cutoff and iou(prev.detections[i].box, curr.detections[j].box) > 0.0
     ]
 
 

@@ -227,9 +227,14 @@ def label_detections(gts, dets, tau):
 
 
 def _l1(a, b):
+    """Sum of absolute bin differences, added in bin order from 0.0 as the
+    scalar formula reads (`sum` compensates float sums from Python 3.12 on)."""
     if len(a) != len(b):
         raise ValueError(f"class score vectors differ in length: {len(a)} vs {len(b)}")
-    return sum(abs(x - y) for x, y in zip(a, b))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x - y)
+    return total
 
 
 def link_cost(prev, curr, alpha):

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -435,7 +436,9 @@ class TestImportCost:
                     else ["--det", det_path])
         return [command, "--gt", gt_path, *det_args, "--output", str(tmp_path / "out")]
 
-    @pytest.mark.parametrize("command", ["eval", "sweep", "curves", "thresholds", "compare"])
+    @pytest.mark.parametrize(
+        "command", ["eval", "sweep", "curves", "thresholds", "compare", "stream"]
+    )
     def test_eval_loads_neither_numpy_nor_scipy(self, tmp_path, command):
         assert self.heavy_modules_loaded(self.command_argv(tmp_path, command)) == "[]"
 
@@ -448,9 +451,6 @@ class TestImportCost:
             "assert lrp_components(match_optimal(ys, xs, 0.5), 0.5).n_tp == 1\n"
         )
         assert self.heavy_modules_after(code) == "[]"
-
-    def test_stream_never_loads_scipy(self, tmp_path):
-        assert self.heavy_modules_loaded(self.command_argv(tmp_path, "stream")) == "['numpy']"
 
     # Records are named tuples: importing `dataclasses`, and the `inspect`
     # it pulls in, would add to the start-up of every run.
@@ -906,6 +906,7 @@ class TestMalformedInputs:
         ("stream", ["--threshold", "5"], "got 5.0"),
         ("stream", ["--cost-cutoff", "nan"], "got nan"),
         ("stream", ["--cost-cutoff", "inf"], "got inf"),
+        ("stream", ["--cost-cutoff", "-1"], "got -1.0"),
         ("stream", ["--tau", "nan"], "got nan"),
         ("compare", ["--tau-list", ""], "''"),
         ("curves", ["--taus", ""], "''"),
@@ -913,7 +914,7 @@ class TestMalformedInputs:
             "nan-tau-step", "tau-above-max", "zero-tau-step", "tau-list-value-above-max",
             "tau-range-stop-above-max", "uneven-grid-step", "alpha-above-one", "nan-alpha",
             "nan-threshold", "threshold-above-one", "nan-cost-cutoff", "infinite-cost-cutoff",
-            "nan-stream-tau", "empty-tau-list", "empty-taus"])
+            "negative-cost-cutoff", "nan-stream-tau", "empty-tau-list", "empty-taus"])
     def test_exits_2_naming_the_flag_value(self, tmp_path, capsys, command, flags, value):
         # The tiny steps would ask for 10**9 grid points or taus if not bounded first.
         # An empty --tau-list once escaped as a ValueError traceback.
@@ -939,14 +940,19 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+_CURVE_NUMBERS = ("tau", "s", "recall", "precision", "lrp_total", "lrp_iou", "lrp_fp", "lrp_fn")
+
+
 class TestCliProperty:
     """Whatever loader documents a command reads, valid or mutated, `main`
     returns 0, 2 or 3 and never raises. Exit 2's error line names a file or
     a field path, and on exit 0 every output is strict JSON: no NaN or
     Infinity, which Python's `json` writes and reads but JSON has no
-    spelling for."""
+    spelling for. The CSV of `curves` holds only finite numbers."""
 
-    @pytest.mark.parametrize("command", ["eval", "thresholds", "stream"])
+    @pytest.mark.parametrize(
+        "command", ["eval", "sweep", "curves", "thresholds", "compare", "stream"]
+    )
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_exits_0_2_or_3(self, command, data):
@@ -962,8 +968,12 @@ class TestCliProperty:
                 outputs.append(os.path.join(tmp, "filtered.json"))
                 argv = ["stream", "--stream", paths["stream"], "--gt", paths["gt"],
                         "--filtered-output", outputs[1]]
+            elif command == "compare":
+                argv = [command, "--gt", paths["gt"], "--det-a", paths["det"],
+                        "--det-b", paths["det"]]
             else:
                 argv = [command, "--gt", paths["gt"], "--det", paths["det"]]
+                argv += ["--format", "json"] if command == "sweep" else []
             with redirect_stderr(StringIO()) as err:
                 code = main([*argv, "--output", outputs[0]])
             lines = err.getvalue().splitlines()
@@ -973,6 +983,11 @@ class TestCliProperty:
                 where = lines[-1][len("error: "):].split(": ")[0]
                 assert code == 3 or where in paths.values() or _FIELD_PATH.fullmatch(where)
                 lines.pop()
+            elif command == "curves":
+                with open(outputs[0], newline="") as f:
+                    for row in csv.DictReader(f):
+                        for field in _CURVE_NUMBERS:
+                            assert row[field] == "" or math.isfinite(float(row[field]))
             else:
                 for path in outputs:
                     json.loads(Path(path).read_text(), parse_constant=_reject_constant)

@@ -386,6 +386,18 @@ class TestIouTableProperty:
             )
 
 
+_TIE_CELLS = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+
+
+@st.composite
+def _matrices(draw, n_rows, n_cols, cells=st.floats(0.0, 1.0, exclude_max=True)):
+    """Cost matrices (nested lists) of drawn shape, with cells in [0, 1)
+    unless drawn from cells, such as the tie-heavy _TIE_CELLS."""
+    n_rows, n_cols = draw(n_rows), draw(n_cols)
+    row = st.lists(cells, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
 @st.composite
 def _cost_matrices(draw):
     """Random, tie-heavy and constant matrices of either orientation,
@@ -395,12 +407,8 @@ def _cost_matrices(draw):
     if kind == "constant":
         value = draw(st.floats(-10.0, 10.0))
         return [[value] * n_cols for _ in range(n_rows)]
-    if kind == "ties":
-        cells = st.sampled_from((0.0, 0.25, 0.5, 1.0))
-    else:
-        cells = st.floats(-1e6, 1e6)
-    row = st.lists(cells, min_size=n_cols, max_size=n_cols)
-    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    cells = _TIE_CELLS if kind == "ties" else st.floats(-1e6, 1e6)
+    return draw(_matrices(st.just(n_rows), st.just(n_cols), cells))
 
 
 @pytest.fixture(scope="module")
@@ -424,34 +432,36 @@ class TestHungarian:
     def test_empty(self):
         assert hungarian(np.zeros((0, 3))) == []
 
-    def test_five_by_five_against_brute_force(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            cost = rng.random((5, 5))
-            pairs = hungarian(cost)
-            total = sum(cost[r, c] for r, c in pairs)
-            assert total == pytest.approx(brute_force_assignment_cost(cost), abs=1e-12)
+    @staticmethod
+    def check_optimal(cost):
+        """hungarian's pairs on cost: one per row of the smaller side, rows
+        ascending, columns distinct, the same from the NumPy array and from
+        its `.tolist()`, and of brute-force minimal total."""
+        arr = np.array(cost)
+        pairs = hungarian(arr.tolist())
+        assert hungarian(arr) == pairs
+        assert sorted({r for r, _ in pairs}) == [r for r, _ in pairs]
+        assert len({c for _, c in pairs}) == len(pairs) == min(arr.shape)
+        total = sum(cost[r][c] for r, c in pairs)
+        assert total == pytest.approx(brute_force_assignment_cost(arr), abs=1e-12)
 
-    def test_rectangular_against_brute_force(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            shape = (rng.integers(1, 6), rng.integers(1, 6))
-            cost = rng.random(shape)
-            pairs = hungarian(cost)
-            assert len(pairs) == min(shape)
-            total = sum(cost[r, c] for r, c in pairs)
-            assert total == pytest.approx(brute_force_assignment_cost(cost), abs=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(_matrices(st.just(5), st.just(5)))
+    def test_five_by_five_against_brute_force(self, cost):
+        self.check_optimal(cost)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_matrices(st.integers(1, 5), st.integers(1, 5)))
+    def test_rectangular_against_brute_force(self, cost):
+        self.check_optimal(cost)
 
     @pytest.mark.parametrize("shape", [(6, 6), (1, 6), (6, 1), (4, 6), (6, 4)])
-    def test_up_to_six_wide_against_brute_force(self, shape):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            for cost in (rng.random(shape), rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)):
-                pairs = hungarian(cost.tolist())
-                assert sorted({r for r, _ in pairs}) == [r for r, _ in pairs]
-                assert len({c for _, c in pairs}) == len(pairs) == min(shape)
-                total = sum(cost[r, c] for r, c in pairs)
-                assert total == pytest.approx(brute_force_assignment_cost(cost), abs=1e-12)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_up_to_six_wide_against_brute_force(self, shape, data):
+        n_rows, n_cols = st.just(shape[0]), st.just(shape[1])
+        self.check_optimal(data.draw(_matrices(n_rows, n_cols)))
+        self.check_optimal(data.draw(_matrices(n_rows, n_cols, _TIE_CELLS)))
 
     def test_rejects_ragged_and_non_2d(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrpeval import video
@@ -196,6 +196,42 @@ class TestLinkFramesProperty:
         assert got == expected
 
 
+@st.composite
+def _float_boxes(draw):
+    """Any float box: corners anywhere in a span of 40 or of 2e6, so that
+    frames hold both overlapping and far-apart boxes."""
+    span = draw(st.sampled_from((20.0, 1e6)))
+    xs = sorted(draw(st.lists(st.floats(-span, span), min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(st.floats(-span, span), min_size=2, max_size=2, unique=True)))
+    assume((xs[1] - xs[0]) * (ys[1] - ys[0]) > 0.0)  # a box's area must not underflow
+    return BoundingBox(xs[0], ys[0], xs[1], ys[1])
+
+
+@st.composite
+def _float_frames(draw, n_bins):
+    """1-6 stream detections over n_bins-bin distributions, normalized
+    from drawn weights or one-hot."""
+    weights = st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=n_bins, max_size=n_bins).filter(any),
+        st.integers(0, n_bins - 1).map(lambda k: [float(i == k) for i in range(n_bins)]),
+    )
+    dets = []
+    for w in draw(st.lists(weights, min_size=1, max_size=6)):
+        total = sum(w)
+        dets.append(StreamDetection(1, draw(_float_boxes()), tuple(v / total for v in w)))
+    return dets
+
+
+class TestLinkCostsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_bins=st.integers(1, 6),
+           alpha=st.one_of(st.sampled_from((0.0, 0.3, 0.7, 1.0)), st.floats(0.0, 1.0)))
+    def test_every_cell_equals_the_scalar_oracle(self, data, n_bins, alpha):
+        prev, curr = data.draw(_float_frames(n_bins)), data.draw(_float_frames(n_bins))
+        cost = video._link_costs(prev, curr, alpha)
+        assert cost == [[link_cost(p, c, alpha) for c in curr] for p in prev]
+
+
 class TestRunStream:
     def test_single_frame_is_pure_thresholding(self):
         frame = FrameDetections(
@@ -354,7 +390,7 @@ class TestRunStream:
         with pytest.raises(ValueError, match="alpha"):
             emit_stream(track_stream([frame], alpha=5.0), {}, math.nan)
         for alpha, cutoff in ((5.0, 0.7), (math.nan, 0.7), (0.7, math.nan), (0.7, math.inf),
-                              (0.7, -math.inf)):
+                              (0.7, -math.inf), (0.7, -1.0)):
             with pytest.raises(ValueError, match="alpha|cost cutoff"):
                 track_stream([frame], alpha=alpha, cost_cutoff=cutoff)
 
