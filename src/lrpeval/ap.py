@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
+from .geometry import ordered_sum
 from .matching import FP, IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
 AP_VARIANTS = ("continuous", "pascal11", "coco101")
@@ -107,4 +108,4 @@ def ap(labels: TauLabels, variant: str = "coco101") -> float:
         while k < n_tp and (k + 1) / n_real < r:
             k += 1
         samples.append(interp[k] if k < n_tp else 0.0)
-    return sum(samples) / (steps + 1)
+    return ordered_sum(samples) / (steps + 1)

@@ -222,13 +222,15 @@ def cmd_eval(args) -> int:
 
 
 def _per_class_and_tau(args, consume=lambda sweep, labels: sweep):
-    """Load the inputs, label and sweep every (class, tau) of --taus once,
-    and return the dataset plus consume(sweep, labels) for each pair in
-    tau-major order, the order of the printed tables. Raises UndefinedLrp
-    when no sweep has anything to evaluate."""
+    """Load the inputs, label and sweep every (class, tau) once, over the
+    taus of --taus or, for a command without one or when it is not given,
+    --tau alone. Return the dataset plus consume(sweep, labels) for each
+    pair in tau-major order, the order of the printed tables; with one tau
+    that is class order. Raises UndefinedLrp when no sweep has anything to
+    evaluate."""
     dataset = load_ground_truth(args.gt)
     dets = load_detections(args.det, dataset)
-    taus = args.taus or (args.tau,)
+    taus = vars(args).get("taus") or (args.tau,)
     # label_classes runs class-major so that each class's IoU table serves
     # all its taus; consuming the labels as they come keeps them out of memory.
     labeled = label_classes(dataset.ground_truths, dets, dataset.class_ids(), taus)
@@ -273,11 +275,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    dataset = load_ground_truth(args.gt)
-    dets = load_detections(args.det, dataset)
-    report = molrp(dataset.ground_truths, dets, dataset.class_ids(), args.tau, args.grid_step)
-    rows = threshold_rows(report, dataset.names)
-    save_thresholds(rows, args.tau, args.output)
+    dataset, sweeps = _per_class_and_tau(args)
+    save_thresholds(threshold_rows(sweeps, dataset.names), args.tau, args.output)
     return EXIT_OK
 
 

@@ -29,16 +29,10 @@ from math import inf, isfinite
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap
-from .geometry import _NUMBER_TYPES, BoundingBox
+from .geometry import _NUMBER_TYPES, BoundingBox, ordered_sum
 from .lrp import breakdown_from_counts
 from .matching import ClassId, Detection, GroundTruth, label_classes
-from .sweep import (
-    DEFAULT_GRID_STEP,
-    MoLrpReport,
-    SweepResult,
-    aggregate_molrp,
-    sweep_labels,
-)
+from .sweep import DEFAULT_GRID_STEP, SweepResult, aggregate_molrp, sweep_labels
 from .video import FrameDetections, StreamDetection
 
 REPORT_SCHEMA = "lrp_report_v1"
@@ -384,20 +378,22 @@ def _json_id(value) -> str:
     return json.dumps(value)
 
 
-def threshold_rows(report: MoLrpReport, names: Mapping[ClassId, str] | None = None) -> list[dict]:
-    """Per-class operating thresholds from a sweep report, as the rows of
-    the thresholds document: class_id, class_name, s_star, olrp, warning.
+def threshold_rows(sweeps: Iterable[SweepResult], names: Mapping[ClassId, str]) -> list[dict]:
+    """Per-class operating thresholds from per-class sweeps, in their
+    order, as the rows of the thresholds document: class_id, class_name
+    (from names), s_star, olrp, warning. Classes that are not evaluable
+    get no row.
 
     A class with ground truth but no detections has every threshold tie
     at total error 1; exporting the tie-break winner (1.0) would suppress
     any future detection of that class, so the row is forced to 0.0 with
     a warning instead.
     """
-    names = names or {}
     rows = []
-    for cid, result in report.per_class.items():
+    for result in sweeps:
         if not result.evaluable:
             continue
+        cid = result.class_id
         warning = None
         s_star = result.s_star
         _, _, n_tp, n_fp, _ = result.counts[0]  # s = 0 keeps every detection
@@ -407,7 +403,7 @@ def threshold_rows(report: MoLrpReport, names: Mapping[ClassId, str] | None = No
             _warn(f"class {cid}: {warning}")
         rows.append({
             "class_id": cid,
-            "class_name": str(names.get(cid, cid)),
+            "class_name": names[cid],
             "s_star": s_star,
             "olrp": result.olrp,
             "warning": warning,
@@ -510,12 +506,12 @@ def build_report(
         if n_real and t in tau_list:
             ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(labels, ap_variant)
     per_class_tau_ap = [
-        sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
+        ordered_sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]
 
-    lrp = aggregate_molrp(per_class_sweeps, tau)
+    lrp = aggregate_molrp(per_class_sweeps)
     if per_class_tau_ap:
-        mean_ap = sum(per_class_tau_ap) / len(per_class_tau_ap)
+        mean_ap = ordered_sum(per_class_tau_ap) / len(per_class_tau_ap)
     else:
         _warn("no class has ground truth; mean AP left unset")
         mean_ap = None
@@ -560,8 +556,9 @@ _REPORT_CSV_FIELDS = [
 
 def export_report(report: Mapping, path, fmt: str = "json") -> None:
     """Write a `build_report` document as JSON or CSV with stable field
-    ordering, the reals of its class rows and summary at 4 decimal places;
-    the CSV ends with a summary row of the class means."""
+    ordering, the reals of its class rows and summary at 4 decimal places.
+    The CSV opens with a config line whose numbers read back exactly, and
+    ends with a summary row of the class means."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}; expected json or csv")
     config = report["config"]
@@ -583,11 +580,17 @@ def export_report(report: Mapping, path, fmt: str = "json") -> None:
         "s_star_max": summary["s_star_max"],
     }
     preamble = (
-        f"# {REPORT_SCHEMA} tau={config['tau']:.4f} grid_step={config['grid_step']:.4f} "
-        f"ap_variant={config['ap_variant']} "
-        f"tau_list={','.join(f'{t:.2f}' for t in config['tau_list'])}\n"
+        f"# {REPORT_SCHEMA} tau={_exact(config['tau'], '.4f')} "
+        f"grid_step={_exact(config['grid_step'], '.4f')} ap_variant={config['ap_variant']} "
+        f"tau_list={','.join(_exact(t, '.2f') for t in config['tau_list'])}\n"
     )
     write_csv([*classes, summary_row], path, _REPORT_CSV_FIELDS, preamble)
+
+
+def _exact(value: float, spec: str) -> str:
+    """value in the given format where that reads back as value, else its repr."""
+    text = format(value, spec)
+    return text if float(text) == value else repr(value)
 
 
 CURVE_CSV_FIELDS = [

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from math import isfinite
-from typing import NamedTuple
+from operator import add
+from typing import Iterable, NamedTuple
 
 # A number is exactly an int or a float, as JSON numbers parse; a bool has
 # its own type and would collide with the ids 0 and 1 and the coordinates
 # and scores 0 and 1.
 _NUMBER_TYPES = frozenset((int, float))
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """0 + v0 + v1 + ..., added left to right: the builtin `sum` before
+    Python 3.12, whose float sums are compensated and so may differ in the
+    last bits. Every float sum that feeds an output uses this one, so the
+    bytes do not depend on the interpreter."""
+    return reduce(add, values, 0)
+
 
 # The largest box area: the union of two boxes, at most the sum of their
 # areas, must stay a finite float.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import BoundingBox, _checked_make
+from .geometry import BoundingBox, _checked_make, ordered_sum
 from .matching import TAU_MAX, MatchResult, check_tau, match_optimal
 
 
@@ -144,6 +144,6 @@ def dasa(xs: Sequence[BoundingBox], ys: Sequence[BoundingBox], params: DasaParam
         raise UndefinedLrp("both box sets are empty")
     l = max(len(xs), len(ys))
     match = match_optimal(xs, ys, tau=1.0 - params.c)
-    tail = sum((1.0 - overlap) ** params.p for _, _, overlap in match.tp_pairs)
+    tail = ordered_sum((1.0 - overlap) ** params.p for _, _, overlap in match.tp_pairs)
     tail += (params.c ** params.p) * (match.n_fp + match.n_fn)
     return (tail / l) ** (1.0 / params.p)

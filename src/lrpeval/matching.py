@@ -233,11 +233,24 @@ def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable
 def label_at_tau(table: IouTable, tau: float) -> TauLabels:
     """Greedy labels of one class at tau from its IoU table, as columns.
 
-    In score order, each detection takes its first unclaimed candidate if
-    that IoU reaches tau; otherwise it is IGNORED when its best crowd IoU
-    reaches tau, else FP. Candidates run by descending IoU, so the walk
-    stops at the first one below tau. No `Detection` is read: the record
-    shares the table's order and scores.
+    Detections are processed in descending score order (ties broken by
+    ascending input index) and matched strictly within their own image.
+    Each claims the unclaimed non-ignored ground truth with the highest
+    IoU, provided that IoU reaches tau (equal-IoU candidates resolve to
+    the lowest ground-truth index). A detection that fails but overlaps
+    an ignore region at IoU >= tau is IGNORED and dropped from all
+    counting; the rest are FP. Crowd regions are thus judged by the one
+    overlap rule that decides TPs, not by COCO's intersection over
+    detection area (see `GroundTruth`): a 10x10 box inside a 50x50 crowd
+    region has IoU 0.04 and stays FP at tau 0.5.
+
+    Labels are prefix-stable: truncating the detection list at any score
+    threshold leaves the surviving labels unchanged, which is what makes
+    a single labeling pass serve every threshold of a sweep.
+
+    Each detection walks its candidates, which run by descending IoU, and
+    stops at the first unclaimed one or the first below tau. No
+    `Detection` is read: the record shares the table's order and scores.
     """
     check_tau(tau)
     claimed = [False] * table.n_gts
@@ -259,23 +272,9 @@ def label_at_tau(table: IouTable, tau: float) -> TauLabels:
 def label_detections(
     gts: Sequence[GroundTruth], dets: Sequence[Detection], tau: float
 ) -> list[DetectionLabel]:
-    """Greedy score-ordered matching outcome for every detection.
-
-    Detections are processed in descending score order (ties broken by
-    ascending input index) and matched strictly within their own image.
-    Each claims the unmatched non-ignored ground truth with the highest
-    IoU, provided that IoU reaches tau (equal-IoU candidates resolve to
-    the lowest ground-truth index). A detection that fails but overlaps
-    an ignore region at IoU >= tau is labeled "ignored" and dropped from
-    all counting; the rest are false positives. Crowd regions are thus
-    judged by the one overlap rule that decides TPs, not by COCO's
-    intersection over detection area (see `GroundTruth`): a 10x10 box
-    inside a 50x50 crowd region has IoU 0.04 and stays "fp" at tau 0.5.
-
-    Labels are prefix-stable: truncating the detection list at any score
-    threshold leaves the surviving labels unchanged, which is what makes
-    a single labeling pass serve every threshold of a sweep. The records
-    must share one class. Evaluation paths read the `TauLabels` columns.
+    """Greedy score-ordered matching outcome for every detection, by the
+    rule of `label_at_tau`, as one `DetectionLabel` each. The records must
+    share one class. Evaluation paths read the `TauLabels` columns.
     """
     classes = {g.class_id for g in gts} | {d.class_id for d in dets}
     if len(classes) > 1:

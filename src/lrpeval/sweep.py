@@ -24,6 +24,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
+from .geometry import ordered_sum
 from .lrp import UndefinedLrp, breakdown_from_counts, total_from_counts
 from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
 
@@ -151,7 +152,6 @@ class MoLrpReport(NamedTuple):
     classes with nothing to evaluate are excluded and listed.
     """
 
-    tau: float
     per_class: dict[ClassId, SweepResult]
     molrp: float
     molrp_iou: float | None
@@ -163,7 +163,7 @@ class MoLrpReport(NamedTuple):
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return ordered_sum(values) / len(values) if values else None
 
 
 def molrp(
@@ -178,16 +178,15 @@ def molrp(
         cid: sweep_labels(labels, cid, grid_step)
         for cid, labels in label_classes(gts, dets, class_ids, (tau,))
     }
-    return aggregate_molrp(per_class, tau)
+    return aggregate_molrp(per_class)
 
 
-def aggregate_molrp(per_class: dict[ClassId, SweepResult], tau: float) -> MoLrpReport:
+def aggregate_molrp(per_class: dict[ClassId, SweepResult]) -> MoLrpReport:
     """Combine already-computed per-class sweeps into the mean report."""
     evaluable = [r for r in per_class.values() if r.evaluable]
     if not evaluable:
         raise UndefinedLrp("no class has anything to evaluate")
     return MoLrpReport(
-        tau=tau,
         per_class=per_class,
         molrp=_mean([r.olrp for r in evaluable]),
         molrp_iou=_mean([r.olrp_iou for r in evaluable if r.olrp_iou is not None]),

@@ -24,7 +24,7 @@ from itertools import compress
 from math import inf
 from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou, ordered_sum
 from .matching import ClassId, Detection, _corners, _ious, hungarian
 
 DEFAULT_ALPHA = 0.7
@@ -52,7 +52,7 @@ class StreamDetection(_StreamDetectionFields):
             raise ValueError("class_scores must not be empty")
         if not _NUMBER_TYPES.issuperset(map(type, class_scores)):
             raise ValueError(f"class_scores entries must be numbers: {class_scores}")
-        total = sum(class_scores)
+        total = ordered_sum(class_scores)
         # A NaN entry passes min and max but makes the sum NaN.
         if not (0.0 <= min(class_scores) and max(class_scores) <= 1.0 and total == total):
             raise ValueError(f"class_scores entries must be in [0, 1]: {class_scores}")
@@ -169,7 +169,7 @@ def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:
     # The other bins' real mass may differ from 1 - peak by up to the sum
     # tolerance, and the scaling can push that past it; `_capped` spreads
     # by the real mass.
-    if max(new) > new_score or abs(sum(new) - 1.0) > _SUM_TOLERANCE:
+    if max(new) > new_score or abs(ordered_sum(new) - 1.0) > _SUM_TOLERANCE:
         new = _capped(scores, k, new_score)
     return StreamDetection(det.class_id, det.box, new)
 
@@ -183,7 +183,7 @@ def _capped(scores: tuple[float, ...], k: int, new_score: float) -> tuple[float,
     capped, free = {k}, [i for i in range(n) if i != k]
     while free:
         left = 1.0 - new_score * len(capped)
-        mass = sum(scores[i] for i in free)
+        mass = ordered_sum(scores[i] for i in free)
         new = {i: scores[i] * left / mass if mass > 0.0 else left / len(free) for i in free}
         over = {i for i in free if new[i] > new_score}
         if not over:

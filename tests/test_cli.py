@@ -170,13 +170,21 @@ class TestEval:
         assert code == 2
         assert "detections[0]: must be a JSON object" in capsys.readouterr().err
 
-    def test_nothing_evaluable_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "sweep", "curves", "thresholds", "compare", "stream"])
+    def test_nothing_evaluable_exits_3(self, tmp_path, capsys, command):
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps({"images": [], "annotations": [], "categories": [{"id": 1, "name": "x"}]}))
         det = tmp_path / "det.json"
         det.write_text("[]")
-        code = main(["eval", "--gt", str(gt), "--det", str(det)])
+        stream = tmp_path / "stream.json"
+        stream.write_text(json.dumps({"frames": []}))
+        inputs = {
+            "compare": ["--det-a", str(det), "--det-b", str(det)],
+            "stream": ["--stream", str(stream)],
+        }.get(command, ["--det", str(det)])
+        code = main([command, "--gt", str(gt), *inputs])
         assert code == 3
+        assert capsys.readouterr() == ("", "error: no class has anything to evaluate\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         gts, dets = reference_detectors()["tradeoff"]
@@ -795,6 +803,9 @@ class TestMalformedInputs:
          "frames[0].detections[0].class_id"),
         ("stream", "thr", _set(["thresholds", 0, "class_id"], float("inf")),
          "thresholds[0].class_id"),
+        ("eval", "gt", lambda doc: doc["annotations"][0].pop("bbox"), "annotations[0].bbox"),
+        ("stream", "stream", _set(["frames", 0, "detections", 0, "class_scores"], 0.9),
+         "frames[0].detections[0].class_scores"),
     ], ids=[
         "unhashable-image-id", "string-width", "string-height", "unhashable-det-image-id",
         "annotations-not-array",
@@ -813,6 +824,7 @@ class TestMalformedInputs:
         "nan-width", "negative-height", "zero-width", "negative-zero-height", "infinite-height",
         "huge-int-width", "nan-category-id", "infinite-image-id", "infinite-det-category-id",
         "nan-stream-class-id", "infinite-thresholds-class-id",
+        "missing-annotation-bbox", "scalar-class-scores",
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, mutate, field):
         docs = self.base_docs()

@@ -338,7 +338,7 @@ def one_record_of_each_type():
         box, det, gt, stream_det, frame,
         MatchResult((), 0, 1, 1), label_detections([gt], [det], 0.5)[0], labels, table,
         lrp_components(match_optimal([box], [box], 0.5), 0.5), DasaParams(),
-        sweep, aggregate_molrp({"a": sweep}, 0.5),
+        sweep, aggregate_molrp({"a": sweep}),
         curve_from_labels(labels, "a"), track_stream([frame]),
         Dataset({0: (None, None)}, {"a": "a"}, (gt,)),
     ]
@@ -427,7 +427,7 @@ class TestThresholds:
     def test_round_trip(self, tmp_path):
         gts, dets = reference_detectors()["half_recall"]
         report = molrp(gts, dets, [1], tau=0.5)
-        rows = threshold_rows(report, {1: "obj"})
+        rows = threshold_rows(report.per_class.values(), {1: "obj"})
         assert list(rows[0]) == ["class_id", "class_name", "s_star", "olrp", "warning"]
         path = tmp_path / "thr.json"
         save_thresholds(rows, 0.5, path)
@@ -438,7 +438,7 @@ class TestThresholds:
         gts = [GroundTruth(0, 1, BoundingBox(0, 0, 10, 10))]
         report = molrp(gts, [], [1], tau=0.5)
         assert report.per_class[1].s_star == 1.0  # largest-s tie break
-        rows = threshold_rows(report)
+        rows = threshold_rows(report.per_class.values(), {1: "obj"})
         assert rows[0]["s_star"] == 0.0
         assert rows[0]["olrp"] == 1.0
         assert "no detections" in rows[0]["warning"]
@@ -473,6 +473,18 @@ class TestBuildAndExportReport:
         with pytest.raises(ValueError, match="tau_list"):
             build_report(ds, dets, tau_list=())
 
+    def test_unknown_ap_variant_rejected(self):
+        ds, dets = trio_dataset()
+        with pytest.raises(ValueError, match="unknown AP variant 'voc'"):
+            build_report(ds, dets, ap_variant="voc")
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        ds, dets = trio_dataset()
+        path = tmp_path / "report.xml"
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            export_report(build_report(ds, dets), path, "xml")
+        assert not path.exists()
+
     def test_json_export_round_trip(self, tmp_path):
         ds, dets = trio_dataset()
         report = build_report(ds, dets)
@@ -502,6 +514,26 @@ class TestBuildAndExportReport:
         assert class_row[header.index("s_star")] == "0.8000"
         assert summary[header.index("class_name")] == "summary"
         assert summary[header.index("olrp")] == "0.5000"
+
+    def test_csv_config_line_reads_back_exactly(self, tmp_path):
+        # At 4 and 2 places these would read tau=0.1235, grid_step=0.0003
+        # and tau_list=0.50,0.53,0.53; a number keeps that text only where
+        # it parses back to the config's value.
+        ds, dets = trio_dataset()
+        report = build_report(ds, dets, tau=0.12345, tau_list=(0.5, 0.525, 0.53), grid_step=0.00025)
+        path = tmp_path / "report.csv"
+        export_report(report, path, "csv")
+        first = path.read_text().splitlines()[0]
+        assert first == (
+            "# lrp_report_v1 tau=0.12345 grid_step=0.00025 ap_variant=coco101 "
+            "tau_list=0.50,0.525,0.53"
+        )
+        fields = dict(pair.split("=") for pair in first.split(" ")[2:])
+        config = report["config"]
+        assert float(fields["tau"]) == config["tau"]
+        assert float(fields["grid_step"]) == config["grid_step"]
+        assert fields["ap_variant"] == config["ap_variant"]
+        assert [float(t) for t in fields["tau_list"].split(",")] == config["tau_list"]
 
     def test_csv_reimport_matches_print_precision(self, tmp_path):
         ds, dets = trio_dataset()

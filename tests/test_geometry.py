@@ -1,10 +1,23 @@
+import builtins
+import importlib
 import math
+import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpeval import BoundingBox, area, iou, iou_distance
+import lrpeval
+from lrpeval import (
+    BoundingBox, Dataset, DasaParams, GroundTruth, StreamDetection, area, build_report, dasa,
+    iou, iou_distance, match_optimal,
+)
+from lrpeval import ap as ap_module
+from lrpeval import dataio, video
+from lrpeval.geometry import ordered_sum
+from lrpeval.matching import FP, TP, TauLabels
+from lrpeval.sweep import SweepResult, aggregate_molrp
 from oracles import box_corner_check, grid_area, grid_iou
 
 _CORNER = st.one_of(
@@ -164,3 +177,110 @@ class TestIouDistance:
     @given(_BOX, _BOX, _BOX)
     def test_triangle_inequality_sampled(self, x, y, z):
         assert iou_distance(x, y) <= iou_distance(x, z) + iou_distance(z, y) + 1e-12
+
+
+def _loop_sum(values):
+    """0 + v0 + v1 + ..., one addition at a time."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def _compensated_sum(values, start=0):
+    """`sum` as Python 3.12 and later compute it: exact for ints, compensated
+    for floats (here `math.fsum`, which rounds once)."""
+    values = list(values)
+    if all(type(v) is int for v in (start, *values)):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])
+
+
+class TestOrderedSum:
+    """Every float sum in `src` adds left to right, so its bits do not
+    depend on the Python version. Each test swaps the builtin `sum` of every
+    `lrpeval` module for a compensated one, as from Python 3.12 on, and
+    feeds one summing site an input on which the two sums differ."""
+
+    @pytest.fixture(autouse=True)
+    def compensated_builtin_sum(self, monkeypatch):
+        for info in pkgutil.iter_modules(lrpeval.__path__, "lrpeval."):
+            module = importlib.import_module(info.name)
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+
+    @staticmethod
+    def differing(values):
+        values = list(values)
+        assert _loop_sum(values) != math.fsum(values)  # the input tells the sums apart
+        return values
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64)))
+    def test_helper_adds_left_to_right(self, values):
+        total = ordered_sum(values)
+        assert total == _loop_sum(values)
+        assert math.copysign(1.0, total) == math.copysign(1.0, _loop_sum(values))
+
+    def test_helper_keeps_ints_exact(self):
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
+        assert ordered_sum([2 ** 60, 1, -(2 ** 60)]) == 1
+
+    def test_stream_detection_sum_check(self):
+        scores = self.differing((0.1, 0.2, 0.3))
+        message = f"class_scores must sum to 1, got {_loop_sum(scores)!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            StreamDetection(1, BoundingBox(0, 0, 1, 1), tuple(scores))
+
+    def test_rescored_tolerance_check(self):
+        # The scaled bins sum to 1 + 1e-9 left to right, just inside the
+        # tolerance, and just outside it compensated, which would cap them.
+        scores = (0.6, 0.1550933224297831, 0.24490667837021687)
+        scale = (1.0 - 0.5) / (1.0 - 0.6)
+        scaled = (0.5, scores[1] * scale, scores[2] * scale)
+        assert abs(_loop_sum(scaled) - 1.0) <= 1e-9 < abs(math.fsum(scaled) - 1.0)
+        det = StreamDetection(1, BoundingBox(0, 0, 1, 1), scores)
+        assert video._rescored(det, 0.5).class_scores == scaled
+
+    def test_capped_mass(self):
+        free = self.differing((0.1, 0.2, 0.3))
+        mass, left = _loop_sum(free), 1.0 - 0.4
+        expected = (0.4, *(v * left / mass for v in free))
+        assert video._capped((0.4, *free), 0, 0.4) == expected
+
+    def test_molrp_mean(self):
+        olrps = self.differing((0.1, 0.2, 0.3))
+        per_class = {
+            cid: SweepResult(cid, 0.5, (), True, 0.0, olrp, None, None, None)
+            for cid, olrp in enumerate(olrps)
+        }
+        assert aggregate_molrp(per_class).molrp == _loop_sum(olrps) / 3
+
+    def test_ap_grid_mean(self):
+        # TPs at precisions 1, 2/3 and 3/5 over three ground truths.
+        labels = TauLabels(0.5, 3, [0, 1, 2, 3, 4], [0.9, 0.8, 0.7, 0.6, 0.5],
+                           [TP, FP, TP, FP, TP], [0, -1, 1, -1, 2], [1.0, 0.0, 1.0, 0.0, 1.0])
+        samples = self.differing([1.0] * 34 + [2 / 3] * 33 + [0.6] * 34)
+        assert ap_module.ap(labels, "coco101") == _loop_sum(samples) / 101
+
+    def test_report_mean_ap_over_taus_and_classes(self, monkeypatch):
+        values = self.differing((0.1, 0.2, 0.3))
+        box = BoundingBox(0, 0, 1, 1)
+        # One class at three taus: the mean over the taus.
+        monkeypatch.setattr(dataio, "ap", lambda labels, variant: values[round(labels.tau * 10) - 5])
+        one_class = Dataset({0: (None, None)}, {1: "a"}, (GroundTruth(0, 1, box),))
+        report = build_report(one_class, [], tau_list=(0.5, 0.6, 0.7))
+        assert report["summary"]["mean_ap"] == _loop_sum(values) / 3
+        # Three classes at one tau: the mean over the classes; class c has c ground truths.
+        monkeypatch.setattr(dataio, "ap", lambda labels, variant: values[labels.n_real - 1])
+        gts = tuple(GroundTruth(i, c, box) for c in (1, 2, 3) for i in range(c))
+        three = Dataset(dict.fromkeys(range(3), (None, None)), {1: "a", 2: "b", 3: "c"}, gts)
+        report = build_report(three, [], tau_list=(0.5,))
+        assert report["summary"]["mean_ap"] == _loop_sum(values) / 3
+
+    def test_dasa_tail(self):
+        xs = [BoundingBox(100 * i, 0, 100 * i + 10, 10) for i in range(4)]
+        ys = [BoundingBox(100 * i + d, 0, 100 * i + 10 + d, 10) for i, d in enumerate((1, 3, 3, 2))]
+        match = match_optimal(xs, ys, 0.5)
+        tail = self.differing(1.0 - overlap for _, _, overlap in match.tp_pairs)
+        assert match.n_tp == 4
+        assert dasa(xs, ys, DasaParams()) == _loop_sum(tail) / 4

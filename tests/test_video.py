@@ -285,6 +285,15 @@ class TestRunStream:
                 assert abs(sum(det.class_scores) - 1.0) <= 1e-9
                 assert det.score == max(det.class_scores)
 
+    def test_linked_one_bin_distribution_is_emitted_unchanged(self):
+        # One bin cannot peak below 1, so the linked detection keeps its
+        # distribution while its tracked score takes the Bayes update.
+        det = StreamDetection(1, box_at(0), (1.0,))
+        tracked = track_stream([FrameDetections(0, (det,)), FrameDetections(1, (det,))])
+        assert tracked.tubelets == (2,)
+        assert tracked.frames[1].detections[0] is det
+        assert tracked.scores[1][0] == bayes_update(1.0, 1.0) < 1.0
+
     def test_emitted_peak_is_the_tubelet_score(self):
         # Proportional scaling alone would emit (0.35, 0.52, 0.13), scored 0.52.
         frames = [
