@@ -37,8 +37,8 @@ from .dataio import (
 )
 from .ap import AP_VARIANTS, curve_from_labels
 from .lrp import UndefinedLrp
-from .matching import check_tau, label_classes
-from .sweep import DEFAULT_GRID_STEP, molrp, sweep_labels, threshold_grid
+from .matching import check_tau, class_tables, label_at_tau, label_classes, rescore
+from .sweep import DEFAULT_GRID_STEP, aggregate_molrp, sweep_labels, threshold_grid
 from .video import (
     DEFAULT_ALPHA,
     DEFAULT_COST_CUTOFF,
@@ -46,6 +46,7 @@ from .video import (
     check_link_params,
     check_threshold,
     emit_stream,
+    keep_masks,
     stream_to_detections,
     track_stream,
 )
@@ -331,19 +332,30 @@ def cmd_stream(args) -> int:
         # A bad thresholds file fails before any evaluation or tracking.
         threshold_maps["class_specific"] = load_thresholds(args.thresholds_file, dataset)
     class_ids = dataset.class_ids()
+    tables = list(class_tables(dataset.ground_truths, stream_to_detections(frames), class_ids))
 
-    def evaluate(frames):
-        dets = stream_to_detections(frames)
-        return molrp(dataset.ground_truths, dets, class_ids, args.tau, args.grid_step)
+    def evaluate(scores=None):
+        """moLRP of the raw stream or, given scores by raw position, of the
+        detections whose score is not None, scored so: a filtered stream
+        only drops detections and rewrites scores, so each class's one
+        table serves every pass."""
+        per_class = {}
+        for cid, table, members in tables:
+            if scores is not None:
+                table = rescore(table, [scores[m] for m in members])
+            per_class[cid] = sweep_labels(label_at_tau(table, args.tau), cid, args.grid_step)
+        return aggregate_molrp(per_class)
 
-    reports = {"raw": evaluate(frames)}
-    # Tubelets evolve on the unfiltered detections: track once, emit per threshold map.
+    reports = {"raw": evaluate()}
+    # Tubelets evolve on the unfiltered detections: track once, keep per threshold map.
     tracked = track_stream(frames, args.alpha, args.cost_cutoff)
+    # The emitted peak, not the tracked score: below 1/n bins it is 1/n.
+    emitted = [det.score for frame in tracked.frames for det in frame.detections]
     for name, thresholds in threshold_maps.items():
-        filtered = emit_stream(tracked, thresholds, args.threshold).frames
-        reports[name] = evaluate(filtered)
+        keep = [k for mask in keep_masks(tracked, thresholds, args.threshold) for k in mask]
+        reports[name] = evaluate([s if k else None for s, k in zip(emitted, keep)])
     if args.filtered_output:  # the last map's stream: class-specific when given
-        save_stream(filtered, args.filtered_output)
+        save_stream(emit_stream(tracked, thresholds, args.threshold).frames, args.filtered_output)
 
     classes = [
         round_row({

@@ -537,11 +537,18 @@ def build_report(
     }
 
 
+# Thresholds and taus are written exactly: a rounded s* can drop the
+# detection it was chosen to keep, and rounded taus can collapse.
+_EXACT_KEYS = frozenset({
+    "class_id", "tau", "s", "s_star", "s_star_min", "s_star_max", "s_star_a", "s_star_b",
+})
+
+
 def round_row(row: Mapping) -> dict:
-    """A copy of a table row with every real at 4 decimal places; the
-    class id is kept as given."""
+    """A copy of a table row with every real at 4 decimal places, except
+    the class id, taus and score thresholds, which are kept as given."""
     return {
-        k: round(v, 4) if isinstance(v, float) and k != "class_id" else v
+        k: round(v, 4) if isinstance(v, float) and k not in _EXACT_KEYS else v
         for k, v in row.items()
     }
 
@@ -635,15 +642,15 @@ def _curve_records(items: Iterable[SweepResult | RPCurve]):
             raise TypeError(f"cannot export {type(item).__name__} as curve data")
 
 
-def _cell(value):
-    """The one CSV cell rule: reals at 4 decimal places, None empty,
-    bools lower-case, anything else as given."""
+def _cell(value, exact: bool = False):
+    """The one CSV cell rule: reals at 4 decimal places (by `_exact` when
+    exact), None empty, bools lower-case, anything else as given."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return f"{value:.4f}"
+        return _exact(value, ".4f") if exact else f"{value:.4f}"
     return value
 
 
@@ -651,7 +658,8 @@ def write_csv(rows: Iterable[Mapping], path, fields: Sequence[str] | None = None
               preamble: str = "") -> None:
     """Write rows as CSV: preamble, a header of fields (default: the keys
     of rows[0]), then one line per row with missing fields left empty.
-    The class_id column is written as given, every other cell by `_cell`."""
+    The class_id column is written as given, every other cell by `_cell`,
+    exactly in the tau and threshold columns that `round_row` keeps."""
     fields = list(rows[0]) if fields is None else fields
     with _open_out(path) as fh:
         fh.write(preamble)
@@ -659,7 +667,8 @@ def write_csv(rows: Iterable[Mapping], path, fields: Sequence[str] | None = None
         writer.writerow(fields)
         for row in rows:
             writer.writerow(
-                [row.get(k) if k == "class_id" else _cell(row.get(k)) for k in fields]
+                [row.get(k) if k == "class_id" else _cell(row.get(k), k in _EXACT_KEYS)
+                 for k in fields]
             )
 
 

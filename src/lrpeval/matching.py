@@ -296,26 +296,47 @@ def label_classes(
 ) -> Iterator[tuple[ClassId, TauLabels]]:
     """Greedy labels of every (class, tau) pair, each labeled exactly once.
 
-    Ground truths and detections are grouped by class in one pass;
-    records of classes outside class_ids are skipped. Yields
-    (class_id, labels) for each class in order, then each tau in order;
-    the `TauLabels` record carries its tau and the class's count of
-    non-ignored ground truths, and its detection and GT indices refer to
-    the class's records in input order. Each class's IoU table is built
-    once and serves all its taus; repeated taus are labeled again, once
-    per occurrence.
+    Yields (class_id, labels) for each class in order, then each tau in
+    order; the `TauLabels` record carries its tau and the class's count
+    of non-ignored ground truths, and its detection and GT indices refer
+    to the class's records in input order. Each class's IoU table is
+    built once (`class_tables`) and serves all its taus; repeated taus
+    are labeled again, once per occurrence.
     """
-    class_gts: dict[ClassId, list[GroundTruth]] = {cid: [] for cid in class_ids}
-    class_dets: dict[ClassId, list[Detection]] = {cid: [] for cid in class_ids}
-    for records, groups in ((gts, class_gts), (dets, class_dets)):
-        for record in records:
-            group = groups.get(record.class_id)
-            if group is not None:
-                group.append(record)
-    for cid in class_ids:
-        table = iou_table(class_gts[cid], class_dets[cid])
+    for cid, table, _ in class_tables(gts, dets, class_ids):
         for tau in taus:
             yield cid, label_at_tau(table, tau)
+
+
+def class_tables(
+    gts: Sequence[GroundTruth], dets: Sequence[Detection], class_ids: Sequence[ClassId]
+) -> Iterator[tuple[ClassId, IouTable, list[int]]]:
+    """The IoU table of each class in order, and the positions in dets of
+    its detections. Ground truths and detections are grouped by class in
+    one pass, in input order; records of classes outside class_ids are
+    skipped."""
+    groups: dict[ClassId, tuple[list, list]] = {cid: ([], []) for cid in class_ids}
+    for side, records in enumerate((gts, dets)):
+        for i, record in enumerate(records):
+            group = groups.get(record.class_id)
+            if group is not None:
+                group[side].append(i)
+    for cid in class_ids:
+        gis, dis = groups[cid]
+        yield cid, iou_table([gts[i] for i in gis], [dets[i] for i in dis]), dis
+
+
+def rescore(table: IouTable, scores: Sequence[float | None]) -> IouTable:
+    """`iou_table` of the class's detections i whose scores[i] is not None,
+    scored so, its order still indexing all of them. Candidates do not
+    depend on scores: only order and scores are sorted again (ties by i)."""
+    old = table.order
+    kept = sorted((p for p, i in enumerate(old) if scores[i] is not None),
+                  key=lambda p: (-scores[old[p]], old[p]))
+    order = [old[p] for p in kept]
+    return table._replace(order=order, scores=[scores[i] for i in order],
+                          candidates=[table.candidates[p] for p in kept],
+                          crowd_iou=[table.crowd_iou[p] for p in kept])
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
@@ -333,12 +354,13 @@ def hungarian(cost) -> list[tuple[int, int]]:
     `linear_sum_assignment`, so tied optima resolve to the same pairs.
 
     It is O(n^3) and about 20-40x slower than SciPy's C++ per call: on
-    one core of a 2-core Xeon VM, a frame pair of a detection stream
-    with 42 boxes per frame takes 0.44 ms (SciPy 0.020 ms), with 88
-    boxes 2.7 ms (0.10 ms) and with 266 boxes 37 ms (0.98 ms). Dense
-    streams lose; in exchange no command imports NumPy or SciPy.
-    A NumPy-vectorized port was slower at 42 wide, from per-call overhead
-    on short vectors, and barely faster at 288.
+    one core of a 2-core Xeon VM, the link costs of two frames of 42
+    boxes take 0.44 ms (SciPy 0.020 ms), of 88 boxes 2.7 ms (0.10 ms)
+    and of 266 boxes 37 ms (0.98 ms). Large matrices lose; in exchange
+    no command imports NumPy or SciPy. A NumPy-vectorized port was slower
+    at 42 wide, from per-call overhead on short vectors, and barely
+    faster at 288. `video.link_frames` builds its matrices itself and
+    solves them with `_assign`, the step after these checks.
     """
     try:
         rows = [list(map(float, row)) for row in cost]
@@ -350,10 +372,14 @@ def hungarian(cost) -> list[tuple[int, int]]:
             raise ValueError(f"cost rows differ in length: {n_cols} vs {len(row)}")
         if not all(map(math.isfinite, row)):
             raise ValueError("cost matrix contains non-finite entries")
-    if not n_cols:
-        return []
+    return _assign(rows) if n_cols else []
+
+
+def _assign(rows: list[list[float]]) -> list[tuple[int, int]]:
+    """`hungarian` without its checks, for a non-empty matrix of finite
+    floats as a list of rows, which it does not modify."""
     # Tall matrices are solved transposed, as SciPy does.
-    if n_cols < len(rows):
+    if len(rows[0]) < len(rows):
         return sorted((r, c) for c, r in _assign_rows([list(col) for col in zip(*rows)]))
     return _assign_rows(rows)
 
@@ -376,12 +402,13 @@ def _assign_rows(cost: list[list[float]]) -> list[tuple[int, int]]:
             index, lowest = -1, math.inf
             for it, j in enumerate(remaining):
                 r = min_val + row[j] - u_i - v[j]
-                if r < shortest[j]:
+                s_j = shortest[j]
+                if r < s_j:
                     path[j] = i
-                    shortest[j] = r
+                    shortest[j] = s_j = r
                 # On a tie, prefer a column that ends the path.
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest, index = shortest[j], it
+                if s_j < lowest or (s_j == lowest and row4col[j] == -1):
+                    lowest, index = s_j, it
             min_val = lowest
             j = remaining[index]
             if row4col[j] == -1:

@@ -15,17 +15,22 @@ only the output.
 Link rule: the assignment is solved over all (previous, current) pairs,
 then an assigned pair is severed if it costs more than the cutoff or its
 boxes do not overlap (IoU 0): far-apart boxes never link, however alike
-their class distributions, as SORT's IoU floor has it.
+their class distributions, as SORT's IoU floor has it. A pair of boxes
+that do not overlap costs alpha + (1 - alpha) * L1 / 2, its IoU-0 value,
+so IoU is computed only for the pairs that a sort-and-sweep on x_min and
+exact corner comparisons let through.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 from math import inf
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou, ordered_sum
-from .matching import ClassId, Detection, _corners, _ious, hungarian
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, ordered_sum
+from .matching import ClassId, Detection, _assign, _corners, _ious
 
 DEFAULT_ALPHA = 0.7
 DEFAULT_COST_CUTOFF = 0.7
@@ -89,28 +94,42 @@ def bayes_update(prior: float, likelihood: float) -> float:
 
 def _link_costs(
     prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float
-) -> list[list[float]]:
+) -> tuple[list[list[float]], set[tuple[int, int]]]:
     """Rows of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all (prev, curr)
-    pairs, box distance blended with class-distribution distance in [0, 1].
-    Every cell equals the scalar formula bitwise: the IoUs take `_ious`' float
-    steps, and each L1 sum starts from 0.0 and adds the bins in order."""
+    pairs, box distance blended with class-distribution distance in [0, 1],
+    and the set of pairs whose IoU is > 0. Every cell equals the scalar
+    formula bitwise: each L1 sum adds the bins in order (abs(p_0 - c) is
+    0.0 + abs(p_0 - c)), and a cell starts at its IoU-0 value alpha + beta
+    * L1, beta = (1 - alpha) * 0.5. Only boxes that pass the x_min sweep
+    and the corner comparisons get an IoU (by `_ious`), and only an IoU >
+    0.0 overwrites the cell: a sliver whose intersection underflows keeps
+    IoU 0."""
     n_bins = len(prev[0].class_scores)
     for det in (*prev, *curr):
         if len(det.class_scores) != n_bins:
             raise ValueError(
                 f"class score vectors differ in length: {n_bins} vs {len(det.class_scores)}"
             )
-    curr_rows = [(j, *_corners(det.box)) for j, det in enumerate(curr)]
-    curr_bins = list(zip(*(det.class_scores for det in curr)))
+    by_x_min = sorted(((j, *_corners(det.box)) for j, det in enumerate(curr)), key=itemgetter(1))
+    x_mins = [row[1] for row in by_x_min]
+    first_bin, *other_bins = zip(*(det.class_scores for det in curr))
     beta = (1.0 - alpha) * 0.5
-    cost = []
-    for det in prev:
-        l1 = [0.0] * len(curr)
-        for p_k, bin_k in zip(det.class_scores, curr_bins):
+    cost, overlapping = [], set()
+    for i, det in enumerate(prev):
+        p_0, *p_rest = det.class_scores
+        l1 = [abs(p_0 - c) for c in first_bin]
+        for p_k, bin_k in zip(p_rest, other_bins):
             l1 = [acc + abs(p_k - c) for acc, c in zip(l1, bin_k)]
-        ious = _ious(*_corners(det.box), curr_rows)
-        cost.append([alpha * (1.0 - iou_j) + beta * d for (iou_j, _), d in zip(ious, l1)])
-    return cost
+        row = [alpha + beta * d for d in l1]
+        x1, y1, x2, y2, area = _corners(det.box)
+        near = [c for c in by_x_min[:bisect_left(x_mins, x2)]
+                if c[3] > x1 and c[2] < y2 and c[4] > y1]
+        for overlap, j in _ious(x1, y1, x2, y2, area, near):
+            if overlap > 0.0:
+                row[j] = alpha * (1.0 - overlap) + beta * l1[j]
+                overlapping.add((i, j))
+        cost.append(row)
+    return cost, overlapping
 
 
 def check_link_params(alpha: float, cost_cutoff: float) -> None:
@@ -136,11 +155,8 @@ def link_frames(
     check_link_params(alpha, cost_cutoff)
     if not prev.detections or not curr.detections:
         return []
-    cost = _link_costs(prev.detections, curr.detections, alpha)
-    return [
-        (i, j) for i, j in hungarian(cost)
-        if cost[i][j] <= cost_cutoff and iou(prev.detections[i].box, curr.detections[j].box) > 0.0
-    ]
+    cost, overlapping = _link_costs(prev.detections, curr.detections, alpha)
+    return [(i, j) for i, j in _assign(cost) if cost[i][j] <= cost_cutoff and (i, j) in overlapping]
 
 
 def _rescored(det: StreamDetection, new_score: float) -> StreamDetection:
@@ -260,26 +276,34 @@ def check_threshold(value: float) -> None:
         raise ValueError(f"default threshold must be in [0, 1], got {value}")
 
 
+def keep_masks(tracked: TrackedStream, thresholds: Mapping[ClassId, float],
+               default_threshold: float = DEFAULT_THRESHOLD) -> list[list[bool]]:
+    """Per frame, whether each tracked detection's updated score reaches
+    its class threshold (default_threshold, in [0, 1], for unlisted
+    classes)."""
+    check_threshold(default_threshold)
+    return [
+        [score >= thresholds.get(det.class_id, default_threshold)
+         for det, score in zip(frame.detections, frame_scores)]
+        for frame, frame_scores in zip(tracked.frames, tracked.scores)
+    ]
+
+
 def emit_stream(
     tracked: TrackedStream,
     thresholds: Mapping[ClassId, float],
     default_threshold: float = DEFAULT_THRESHOLD,
 ) -> TrackedStream:
-    """Keep the tracked detections whose updated score reaches their
-    class threshold (default_threshold, in [0, 1], for unlisted classes),
-    with their scores and the same tubelet lengths; linked ones come out
-    with their distribution rescored to that score."""
-    check_threshold(default_threshold)
-    out_frames, out_scores = [], []
-    for frame, frame_scores in zip(tracked.frames, tracked.scores):
-        keep = [
-            score >= thresholds.get(det.class_id, default_threshold)
-            for det, score in zip(frame.detections, frame_scores)
-        ]
-        kept = tuple(compress(frame.detections, keep))
-        out_frames.append(FrameDetections(frame.frame_index, kept))
-        out_scores.append(tuple(compress(frame_scores, keep)))
-    return TrackedStream(tuple(out_frames), tuple(out_scores), tracked.tubelets)
+    """Keep the tracked detections that `keep_masks` keeps, with their
+    scores and the same tubelet lengths; linked ones come out with their
+    distribution rescored to that score."""
+    masks = keep_masks(tracked, thresholds, default_threshold)
+    return TrackedStream(
+        tuple(FrameDetections(frame.frame_index, tuple(compress(frame.detections, keep)))
+              for frame, keep in zip(tracked.frames, masks)),
+        tuple(tuple(compress(scores, keep)) for scores, keep in zip(tracked.scores, masks)),
+        tracked.tubelets,
+    )
 
 
 def run_stream(

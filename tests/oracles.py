@@ -237,6 +237,22 @@ def _l1(a, b):
     return total
 
 
+def same_bits(a, b) -> bool:
+    """Whether a and b hold the same values bit for bit: floats compare by
+    `float.hex`, so a signed zero or a last-bit drift shows; lists, tuples
+    (named ones too) and dicts compare item by item, in order; anything
+    else by type and ==."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, dict):
+        a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
 def link_cost(prev, curr, alpha):
     """Blend of box distance and class-distribution distance, in [0, 1]."""
     return alpha * (1.0 - iou(prev.box, curr.box)) + (1.0 - alpha) * 0.5 * _l1(

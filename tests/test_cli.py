@@ -16,6 +16,7 @@ from collections import Counter
 from contextlib import redirect_stderr
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,13 @@ from hypothesis import strategies as st
 
 import lrpeval
 from lrpeval import (
-    BoundingBox, Detection, GroundTruth, cli, label_detections, link_frames, rp_curve,
-    run_stream, sweep_class, track_stream,
+    BoundingBox, Detection, FrameDetections, GroundTruth, StreamDetection, cli, emit_stream,
+    label_detections, link_frames, molrp, rp_curve, run_stream, stream_to_detections, sweep_class,
+    track_stream,
 )
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import Dataset, export_curves, load_ground_truth, load_stream, save_stream
+from oracles import same_bits
 from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
 from test_dataio import loader_documents
 from test_matching import grid_breakdowns
@@ -213,7 +216,37 @@ class TestEval:
         assert "0.5:0.05:0.95" in text
 
 
+def fine_grid_fixture(tmp_path):
+    """Two images: a TP scored 0.12525 on the first, an FP scored 0.1252
+    on the second."""
+    return write_fixture(tmp_path, "fine", [GroundTruth(0, 1, box_at(0))],
+                         [Detection(0, 1, box_at(0), 0.12525), Detection(1, 1, box_at(5), 0.1252)])
+
+
 class TestSweepAndCurves:
+    @pytest.mark.parametrize("command, fmt",
+                             [("sweep", "json"), ("sweep", "csv"), ("curves", "csv")])
+    def test_taus_and_thresholds_read_back_exactly(self, tmp_path, command, fmt):
+        # At 4 places both taus read 0.1234 and s* 0.12525 reads 0.1253;
+        # written exactly, the rows keep them apart.
+        gt_path, det_path = fine_grid_fixture(tmp_path)
+        out = tmp_path / f"out.{fmt}"
+        argv = [command, "--gt", gt_path, "--det", det_path, "--taus", "0.12341,0.12344",
+                "--grid-step", "0.00025", "--output", str(out)]
+        assert main(argv + (["--format", fmt] if command == "sweep" else [])) == 0
+        if fmt == "json":
+            rows = json.loads(out.read_text())["rows"]
+        else:
+            rows = [{k: float(v) if k in ("tau", "s", "s_star") else v for k, v in row.items()}
+                    for row in csv.DictReader(out.read_text().splitlines())]
+        assert sorted({row["tau"] for row in rows}) == [0.12341, 0.12344]
+        if command == "sweep":
+            assert [row["s_star"] for row in rows] == [0.12525, 0.12525]
+        else:
+            optimal = [row["s"] for row in rows if row["is_optimal"] == "true"]
+            rp_scores = {row["s"] for row in rows if row["source"] == "rp"}
+            assert optimal == [0.12525, 0.12525] and rp_scores == {0.12525, 0.1252}
+
     def test_sweep_csv(self, tmp_path):
         gts, dets = reference_detectors()["tradeoff"]
         gt_path, det_path = write_fixture(tmp_path, "t", gts, dets)
@@ -306,6 +339,30 @@ class TestThresholdsCommand:
         assert "no detections" in doc["thresholds"][0]["warning"]
         assert "no detections" in capsys.readouterr().err
 
+    def test_five_place_s_star_is_written_exactly_and_keeps_its_detection(self, tmp_path):
+        # On the 0.00025 grid the optimum keeps the TP at 0.12525 and drops
+        # the FP at 0.1252; an s* rounded to 0.1253 would drop the TP too.
+        gt_path, det_path = fine_grid_fixture(tmp_path)
+        thr = tmp_path / "thr.json"
+        assert main(["thresholds", "--gt", gt_path, "--det", det_path, "--grid-step", "0.00025",
+                     "--output", str(thr)]) == 0
+        assert [row["s_star"] for row in json.loads(thr.read_text())["thresholds"]] == [0.12525]
+
+        def stream_det(box, peak):  # eight bins, so that the peak can be this low
+            rest = [(1.0 - peak) / 7] * 7
+            return {"class_id": 1, "bbox": list(box.as_xywh()), "class_scores": [peak, *rest]}
+
+        stream, filtered = tmp_path / "stream.json", tmp_path / "filtered.json"
+        write_json(stream, {"frames": [
+            {"frame_index": 0, "detections": [stream_det(box_at(0), 0.12525)]},
+            {"frame_index": 1, "detections": [stream_det(box_at(5), 0.1252)]},
+        ]})
+        assert main(["stream", "--stream", str(stream), "--gt", gt_path, "--thresholds-file",
+                     str(thr), "--filtered-output", str(filtered), "--output", "-"]) == 0
+        kept = [[max(d["class_scores"]) for d in f["detections"]]
+                for f in json.loads(filtered.read_text())["frames"]]
+        assert kept == [[0.12525], []]
+
 
 class TestLabelOnce:
     """Every command labels each (class, tau) it reports exactly once and
@@ -348,6 +405,29 @@ class TestLabelOnce:
         assert main([*argv, "--gt", gt_path, "--det", det_path, "--output", out]) == 0
         assert calls == {(c, t): 1 for c in self.CLASSES for t in taus}
         assert tables == {c: 1 for c in self.CLASSES}
+
+    def test_stream_builds_one_table_per_class_for_all_passes(self, tmp_path, monkeypatch):
+        # The raw, general and class-specific passes re-sort one table per
+        # class; a `molrp` call would build more.
+        stream_path, gt_path, thr_path = stream_fixture(tmp_path)
+        matching = sys.modules["lrpeval.matching"]
+        build, label = matching.iou_table, cli.label_at_tau
+        tables, labeled = Counter(), Counter()
+
+        def counting_table(gts, dets):
+            tables[(gts or dets)[0].class_id] += 1
+            return build(gts, dets)
+
+        def counting_label(table, tau):
+            labeled[tau] += 1
+            return label(table, tau)
+
+        monkeypatch.setattr(matching, "iou_table", counting_table)
+        monkeypatch.setattr(cli, "label_at_tau", counting_label)
+        assert main(["stream", "--stream", stream_path, "--gt", gt_path,
+                     "--thresholds-file", thr_path, "--output", str(tmp_path / "out")]) == 0
+        assert tables == {"high": 1, "low": 1}
+        assert labeled == {0.5: 3 * 2}
 
 
 class TestColumnarLabels:
@@ -697,6 +777,17 @@ class TestCompare:
         assert row["olrp_delta"] == pytest.approx(0.43)
         assert doc["summary"]["molrp_a"] == 0.5
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_five_place_s_star_is_written_exactly(self, tmp_path, fmt):
+        gt_path, det_path = fine_grid_fixture(tmp_path)
+        out = tmp_path / f"cmp.{fmt}"
+        assert main(["compare", "--gt", gt_path, "--det-a", det_path, "--det-b", det_path,
+                     "--grid-step", "0.00025", "--format", fmt, "--output", str(out)]) == 0
+        if fmt == "json":
+            (row,) = json.loads(out.read_text())["classes"]
+        else:
+            (row,) = csv.DictReader(out.read_text().splitlines())
+        assert [float(row[k]) for k in ("s_star_a", "s_star_b")] == [0.12525, 0.12525]
 
 
 def _set(path, value):
@@ -1184,6 +1275,105 @@ class TestStreamCommand:
         severed_score = max(severed_doc["frames"][1]["detections"][0]["class_scores"])
         assert severed_score == 1.0
         assert linked_score != severed_score
+
+
+_STREAM_CLASSES = (1, 2, 3)  # class 3 has neither ground truth nor detections
+
+
+def check_stream_passes(frames, gts, alpha, cutoff, default, thresholds):
+    """Run `stream` and check that each pass's per-class sweeps and moLRP
+    equal, bit for bit, `molrp` over the stream it evaluates: raw, emitted
+    under --threshold alone, and emitted under the thresholds file. Returns
+    the tracked stream."""
+    dataset = Dataset({f.frame_index: (None, None) for f in frames},
+                      {c: f"class-{c}" for c in _STREAM_CLASSES}, tuple(gts))
+    reports = []
+
+    def recording(per_class):
+        reports.append(aggregate(per_class))
+        return reports[-1]
+
+    aggregate = cli.aggregate_molrp
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_stream(frames, tmp / "stream.json")
+        save_ground_truth(dataset, tmp / "gt.json")
+        write_json(tmp / "thr.json", {"schema": "lrp_thresholds_v1", "tau": 0.5, "thresholds": [
+            {"class_id": c, "s_star": s} for c, s in thresholds.items()]})
+        with mock.patch.object(cli, "aggregate_molrp", recording):
+            assert main(["stream", "--stream", str(tmp / "stream.json"),
+                         "--gt", str(tmp / "gt.json"), "--thresholds-file", str(tmp / "thr.json"),
+                         "--threshold", str(default), "--alpha", str(alpha),
+                         "--cost-cutoff", str(cutoff), "--output", str(tmp / "out.json")]) == 0
+        # Boxes are compared as read back: x + w need not give x_max's bits.
+        dataset = load_ground_truth(tmp / "gt.json")
+        frames = load_stream(tmp / "stream.json", dataset)
+    tracked = track_stream(frames, alpha, cutoff)
+    streams = [frames] + [emit_stream(tracked, m, default).frames for m in ({}, thresholds)]
+    expected = [molrp(dataset.ground_truths, stream_to_detections(s), _STREAM_CLASSES, 0.5)
+                for s in streams]
+    assert same_bits(reports, expected)
+    return tracked
+
+
+class TestStreamPassesProperty:
+    """`stream` evaluates every pass from one IoU table per class; each
+    pass must equal `molrp` over the emitted stream it stands for."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((0.3, 0.42, 0.7, 0.92)), st.sampled_from((0.3, 0.45, 0.8)),
+           st.integers(0, 2), st.booleans(), st.integers(1, 6), st.integers(0, 2 ** 16),
+           st.sampled_from((0.5, 4.0)), st.sampled_from((0.0, 0.05)),
+           st.sampled_from((0.0, 0.7, 1.0)), st.sampled_from((0.3, 0.7)),
+           st.sampled_from((0.0, 0.3, 0.5)),
+           st.dictionaries(st.sampled_from(_STREAM_CLASSES), st.sampled_from((0.0, 0.3, 0.6, 1.0))))
+    def test_each_pass_equals_molrp_of_its_stream(self, tp_1, tp_2, fp_per_frame, persistent,
+                                                  n_frames, seed, jitter, noise, alpha, cutoff,
+                                                  default, thresholds):
+        specs = [StreamClassSpec(1, 2, tp_1, fp_score=0.35, fp_per_frame=fp_per_frame,
+                                 fp_persistent=persistent),
+                 StreamClassSpec(2, 1, tp_2, fp_score=0.6, fp_per_frame=1)]
+        frames, gts = generate_stream(specs, n_frames, seed, jitter, noise)
+        check_stream_passes(frames, gts, alpha, cutoff, default, thresholds)
+
+    def test_threshold_map_drops_a_whole_class(self):
+        specs = [StreamClassSpec(1, 2, 0.7, fp_score=0.3, fp_per_frame=1),
+                 StreamClassSpec(2, 1, 0.45)]
+        tracked = check_stream_passes(*generate_stream(specs, 4, 3, 0.5, 0.05),
+                                      0.7, 0.7, 0.3, {1: 1.0, 2: 0.0})
+        assert max(s for f, scores in zip(tracked.frames, tracked.scores)
+                   for d, s in zip(f.detections, scores) if d.class_id == 1) < 1.0
+
+    def test_tied_scores(self):
+        # No score noise: every object of a class scores the same in frame 0,
+        # and the persistent false positives tie with each other.
+        specs = [StreamClassSpec(1, 3, 0.7, fp_score=0.7, fp_per_frame=2, fp_persistent=True),
+                 StreamClassSpec(2, 2, 0.45)]
+        tracked = check_stream_passes(*generate_stream(specs, 3, 8, 0.5, 0.0),
+                                      0.7, 0.7, 0.0, {})
+        assert len(set(tracked.scores[0])) < len(tracked.scores[0])
+
+    def test_emitted_tie_breaks_by_input_index_not_raw_rank(self):
+        # In frame 1, detection 0 (raw 0.5) links and updates to 0.6, the raw
+        # score of detection 1, which starts a tubelet: the raw table ranks
+        # 1 first, the emitted streams tie and rank 0 first, so 0 claims the
+        # ground truth at IoU 1 and 1, at IoU 0.82, is the false positive.
+        box, shifted = BoundingBox(0, 0, 10, 10), BoundingBox(1, 0, 11, 10)
+        frames = [FrameDetections(0, (StreamDetection(1, box, (0.6, 0.2, 0.2)),)),
+                  FrameDetections(1, (StreamDetection(1, box, (0.5, 0.25, 0.25)),
+                                      StreamDetection(1, shifted, (0.6, 0.2, 0.2))))]
+        tracked = check_stream_passes(frames, [GroundTruth(1, 1, box)], 0.7, 0.7, 0.5, {})
+        assert [d.score for d in tracked.frames[1].detections] == [0.6, 0.6]
+
+    def test_linked_detection_emitted_uniform_below_one_over_n(self):
+        # 0.3 then 0.3 updates to about 0.155, below 1/4: the emitted peak is
+        # 1/4, not the tracked score, and the passes read the emitted one.
+        specs = [StreamClassSpec(1, 2, 0.3), StreamClassSpec(2, 1, 0.3)]
+        tracked = check_stream_passes(*generate_stream(specs, 3, 1, 0.5, 0.0),
+                                      0.7, 0.7, 0.0, {1: 0.2})
+        emitted = [(d.score, s) for f, scores in zip(tracked.frames, tracked.scores)
+                   for d, s in zip(f.detections, scores)]
+        assert any(score == 0.25 > s for score, s in emitted)
 
 
 def write_json(path, doc):

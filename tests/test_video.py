@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrpeval import video
@@ -19,7 +19,7 @@ from lrpeval import (
     stream_to_detections,
     track_stream,
 )
-from oracles import class_scores_check, link_cost, track_reference
+from oracles import class_scores_check, link_cost, same_bits, track_reference
 from synth import StreamClassSpec, generate_stream
 
 
@@ -180,22 +180,6 @@ _FRAME = st.lists(st.builds(StreamDetection, st.just(1), _GRID_BOXES, _DISTRIBUT
                   min_size=1, max_size=6)
 
 
-class TestLinkFramesProperty:
-    # Cutoff 0.5 equals many grid costs exactly, so any drift in a cost shows.
-    @settings(max_examples=300, deadline=None)
-    @given(_FRAME, _FRAME, st.sampled_from((0.0, 0.7, 1.0)),
-           st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
-    def test_matches_hungarian_over_reference_costs(self, prev, curr, alpha, cutoff):
-        cost = [[link_cost(p, c, alpha) for c in curr] for p in prev]
-        expected = [
-            (i, j) for i, j in hungarian(cost)
-            if cost[i][j] <= cutoff and iou(prev[i].box, curr[j].box) > 0.0
-        ]
-        got = link_frames(FrameDetections(0, tuple(prev)), FrameDetections(1, tuple(curr)),
-                          alpha, cutoff)
-        assert got == expected
-
-
 @st.composite
 def _float_boxes(draw):
     """Any float box: corners anywhere in a span of 40 or of 2e6, so that
@@ -222,14 +206,72 @@ def _float_frames(draw, n_bins):
     return dets
 
 
+def _float_det(corners):
+    """A detection of the float-frame properties' examples, one box and
+    an even two-bin distribution."""
+    return StreamDetection(1, BoundingBox(*map(float, corners)), (0.5, 0.5))
+
+
+class TestLinkFramesProperty:
+    # Cutoff 0.5 equals many grid costs exactly, so any drift in a cost shows.
+    @settings(max_examples=300, deadline=None)
+    @given(_FRAME, _FRAME, st.sampled_from((0.0, 0.7, 1.0)),
+           st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    def test_matches_hungarian_over_reference_costs(self, prev, curr, alpha, cutoff):
+        cost = [[link_cost(p, c, alpha) for c in curr] for p in prev]
+        expected = [
+            (i, j) for i, j in hungarian(cost)
+            if cost[i][j] <= cutoff and iou(prev[i].box, curr[j].box) > 0.0
+        ]
+        got = link_frames(FrameDetections(0, tuple(prev)), FrameDetections(1, tuple(curr)),
+                          alpha, cutoff)
+        assert got == expected
+
+    # The old full path: the oracle cost of every cell, `hungarian`, and a
+    # `geometry.iou > 0` sever.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_float_frames(n), _float_frames(n))),
+           st.one_of(st.sampled_from((0.0, 0.3, 0.7, 1.0)), st.floats(0.0, 1.0)),
+           st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0)))
+    # Boxes that touch at an edge: iw == 0.
+    @example(([_float_det((0.0, 0.0, 10.0, 10.0))], [_float_det((10.0, 0.0, 20.0, 10.0))]),
+             0.0, 1.0)
+    # A sliver whose intersection underflows to 0.0 has IoU 0 and is severed
+    # though it costs 0; one whose IoU is subnormal links, though its cell
+    # equals the IoU-0 value.
+    @example(([_float_det((-1.0, -1.0, 1e-170, 1e-170))], [_float_det((0.0, 0.0, 1.0, 1.0))]),
+             0.0, 1.0)
+    @example(([_float_det((-1.0, -1.0, 1e-160, 1e-160))], [_float_det((0.0, 0.0, 1.0, 1.0))]),
+             0.7, 0.7)
+    # Tall, wide and 1 x n frames of overlapping boxes.
+    @example(([_float_det((i, i, i + 3.0, i + 3.0)) for i in range(5)],
+              [_float_det((i + 0.5, i, i + 3.5, i + 3.0)) for i in range(2)]), 0.7, 0.7)
+    @example(([_float_det((i + 0.5, i, i + 3.5, i + 3.0)) for i in range(2)],
+              [_float_det((i, i, i + 3.0, i + 3.0)) for i in range(5)]), 0.7, 0.7)
+    @example(([_float_det((1.0, 1.0, 4.0, 4.0))],
+              [_float_det((i, i, i + 3.0, i + 3.0)) for i in range(4)]), 0.3, 0.5)
+    def test_matches_the_full_path_on_float_frames(self, frames, alpha, cutoff):
+        prev, curr = frames
+        cost = [[link_cost(p, c, alpha) for c in curr] for p in prev]
+        expected = [
+            (i, j) for i, j in hungarian(cost)
+            if cost[i][j] <= cutoff and iou(prev[i].box, curr[j].box) > 0.0
+        ]
+        got = link_frames(FrameDetections(0, tuple(prev)), FrameDetections(1, tuple(curr)),
+                          alpha, cutoff)
+        assert got == expected
+
+
 class TestLinkCostsProperty:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 6),
            alpha=st.one_of(st.sampled_from((0.0, 0.3, 0.7, 1.0)), st.floats(0.0, 1.0)))
     def test_every_cell_equals_the_scalar_oracle(self, data, n_bins, alpha):
         prev, curr = data.draw(_float_frames(n_bins)), data.draw(_float_frames(n_bins))
-        cost = video._link_costs(prev, curr, alpha)
-        assert cost == [[link_cost(p, c, alpha) for c in curr] for p in prev]
+        cost, overlapping = video._link_costs(prev, curr, alpha)
+        assert same_bits(cost, [[link_cost(p, c, alpha) for c in curr] for p in prev])
+        assert overlapping == {(i, j) for i, p in enumerate(prev) for j, c in enumerate(curr)
+                               if iou(p.box, c.box) > 0.0}
 
 
 class TestRunStream:
