@@ -316,7 +316,8 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
                 raw_scores = _require(rec, "class_scores")
                 if not isinstance(raw_scores, list):
                     raise _Invalid(".class_scores", "must be an array")
-                _require_numbers(raw_scores, ".class_scores")
+                if not _NUMBER_TYPES.issuperset(map(type, raw_scores)):
+                    _require_numbers(raw_scores, ".class_scores")
                 if n_bins is not None and len(raw_scores) != n_bins:
                     raise _Invalid(
                         ".class_scores",

@@ -213,19 +213,21 @@ def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable
         target.setdefault(image_id, []).append((gi, *_corners(box)))
 
     scores = [det.score for det in dets]
-    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
+    # A reverse sort is stable: equal scores keep ascending input index.
+    order = sorted(range(len(dets)), key=scores.__getitem__, reverse=True)
+    by_iou = itemgetter(0)
     candidates = []
     crowd_iou = []
     for di in order:
-        image_id, _, box, _ = dets[di]
-        corners = _corners(box)
+        image_id, _, (x1, y1, x2, y2), _ = dets[di]
+        area = (x2 - x1) * (y2 - y1)
         # Pairs come in ascending GT index and the sort is stable, so
         # equal IoUs keep the lowest index first.
-        pairs = _ious(*corners, real_by_image.get(image_id, ()))
-        pairs.sort(key=itemgetter(0), reverse=True)
+        pairs = _ious(x1, y1, x2, y2, area, real_by_image.get(image_id, ()))
+        pairs.sort(key=by_iou, reverse=True)
         candidates.append(pairs)
         crowd = ignore_by_image.get(image_id)
-        crowd_iou.append(max(_ious(*corners, crowd))[0] if crowd else -1.0)
+        crowd_iou.append(max(_ious(x1, y1, x2, y2, area, crowd))[0] if crowd else -1.0)
     n_real = sum(map(len, real_by_image.values()))
     return IouTable(len(gts), n_real, order, [scores[i] for i in order], candidates, crowd_iou)
 

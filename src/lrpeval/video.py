@@ -19,11 +19,20 @@ their class distributions, as SORT's IoU floor has it. A pair of boxes
 that do not overlap costs alpha + (1 - alpha) * L1 / 2, its IoU-0 value,
 so IoU is computed only for the pairs that a sort-and-sweep on x_min and
 exact corner comparisons let through.
+
+Link costs: a frame pair's cost rows come from one comprehension, compiled
+once per distribution width from source that spells out |p_0 - c_0| +
+|p_1 - c_1| + ... left to right, the scalar sum's float order, so every
+cost keeps its bits. The source is built from bin indices alone, so `exec`
+runs nothing taken from the input. One expression adds at most 32 bins
+(`_CHUNK_BINS`); wider sums add each further chunk to a running total,
+since `compile` cannot nest a chain of thousands of terms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from itertools import compress
 from math import inf
 from operator import itemgetter
@@ -92,18 +101,49 @@ def bayes_update(prior: float, likelihood: float) -> float:
     return joint / (joint + (1.0 - p) * (1.0 - q))
 
 
+_CHUNK_BINS = 32  # the most bins one `+` chain of a link-cost kernel adds
+
+
+@cache
+def _cost_kernels(n_bins: int):
+    """`_link_costs`' kernels for n_bins-bin distributions: `cells(prev,
+    curr, alpha, beta)`, the rows alpha + beta * L1 over all pairs of
+    distributions, and `l1(p, c)`, one pair's L1."""
+    p = ", ".join(f"p{k}" for k in range(n_bins)) + ","
+    c = ", ".join(f"c{k}" for k in range(n_bins)) + ","
+    sums = [" + ".join(f"abs(p{k} - c{k})" for k in range(lo, min(lo + _CHUNK_BINS, n_bins)))
+            for lo in range(0, n_bins, _CHUNK_BINS)]
+    sums[1:] = [f"t + {chunk}" for chunk in sums[1:]]
+    # `for t in [x]` is a plain assignment inside a comprehension.
+    steps = "".join(f" for t in [{s}]" for s in sums)
+    source = (
+        f"def cells(prev, curr, alpha, beta):\n"
+        f"    return [[alpha + beta * t for {c} in curr{steps}] for {p} in prev]\n"
+        f"def l1(p, c):\n    {p} = p\n    {c} = c\n"
+        + "".join(f"    t = {s}\n" for s in sums)
+        + "    return t\n"
+    )
+    kernels: dict = {}
+    exec(source, kernels)
+    return kernels["cells"], kernels["l1"]
+
+
 def _link_costs(
     prev: Sequence[StreamDetection], curr: Sequence[StreamDetection], alpha: float
 ) -> tuple[list[list[float]], set[tuple[int, int]]]:
     """Rows of alpha * (1 - IoU) + (1 - alpha) * L1 / 2 over all (prev, curr)
     pairs, box distance blended with class-distribution distance in [0, 1],
     and the set of pairs whose IoU is > 0. Every cell equals the scalar
-    formula bitwise: each L1 sum adds the bins in order (abs(p_0 - c) is
-    0.0 + abs(p_0 - c)), and a cell starts at its IoU-0 value alpha + beta
-    * L1, beta = (1 - alpha) * 0.5. Only boxes that pass the x_min sweep
-    and the corner comparisons get an IoU (by `_ious`), and only an IoU >
-    0.0 overwrites the cell: a sliver whose intersection underflows keeps
-    IoU 0."""
+    formula bitwise. One comprehension, compiled once per distribution
+    width by `_cost_kernels`, starts each cell at its IoU-0 value alpha +
+    beta * L1, beta = (1 - alpha) * 0.5, with L1 = |p_0 - c_0| + |p_1 - c_1|
+    + ... added left to right: the scalar sum from 0.0, whose first step
+    is exact. Its source is built from bin indices alone, so `exec` runs no
+    input. A sum of more than _CHUNK_BINS bins adds each further chunk to a
+    running total. Only boxes that pass the x_min sweep and the corner
+    comparisons get an IoU (by `_ious`), and only an IoU > 0.0 overwrites
+    the cell, with its L1 summed again by the same steps: a sliver whose
+    intersection underflows keeps IoU 0."""
     n_bins = len(prev[0].class_scores)
     for det in (*prev, *curr):
         if len(det.class_scores) != n_bins:
@@ -112,23 +152,19 @@ def _link_costs(
             )
     by_x_min = sorted(((j, *_corners(det.box)) for j, det in enumerate(curr)), key=itemgetter(1))
     x_mins = [row[1] for row in by_x_min]
-    first_bin, *other_bins = zip(*(det.class_scores for det in curr))
+    cells, l1 = _cost_kernels(n_bins)
     beta = (1.0 - alpha) * 0.5
-    cost, overlapping = [], set()
-    for i, det in enumerate(prev):
-        p_0, *p_rest = det.class_scores
-        l1 = [abs(p_0 - c) for c in first_bin]
-        for p_k, bin_k in zip(p_rest, other_bins):
-            l1 = [acc + abs(p_k - c) for acc, c in zip(l1, bin_k)]
-        row = [alpha + beta * d for d in l1]
+    curr_scores = [det.class_scores for det in curr]
+    cost = cells([det.class_scores for det in prev], curr_scores, alpha, beta)
+    overlapping = set()
+    for i, (det, row) in enumerate(zip(prev, cost)):
         x1, y1, x2, y2, area = _corners(det.box)
         near = [c for c in by_x_min[:bisect_left(x_mins, x2)]
                 if c[3] > x1 and c[2] < y2 and c[4] > y1]
         for overlap, j in _ious(x1, y1, x2, y2, area, near):
             if overlap > 0.0:
-                row[j] = alpha * (1.0 - overlap) + beta * l1[j]
+                row[j] = alpha * (1.0 - overlap) + beta * l1(det.class_scores, curr_scores[j])
                 overlapping.add((i, j))
-        cost.append(row)
     return cost, overlapping
 
 

@@ -1237,6 +1237,31 @@ class TestStreamCommand:
         rescored = frames[1].detections[0]
         assert rescored.score > 0.998 and abs(sum(rescored.class_scores) - 1.0) <= 1e-9
 
+    def test_links_3001_bin_distributions(self, tmp_path):
+        # A chain of 3,001 `+` terms is past what `compile` recurses through;
+        # the link-cost kernel sums it in chunks.
+        box = [0, 0, 10, 10]
+        scores = [0.6] + [0.4 / 3000] * 3000
+        gt = {"images": [{"id": 0}, {"id": 1}],
+              "annotations": [{"id": f + 1, "image_id": f, "category_id": 1, "bbox": box}
+                              for f in (0, 1)],
+              "categories": [{"id": 1}]}
+        stream = {"frames": [
+            {"frame_index": f, "detections": [{"class_id": 1, "bbox": box, "class_scores": scores}]}
+            for f in (0, 1)]}
+        gt_path, stream_path = tmp_path / "gt.json", tmp_path / "stream.json"
+        gt_path.write_text(json.dumps(gt))
+        stream_path.write_text(json.dumps(stream))
+        filtered = tmp_path / "filtered.json"
+        assert main([
+            "stream", "--stream", str(stream_path), "--gt", str(gt_path), "--threshold", "0",
+            "--filtered-output", str(filtered), "--output", str(tmp_path / "out.json"),
+        ]) == 0
+        frames = load_stream(filtered, load_ground_truth(gt_path))
+        linked = frames[1].detections[0]
+        assert len(linked.class_scores) == 3001
+        assert linked.score == lrpeval.bayes_update(0.6, 0.6)
+
     def test_alpha_one_ignores_distributions(self, tmp_path):
         # orthogonal class vectors at the same spot: pure-overlap cost
         # (alpha=1) links them, pure-distribution cost (alpha=0) severs
