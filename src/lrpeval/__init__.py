@@ -4,18 +4,23 @@ machinery, and a frame-linking pipeline for detection streams.
 
 Every record type is an immutable named tuple. `BoundingBox`, `Detection`,
 `GroundTruth`, `StreamDetection`, `MatchResult` and `DasaParams` check
-their fields whenever one is built, `_make` and `_replace` included."""
+their fields whenever one is built, `_make` and `_replace` included.
+Evaluation reads per-class box columns (`GtColumns`, `DetColumns`), which
+the loaders fill; `to_columns` builds them from records."""
 
 from .geometry import BoundingBox, area, iou, iou_distance
 from .matching import (
+    DetColumns,
     Detection,
     GroundTruth,
+    GtColumns,
     MatchResult,
     TauLabels,
     hungarian,
     label_classes,
     label_detections,
     match_optimal,
+    to_columns,
 )
 from .lrp import (
     DasaParams,
@@ -56,6 +61,7 @@ from .dataio import (
 __all__ = [
     "BoundingBox", "area", "iou", "iou_distance",
     "Detection", "GroundTruth", "MatchResult", "TauLabels",
+    "DetColumns", "GtColumns", "to_columns",
     "hungarian", "label_classes", "label_detections", "match_optimal",
     "DasaParams", "LrpBreakdown", "UndefinedLrp", "dasa", "lrp_components", "lrp_total",
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",

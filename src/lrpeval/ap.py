@@ -11,11 +11,12 @@ equivalent to sweeping the score threshold through every value.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from functools import cache
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .geometry import ordered_sum
-from .matching import FP, IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
+from .matching import FP, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes, to_columns
 
 AP_VARIANTS = ("continuous", "pascal11", "coco101")
 
@@ -36,7 +37,7 @@ def rp_curve(
     tau: float,
 ) -> RPCurve:
     """Build the recall-precision curve of one class."""
-    ((_, labels),) = label_classes(gts, dets, (class_id,), (tau,))
+    ((_, labels),) = label_classes(*to_columns(gts, dets, (class_id,)), (class_id,), (tau,))
     return curve_from_labels(labels, class_id)
 
 
@@ -79,19 +80,44 @@ def ap(labels: TauLabels, variant: str = "coco101") -> float:
     with precision k / (detections counted so far); an FP adds no recall
     and only lowers precision, so every such maximum is reached at a TP,
     a continuous step at an FP adds exactly 0.0, and each grid recall
-    above 0 first reaches a TP. Only the TPs are read, and grid recalls
-    ascend, so one merge walk finds each one's first TP.
+    above 0 first reaches a TP. Only the TPs are read.
     """
-    if variant not in AP_VARIANTS:
-        raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
+    return ap_variants(labels, (variant,))[0]
+
+
+def ap_variants(labels: TauLabels, variants: Sequence[str] = AP_VARIANTS) -> list[float]:
+    """`ap` of labels in each of variants, in order, from one pass over the
+    labels: the interpolated precision at each TP is computed once and
+    integrated by each variant's rule."""
+    for variant in variants:
+        if variant not in AP_VARIANTS:
+            raise ValueError(f"unknown AP variant {variant!r}; expected one of {AP_VARIANTS}")
     n_real = labels.n_real
     if n_real == 0:
         raise ValueError(f"labels at tau={labels.tau} have no ground truth; recall is undefined")
-    counted = [kind for kind in labels.kinds if kind != IGNORED]
-    # TPs and FPs counted up to and including each TP, in score order.
-    counted_at_tp = [n for n, kind in enumerate(counted, 1) if kind == TP]
-    precision = [k / n for k, n in enumerate(counted_at_tp, 1)]
-    interp = list(accumulate(reversed(precision), max))[::-1]
+    # Precision at each TP: TPs over the TPs and FPs counted so far.
+    precision = []
+    n_tp = n_counted = 0
+    for kind in labels.kinds:
+        if kind == TP:
+            n_tp += 1
+            n_counted += 1
+            precision.append(n_tp / n_counted)
+        elif kind == FP:
+            n_counted += 1
+    # The running maximum from the last TP back; max would take as long again.
+    best = 0.0
+    for k in range(n_tp - 1, -1, -1):
+        p = precision[k]
+        if p > best:
+            best = p
+        else:
+            precision[k] = best
+    return [_integrate(precision, n_real, variant) for variant in variants]
+
+
+def _integrate(interp: list[float], n_real: int, variant: str) -> float:
+    """One variant's AP from the interpolated precision at each TP."""
     if variant == "continuous":
         total = 0.0
         prev = 0.0
@@ -101,11 +127,23 @@ def ap(labels: TauLabels, variant: str = "coco101") -> float:
             prev = recall
         return total
     steps = 10 if variant == "pascal11" else 100
-    n_tp, k = len(interp), 0
-    samples = []
+    # A grid recall that no TP reaches reads 0.0: one entry per recall k / n_real.
+    padded = interp + [0.0] * (n_real - len(interp))
+    return ordered_sum(_grid_samples(n_real, steps)(padded)) / (steps + 1)
+
+
+@cache
+def _grid_samples(n_real: int, steps: int) -> itemgetter:
+    """The getter of the samples at grid recalls i / steps, i = 0..steps,
+    from the interpolated precision at recalls k / n_real, k = 1..n_real:
+    for each grid recall, the index k of the first recall (k + 1) / n_real
+    that reaches it. The map does not depend on the labels, so one merge
+    walk over the ascending grid serves every class with n_real ground
+    truths."""
+    first, k = [], 0
     for i in range(steps + 1):
         r = i / steps
-        while k < n_tp and (k + 1) / n_real < r:
+        while (k + 1) / n_real < r:
             k += 1
-        samples.append(interp[k] if k < n_tp else 0.0)
-    return ordered_sum(samples) / (steps + 1)
+        first.append(k)
+    return itemgetter(*first)

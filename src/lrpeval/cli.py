@@ -37,7 +37,7 @@ from .dataio import (
 )
 from .ap import AP_VARIANTS, curve_from_labels
 from .lrp import UndefinedLrp
-from .matching import check_tau, class_tables, label_at_tau, label_classes, rescore
+from .matching import check_tau, iou_table, label_at_tau, label_classes, rescore, to_columns
 from .sweep import DEFAULT_GRID_STEP, aggregate_molrp, sweep_labels, threshold_grid
 from .video import (
     DEFAULT_ALPHA,
@@ -47,7 +47,6 @@ from .video import (
     check_threshold,
     emit_stream,
     keep_masks,
-    stream_to_detections,
     track_stream,
 )
 
@@ -234,7 +233,7 @@ def _per_class_and_tau(args, consume=lambda sweep, labels: sweep):
     taus = vars(args).get("taus") or (args.tau,)
     # label_classes runs class-major so that each class's IoU table serves
     # all its taus; consuming the labels as they come keeps them out of memory.
-    labeled = label_classes(dataset.ground_truths, dets, dataset.class_ids(), taus)
+    labeled = label_classes(dataset.gt_columns, dets, dataset.class_ids(), taus)
     results, evaluable = [], False
     for cid, labels in labeled:
         sweep = sweep_labels(labels, cid, args.grid_step)
@@ -332,7 +331,14 @@ def cmd_stream(args) -> int:
         # A bad thresholds file fails before any evaluation or tracking.
         threshold_maps["class_specific"] = load_thresholds(args.thresholds_file, dataset)
     class_ids = dataset.class_ids()
-    tables = list(class_tables(dataset.ground_truths, stream_to_detections(frames), class_ids))
+    # Detection columns straight from the frames, and each class's stream positions.
+    flat = [(f.frame_index, d.class_id, d.box, d.score) for f in frames for d in f.detections]
+    _, dets = to_columns((), flat, class_ids)
+    members = {cid: [] for cid in class_ids}
+    for pos, (_, cid, _, _) in enumerate(flat):
+        members[cid].append(pos)
+    tables = [(cid, iou_table(dataset.gt_columns[cid], dets[cid]), members[cid])
+              for cid in class_ids]
 
     def evaluate(scores=None):
         """moLRP of the raw stream or, given scores by raw position, of the

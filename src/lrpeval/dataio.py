@@ -9,10 +9,13 @@ The loaders check each record's fields in a fixed order and raise at the
 first broken rule, naming the field. The per-record loops test the hot
 fields (ids, score, bbox values) inline, with the same type sets the
 helpers use, and call a helper only when a test fails, to raise; the
-record's path (such as detections[12]) is formatted only then. Box and
-class-distribution values are checked by the constructors. A loaded
-`Dataset` keeps two id maps, images and category names, that the later
-loaders test ids against.
+record's path (such as detections[12]) is formatted only then. Box values
+are checked by the box rule of `BoundingBox` (`geometry.corner_row`, which
+builds a box only to raise), class distributions by `StreamDetection`.
+Annotations and detections build no record: each valid one is appended to
+its class's columns (`matching.GtColumns`, `matching.DetColumns`), the
+form evaluation reads. A loaded `Dataset` keeps two id maps, images and
+category names, that the later loaders test ids against.
 Outputs are deterministic byte streams: an evaluation report (JSON or
 CSV, schema lrp_report_v1, built by `build_report` as the document
 itself and rounded on export), long-format curve data, per-class
@@ -28,10 +31,10 @@ from contextlib import contextmanager
 from math import inf, isfinite
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ap import AP_VARIANTS, RPCurve, ap
-from .geometry import _NUMBER_TYPES, BoundingBox, ordered_sum
+from .ap import AP_VARIANTS, RPCurve, ap_variants
+from .geometry import _NUMBER_TYPES, BoundingBox, corner_row, ordered_sum
 from .lrp import breakdown_from_counts
-from .matching import ClassId, Detection, GroundTruth, label_classes
+from .matching import ClassId, CornerRow, DetColumns, GtColumns, label_classes
 from .sweep import DEFAULT_GRID_STEP, SweepResult, aggregate_molrp, sweep_labels
 from .video import FrameDetections, StreamDetection
 
@@ -59,11 +62,13 @@ class Dataset(NamedTuple):
     images maps each image id to its (width, height), each a finite number
     > 0, or None where the file leaves it out or sets it null; names maps
     each category id to its name. Both keep the order of the file.
+    gt_columns holds the ground truths of each category, in the order of
+    names, as columns.
     """
 
     images: dict[object, tuple[float | None, float | None]]
     names: dict[ClassId, str]
-    ground_truths: tuple[GroundTruth, ...]
+    gt_columns: dict[ClassId, GtColumns]
 
     def class_ids(self) -> list[ClassId]:
         return sorted(self.names)
@@ -153,7 +158,10 @@ def _array(record: Mapping, key: str, where: str = "") -> list:
     return value
 
 
-def _parse_bbox(raw) -> BoundingBox:
+def _parse_bbox(raw, make=corner_row) -> CornerRow | BoundingBox:
+    """make(x, y, w, h) of a [x, y, width, height] field, its numbers as
+    floats: a corner row by default, or `BoundingBox.from_xywh`; both
+    apply the one box rule."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise _Invalid(".bbox", f"bbox must be [x, y, width, height], got {raw!r}")
     x, y, w, h = raw
@@ -163,7 +171,7 @@ def _parse_bbox(raw) -> BoundingBox:
     ):
         _require_numbers(raw, ".bbox")
     try:
-        return BoundingBox.from_xywh(float(x), float(y), float(w), float(h))
+        return make(float(x), float(y), float(w), float(h))
     except ValueError as exc:
         raise _Invalid(".bbox", str(exc)) from None
     except OverflowError:
@@ -218,7 +226,7 @@ def load_ground_truth(path) -> Dataset:
             raise exc.at(f"categories[{i}]") from None
         names[cat_id] = name
 
-    gts = []
+    columns = {cid: GtColumns([], [], []) for cid in names}
     for i, ann in enumerate(_array(data, "annotations")):
         try:
             fields = ann if type(ann) is dict else {}  # a non-object fails below
@@ -231,7 +239,7 @@ def load_ground_truth(path) -> Dataset:
             if raw_bbox is None:  # missing raises here, null in the parse
                 raw_bbox = _require(ann, "bbox")
             try:
-                box = _parse_bbox(raw_bbox)
+                row = _parse_bbox(raw_bbox)
             except _Invalid as exc:
                 exc.message += f" (annotation id {ann.get('id', '?')})"
                 raise
@@ -240,24 +248,30 @@ def load_ground_truth(path) -> Dataset:
                 raise _Invalid(".iscrowd", f"must be 0, 1, false or true, got {crowd!r}")
         except _Invalid as exc:
             raise exc.at(f"annotations[{i}]") from None
+        x_min, y_min, x_max, y_max, _ = row
         width, height = images[img_id]
-        if box.x_min < 0 or box.y_min < 0 or (
-            width is not None and box.x_max > width
-        ) or (height is not None and box.y_max > height):
+        if x_min < 0 or y_min < 0 or (
+            width is not None and x_max > width
+        ) or (height is not None and y_max > height):
             _warn(f"annotation id {ann.get('id', '?')} extends outside image {img_id}; "
                   "kept as annotated")
-        gts.append(GroundTruth(img_id, cat_id, box, bool(crowd)))
+        image_ids, boxes, ignore = columns[cat_id]
+        image_ids.append(img_id)
+        boxes.append(row)
+        ignore.append(bool(crowd))
 
-    return Dataset(images, names, tuple(gts))
+    return Dataset(images, names, columns)
 
 
-def load_detections(path, dataset: Dataset) -> list[Detection]:
-    """Load a COCO-style results array and validate it against a dataset."""
+def load_detections(path, dataset: Dataset) -> dict[ClassId, DetColumns]:
+    """Load a COCO-style results array and validate it against a dataset;
+    the detections of each category, in the order of its names, as
+    columns."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError("root: detection results must be a JSON array")
     images, names = dataset.images, dataset.names
-    dets = []
+    columns = {cid: DetColumns([], [], []) for cid in names}
     for i, rec in enumerate(data):
         try:
             fields = rec if type(rec) is dict else {}  # a non-object fails below
@@ -272,11 +286,14 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
                 raise _Invalid(".score", f"must be a real in [0, 1], got {score!r}")
             if raw_bbox is None:  # missing raises here, null in the parse
                 raw_bbox = _require(rec, "bbox")
-            box = _parse_bbox(raw_bbox)
+            row = _parse_bbox(raw_bbox)
         except _Invalid as exc:
             raise exc.at(f"detections[{i}]") from None
-        dets.append(Detection(img_id, cat_id, box, float(score)))
-    return dets
+        image_ids, boxes, scores = columns[cat_id]
+        image_ids.append(img_id)
+        boxes.append(row)
+        scores.append(float(score))
+    return columns
 
 
 def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
@@ -312,7 +329,7 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
                 class_id = rec.get("class_id") if type(rec) is dict else None
                 if type(class_id) not in _ID_TYPES or class_id not in names:
                     class_id = _require_id(rec, "class_id", names, "category")
-                box = _parse_bbox(_require(rec, "bbox"))
+                box = _parse_bbox(_require(rec, "bbox"), BoundingBox.from_xywh)
                 raw_scores = _require(rec, "class_scores")
                 if not isinstance(raw_scores, list):
                     raise _Invalid(".class_scores", "must be an array")
@@ -444,15 +461,16 @@ def load_thresholds(path, dataset: Dataset) -> dict[ClassId, float]:
 
 def build_report(
     dataset: Dataset,
-    detections: Sequence[Detection],
+    detections: Mapping[ClassId, DetColumns],
     tau: float = DEFAULT_TAU,
     tau_list: Sequence[float] = DEFAULT_TAU_LIST,
     grid_step: float = DEFAULT_GRID_STEP,
     ap_variant: str = "coco101",
 ) -> dict:
-    """Evaluate detections against a dataset and return the lrp_report_v1
-    document. Its reals stay unrounded; `export_report` rounds them as it
-    writes. The keys, in order:
+    """Evaluate detections, as each category's columns (`load_detections`,
+    or `matching.to_columns` of records), against a dataset and return the
+    lrp_report_v1 document. Its reals stay unrounded; `export_report`
+    rounds them as it writes. The keys, in order:
 
     - schema: "lrp_report_v1".
     - config: tau, grid_step, ap_variant (the variant averaged into
@@ -466,8 +484,10 @@ def build_report(
       molrp_fn over the evaluable classes; mean_ap, the ap_variant AP
       averaged over tau_list and then over the classes with ground truth;
       s_star_min and s_star_max over the evaluable classes; not_evaluable,
-      the ids, as strings, of the classes with neither ground truth nor
-      detections.
+      the ids, as strings, of the classes that are not evaluable: those
+      with no non-ignored ground truth whose detections, if any, crowd
+      regions all absorb (N_TP + N_FP + N_FN = 0 at every threshold; see
+      `sweep.SweepResult`).
 
     A value is None, not 0.0, where there is nothing to measure: a
     component whose denominator is empty (olrp_iou without a TP, olrp_fp
@@ -477,7 +497,8 @@ def build_report(
     class that is not evaluable.
 
     Each (class, tau) in {tau} and tau_list is labeled once; the labels at
-    tau feed both the sweep and the AP variants.
+    tau feed both the sweep and the three AP variants, which one precision
+    pass gives (`ap.ap_variants`).
     """
     if ap_variant not in AP_VARIANTS:
         raise ValueError(f"unknown AP variant {ap_variant!r}")
@@ -489,12 +510,13 @@ def build_report(
     per_class_sweeps: dict[ClassId, SweepResult] = {}
     ap_by_tau: dict[ClassId, dict[float, float]] = {cid: {} for cid in class_ids}
     for cid, labels in label_classes(
-        dataset.ground_truths, detections, class_ids, dict.fromkeys((tau, *tau_list))
+        dataset.gt_columns, detections, class_ids, dict.fromkeys((tau, *tau_list))
     ):
         t, n_real = labels.tau, labels.n_real
         if t == tau:
             per_class_sweeps[cid] = sweep = sweep_labels(labels, cid, grid_step)
-            aps = {f"ap_{v}": ap(labels, v) if n_real else None for v in AP_VARIANTS}
+            values = ap_variants(labels) if n_real else [None] * len(AP_VARIANTS)
+            aps = {f"ap_{v}": value for v, value in zip(AP_VARIANTS, values)}
             rows.append({
                 "class_id": cid,
                 "class_name": dataset.names[cid],
@@ -505,7 +527,8 @@ def build_report(
                 **aps,
             })
         if n_real and t in tau_list:
-            ap_by_tau[cid][t] = aps[f"ap_{ap_variant}"] if t == tau else ap(labels, ap_variant)
+            ap_by_tau[cid][t] = (aps[f"ap_{ap_variant}"] if t == tau
+                                 else ap_variants(labels, (ap_variant,))[0])
     per_class_tau_ap = [
         ordered_sum(aps[t] for t in tau_list) / len(tau_list) for aps in ap_by_tau.values() if aps
     ]

@@ -69,9 +69,7 @@ class BoundingBox(_Corners):
                     ) from None
                 if not finite:
                     raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
-        if not (
-            x_max > x_min and y_max > y_min and 0 < (x_max - x_min) * (y_max - y_min) <= MAX_AREA
-        ):
+        if _box_area(x_min, y_min, x_max, y_max) is None:
             raise ValueError(
                 "degenerate box: need x_max > x_min, y_max > y_min and an area in "
                 f"(0, {MAX_AREA:g}], got ({x_min}, {y_min}, {x_max}, {y_max})"
@@ -86,6 +84,28 @@ class BoundingBox(_Corners):
     def as_xywh(self) -> tuple[float, float, float, float]:
         x_min, y_min, x_max, y_max = self
         return (x_min, y_min, x_max - x_min, y_max - y_min)
+
+
+def _box_area(x_min, y_min, x_max, y_max):
+    """The area of the box with these corners, or None where the box rule
+    fails: x_max > x_min, y_max > y_min and an area in (0, MAX_AREA]. Where
+    x_max = x_min + w and y_max = y_min + h in floats, only finite corners
+    pass: an infinite or NaN corner or side makes a comparison false or the
+    area infinite or NaN."""
+    area = (x_max - x_min) * (y_max - y_min)
+    return area if x_max > x_min and y_max > y_min and 0 < area <= MAX_AREA else None
+
+
+def corner_row(x: float, y: float, w: float, h: float) -> tuple[float, float, float, float, float]:
+    """The corners and area (x_min, y_min, x_max, y_max, area) of
+    `BoundingBox.from_xywh(x, y, w, h)` for four floats, by the box rule of
+    `_box_area`, without building the box; where the rule fails, the box is
+    built to raise its message."""
+    x_max, y_max = x + w, y + h
+    area = _box_area(x, y, x_max, y_max)
+    if area is None:
+        BoundingBox(x, y, x_max, y_max)  # raises, naming the first broken rule
+    return x, y, x_max, y_max, area
 
 
 def area(box: BoundingBox) -> float:

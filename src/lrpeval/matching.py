@@ -2,12 +2,16 @@
 
 Two protocols live here. Greedy score-ordered matching is the evaluation
 convention: detections claim ground truths in descending confidence order,
-exactly the way recall-precision curves are built. `iou_table` computes a
-class's detection order and same-image IoUs once, and `label_at_tau`
-labels it at one tau as a columnar `TauLabels` record (kind codes, GT
-index and IoU per detection, in score order), the one input of the
-threshold sweep, AP and the recall-precision curve; `DetectionLabel` objects
-are built only at the API edge (`label_detections`). Optimal one-to-one
+exactly the way recall-precision curves are built. Evaluation reads boxes
+as per-class columns (`GtColumns`, `DetColumns`: image ids, corner rows and
+the ignore flag or score), which the loaders fill as they validate and
+`to_columns` builds from `GroundTruth` / `Detection` records at the API
+edge. `iou_table` computes a class's detection order and same-image IoUs
+once from its columns, and `label_at_tau` labels it at one tau as a
+columnar `TauLabels` record (kind codes, GT index and IoU per detection, in
+score order), the one input of the threshold sweep, AP and the
+recall-precision curve; `DetectionLabel` objects are built only at the API
+edge (`label_detections`). Optimal one-to-one
 assignment (`hungarian`, a shortest augmenting path solver written out in
 this module over plain lists) minimizes a total cost: the 1-IoU distance
 of the set-distance machinery (`match_optimal`), and the link cost of
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Hashable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou_distance
 
@@ -84,6 +88,48 @@ class GroundTruth(_GroundTruthFields):
         if not isinstance(box, BoundingBox):
             raise ValueError(f"ground truth box must be a BoundingBox, got {box!r}")
         return tuple.__new__(cls, (image_id, class_id, box, ignore))
+
+
+# A box as evaluation reads it: (x_min, y_min, x_max, y_max, area), the
+# area with `geometry.area`'s float steps.
+CornerRow = tuple[float, float, float, float, float]
+
+
+class GtColumns(NamedTuple):
+    """One class's ground truths as columns, in input order: image ids,
+    corner rows and ignore flags (see `GroundTruth`)."""
+
+    image_ids: list[ImageId]
+    boxes: list[CornerRow]
+    ignore: list[bool]
+
+
+class DetColumns(NamedTuple):
+    """One class's detections as columns, in input order: image ids, corner
+    rows and scores."""
+
+    image_ids: list[ImageId]
+    boxes: list[CornerRow]
+    scores: list[float]
+
+
+def to_columns(
+    gts: Iterable[GroundTruth], dets: Iterable[Detection], class_ids: Iterable[ClassId]
+) -> tuple[dict[ClassId, GtColumns], dict[ClassId, DetColumns]]:
+    """The ground-truth and detection columns of each class in class_ids,
+    the form the loaders fill, from records or tuples of their fields;
+    records of other classes are skipped."""
+    gt_cols = {cid: GtColumns([], [], []) for cid in class_ids}
+    det_cols = {cid: DetColumns([], [], []) for cid in gt_cols}
+    for out, records in ((gt_cols, gts), (det_cols, dets)):
+        for image_id, class_id, box, value in records:
+            cols = out.get(class_id)
+            if cols is not None:
+                image_ids, boxes, values = cols
+                image_ids.append(image_id)
+                boxes.append(_corners(box))
+                values.append(value)
+    return gt_cols, det_cols
 
 
 class _MatchFields(NamedTuple):
@@ -175,7 +221,7 @@ class IouTable(NamedTuple):
     crowd_iou: list[float]
 
 
-def _corners(box: BoundingBox) -> tuple[float, float, float, float, float]:
+def _corners(box: BoundingBox) -> CornerRow:
     """A box's corners and its area, with `geometry.area`'s float steps."""
     x1, y1, x2, y2 = box
     return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
@@ -198,29 +244,29 @@ def _ious(x1, y1, x2, y2, a, gts) -> list[tuple[float, int]]:
     return out
 
 
-def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable:
+def iou_table(gts: GtColumns, dets: DetColumns) -> IouTable:
     """Detection order and every same-image IoU of one class, computed once
-    so that labeling at any number of taus reuses them.
+    from its columns so that labeling at any number of taus reuses them.
 
-    Each box's corners and area are read once, and every entry equals
-    `iou(det.box, gt.box)` bitwise (see `_ious`). The records are taken
-    to be of one class, as `label_classes` groups them.
+    Boxes are read as the corner rows of the columns, and every entry
+    equals `iou` of the two boxes bitwise (see `_ious`). No record is
+    built or read.
     """
     real_by_image: dict[ImageId, list[tuple]] = {}
     ignore_by_image: dict[ImageId, list[tuple]] = {}
-    for gi, (image_id, _, box, ignore) in enumerate(gts):
+    for gi, (image_id, row, ignore) in enumerate(zip(*gts)):
         target = ignore_by_image if ignore else real_by_image
-        target.setdefault(image_id, []).append((gi, *_corners(box)))
+        target.setdefault(image_id, []).append((gi, *row))
 
-    scores = [det.score for det in dets]
+    image_ids, boxes, scores = dets
     # A reverse sort is stable: equal scores keep ascending input index.
-    order = sorted(range(len(dets)), key=scores.__getitem__, reverse=True)
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     by_iou = itemgetter(0)
     candidates = []
     crowd_iou = []
     for di in order:
-        image_id, _, (x1, y1, x2, y2), _ = dets[di]
-        area = (x2 - x1) * (y2 - y1)
+        x1, y1, x2, y2, area = boxes[di]
+        image_id = image_ids[di]
         # Pairs come in ascending GT index and the sort is stable, so
         # equal IoUs keep the lowest index first.
         pairs = _ious(x1, y1, x2, y2, area, real_by_image.get(image_id, ()))
@@ -229,7 +275,8 @@ def iou_table(gts: Sequence[GroundTruth], dets: Sequence[Detection]) -> IouTable
         crowd = ignore_by_image.get(image_id)
         crowd_iou.append(max(_ious(x1, y1, x2, y2, area, crowd))[0] if crowd else -1.0)
     n_real = sum(map(len, real_by_image.values()))
-    return IouTable(len(gts), n_real, order, [scores[i] for i in order], candidates, crowd_iou)
+    return IouTable(len(gts.ignore), n_real, order, [scores[i] for i in order], candidates,
+                    crowd_iou)
 
 
 def label_at_tau(table: IouTable, tau: float) -> TauLabels:
@@ -281,7 +328,9 @@ def label_detections(
     classes = {g.class_id for g in gts} | {d.class_id for d in dets}
     if len(classes) > 1:
         raise ValueError(f"matching is per class; got mixed classes {sorted(map(str, classes))}")
-    labels = label_at_tau(iou_table(gts, dets), tau)
+    (cid,) = classes or {None}
+    gt_cols, det_cols = to_columns(gts, dets, (cid,))
+    labels = label_at_tau(iou_table(gt_cols[cid], det_cols[cid]), tau)
     return [
         DetectionLabel(di, score, "tp", gi, overlap) if kind == TP
         else DetectionLabel(di, score, KINDS[kind])
@@ -291,41 +340,25 @@ def label_detections(
 
 
 def label_classes(
-    gts: Sequence[GroundTruth],
-    dets: Sequence[Detection],
+    gts: Mapping[ClassId, GtColumns],
+    dets: Mapping[ClassId, DetColumns],
     class_ids: Sequence[ClassId],
     taus: Sequence[float],
 ) -> Iterator[tuple[ClassId, TauLabels]]:
-    """Greedy labels of every (class, tau) pair, each labeled exactly once.
+    """Greedy labels of every (class, tau) pair, each labeled exactly once,
+    from the columns of each class in class_ids.
 
     Yields (class_id, labels) for each class in order, then each tau in
     order; the `TauLabels` record carries its tau and the class's count
     of non-ignored ground truths, and its detection and GT indices refer
-    to the class's records in input order. Each class's IoU table is
-    built once (`class_tables`) and serves all its taus; repeated taus
-    are labeled again, once per occurrence.
+    to the class's columns. Each class's IoU table is built once and
+    serves all its taus; repeated taus are labeled again, once per
+    occurrence.
     """
-    for cid, table, _ in class_tables(gts, dets, class_ids):
+    for cid in class_ids:
+        table = iou_table(gts[cid], dets[cid])
         for tau in taus:
             yield cid, label_at_tau(table, tau)
-
-
-def class_tables(
-    gts: Sequence[GroundTruth], dets: Sequence[Detection], class_ids: Sequence[ClassId]
-) -> Iterator[tuple[ClassId, IouTable, list[int]]]:
-    """The IoU table of each class in order, and the positions in dets of
-    its detections. Ground truths and detections are grouped by class in
-    one pass, in input order; records of classes outside class_ids are
-    skipped."""
-    groups: dict[ClassId, tuple[list, list]] = {cid: ([], []) for cid in class_ids}
-    for side, records in enumerate((gts, dets)):
-        for i, record in enumerate(records):
-            group = groups.get(record.class_id)
-            if group is not None:
-                group[side].append(i)
-    for cid in class_ids:
-        gis, dis = groups[cid]
-        yield cid, iou_table([gts[i] for i in gis], [dets[i] for i in dis]), dis
 
 
 def rescore(table: IouTable, scores: Sequence[float | None]) -> IouTable:

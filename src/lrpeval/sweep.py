@@ -26,7 +26,9 @@ from typing import NamedTuple, Sequence
 
 from .geometry import ordered_sum
 from .lrp import UndefinedLrp, breakdown_from_counts, total_from_counts
-from .matching import IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes
+from .matching import (
+    IGNORED, TP, ClassId, Detection, GroundTruth, TauLabels, label_classes, to_columns,
+)
 
 DEFAULT_GRID_STEP = 0.01
 # The finest grid has 10,001 points. A finer step would allocate its grid
@@ -49,9 +51,11 @@ class SweepResult(NamedTuple):
 
     olrp is the minimum total error over the defined grid points and
     s_star the grid point attaining it; ties resolve to the largest s so
-    that the fewest detections are retained at equal error. A class with
-    neither ground truths nor detections has nothing to evaluate and is
-    marked evaluable=False with olrp and s_star unset.
+    that the fewest detections are retained at equal error. A class has
+    nothing to evaluate where N_TP + N_FP + N_FN = 0 at every grid
+    threshold: it has no non-ignored ground truth, and a crowd region
+    absorbs each of its detections, if it has any. It is then marked
+    evaluable=False with olrp and s_star unset.
 
     counts holds (s, loc_error_sum, n_tp, n_fp, n_fn) for every grid
     threshold in grid order. The error is defined where
@@ -85,7 +89,7 @@ def sweep_class(
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> SweepResult:
     """Sweep the score-threshold grid for one class and pick its optimum."""
-    ((_, labels),) = label_classes(gts, dets, (class_id,), (tau,))
+    ((_, labels),) = label_classes(*to_columns(gts, dets, (class_id,)), (class_id,), (tau,))
     return sweep_labels(labels, class_id, grid_step)
 
 
@@ -176,7 +180,7 @@ def molrp(
     """Sweep every class and average the per-class optima."""
     per_class = {
         cid: sweep_labels(labels, cid, grid_step)
-        for cid, labels in label_classes(gts, dets, class_ids, (tau,))
+        for cid, labels in label_classes(*to_columns(gts, dets, class_ids), class_ids, (tau,))
     }
     return aggregate_molrp(per_class)
 

@@ -22,10 +22,11 @@ import numpy as np
 from lrpeval import BoundingBox, LrpBreakdown, MatchResult
 from lrpeval.geometry import iou
 from lrpeval.ap import AP_VARIANTS
-from lrpeval.dataio import Dataset, SchemaError
+from lrpeval.dataio import SchemaError
 from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
 from lrpeval.sweep import DEFAULT_GRID_STEP, threshold_grid
 from lrpeval.video import FrameDetections, StreamDetection, bayes_update, link_frames
+from synth import GtRecords
 
 logger = logging.getLogger("lrpeval")
 
@@ -465,8 +466,8 @@ def _id_kind(value) -> str | None:
     return None
 
 
-def load_ground_truth(path) -> Dataset:
-    """Load and validate a COCO-style annotation file."""
+def load_ground_truth(path) -> GtRecords:
+    """Load and validate a COCO-style annotation file, as records."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -543,11 +544,12 @@ def load_ground_truth(path) -> Dataset:
             raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
         gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
 
-    return Dataset(sizes, names, tuple(gts))
+    return GtRecords(sizes, names, tuple(gts))
 
 
-def load_detections(path, dataset: Dataset) -> list[Detection]:
-    """Load a COCO-style results array and validate it against a dataset."""
+def load_detections(path, dataset: GtRecords) -> list[Detection]:
+    """Load a COCO-style results array and validate it against a dataset,
+    as records."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -567,7 +569,7 @@ def load_detections(path, dataset: Dataset) -> list[Detection]:
     return dets
 
 
-def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
+def load_stream(path, dataset: GtRecords) -> list[FrameDetections]:
     """Load a stream fixture: {frames: [{frame_index, detections:
     [{class_id, bbox, class_scores}]}]} with bbox as [x, y, w, h], each
     frame_index one of the dataset's images and each class_id one of its

@@ -8,6 +8,9 @@ per-box error can. The stream generator builds multi-frame detection
 streams with controllable per-class score levels, box jitter and false
 positives, for exercising the linking/thresholding pipeline at desk
 scale. The COCO writers turn fixtures into the files the loaders read.
+`GtRecords` is a ground-truth document as records, the form the fixture
+writer takes; `report_inputs` and `records` convert between records and
+the per-class columns that the loaders fill and evaluation reads.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from lrpeval.dataio import Dataset, write_json
 from lrpeval.geometry import BoundingBox
-from lrpeval.matching import ClassId, Detection, GroundTruth
+from lrpeval.matching import (
+    ClassId, DetColumns, Detection, GroundTruth, GtColumns, to_columns,
+)
 from lrpeval.video import FrameDetections, StreamDetection
 
 REFERENCE_CLASS = 1
@@ -217,8 +222,39 @@ def save_detections(dets: Sequence[Detection], path) -> None:
     write_json(records, path)
 
 
-def save_ground_truth(dataset: Dataset, path) -> None:
-    """Write a dataset back out in COCO annotation form."""
+class GtRecords(NamedTuple):
+    """A ground-truth document as records: the `Dataset` id maps, and each
+    annotation as a `GroundTruth`, in the order of the file."""
+
+    images: dict
+    names: dict
+    ground_truths: tuple[GroundTruth, ...]
+
+
+def report_inputs(
+    images: Mapping, names: Mapping, gts: Iterable[GroundTruth], dets: Iterable[Detection] = ()
+) -> tuple[Dataset, dict[ClassId, DetColumns]]:
+    """The `Dataset` and the detection columns that the loaders would give
+    for these records, by the API edge conversion (`to_columns`): the first
+    two arguments of `build_report`."""
+    gt_cols, det_cols = to_columns(gts, dets, names)
+    return Dataset(images, names, gt_cols), det_cols
+
+
+def records(columns: Mapping[ClassId, GtColumns | DetColumns]) -> list:
+    """The records of per-class columns, class by class in the order of the
+    mapping: a `GroundTruth` per row of `GtColumns`, a `Detection` per row
+    of `DetColumns`."""
+    out = []
+    for cid, cols in columns.items():
+        make = GroundTruth if isinstance(cols, GtColumns) else Detection
+        out += [make(image_id, cid, BoundingBox(*row[:4]), value)
+                for image_id, row, value in zip(*cols)]
+    return out
+
+
+def save_ground_truth(dataset: GtRecords, path) -> None:
+    """Write a ground-truth document of records in COCO annotation form."""
     doc = {
         "images": [
             {"id": i, "width": width, "height": height}

@@ -16,12 +16,12 @@ from lrpeval import (
     curve_from_labels,
     label_classes,
     rp_curve,
+    to_columns,
 )
-from lrpeval.dataio import Dataset
-from lrpeval.ap import AP_VARIANTS, ap
+from lrpeval.ap import AP_VARIANTS, ap, ap_variants
 from lrpeval.matching import FP, IGNORED, TP
 from oracles import integrate_rp_points, rematch_rp_points
-from synth import reference_detectors
+from synth import reference_detectors, report_inputs
 
 
 def box_at(i: int, side: float = 10.0) -> BoundingBox:
@@ -34,7 +34,7 @@ def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
 
 def labels_at(gts, dets, tau):
     """Greedy labels of class 1 at tau, as `build_report` reads them."""
-    ((_, labels),) = label_classes(gts, dets, (1,), (tau,))
+    ((_, labels),) = label_classes(*to_columns(gts, dets, (1,)), (1,), (tau,))
     return labels
 
 
@@ -181,8 +181,8 @@ class TestAp:
 
 def map_over_taus(gts, dets, class_ids, taus):
     """Mean AP over classes and taus, as the evaluation report computes it."""
-    dataset = Dataset({0: (None, None)}, {c: str(c) for c in class_ids}, tuple(gts))
-    return build_report(dataset, dets, tau_list=taus)["summary"]["mean_ap"]
+    dataset, det_cols = report_inputs({0: (None, None)}, {c: str(c) for c in class_ids}, gts, dets)
+    return build_report(dataset, det_cols, tau_list=taus)["summary"]["mean_ap"]
 
 
 def labels_from_kinds(kinds, n_real, tau=0.5):
@@ -212,7 +212,8 @@ def tau_labels(draw):
 
 class TestApMergeWalk:
     """`ap` reads only the TPs of the labels; for every variant it gives
-    the float of the bisect-per-grid-point reference on the full curve."""
+    the float of the bisect-per-grid-point reference on the full curve, bit
+    for bit, and so does `ap_variants` from its one precision pass."""
 
     @settings(max_examples=400, deadline=None)
     @given(tau_labels())
@@ -223,10 +224,17 @@ class TestApMergeWalk:
     @example(labels_from_kinds([TP, FP, TP, FP, TP, TP], 4))
     @example(labels_from_kinds([TP] * 10 + [FP] * 3, 10))
     @example(labels_from_kinds([FP, TP] * 100, 100))
+    @example(labels_from_kinds([TP], 1))
+    @example(labels_from_kinds([FP, FP, TP, IGNORED], 1))
+    # Every grid recall above 0 lies past the last TP (recall 0.008): the
+    # cached walk maps them to TP indices the labels do not have.
+    @example(labels_from_kinds([FP, TP, TP, FP], 250))
     def test_equals_bisect_reference(self, labels):
         curve = curve_from_labels(labels, 1)
-        for variant in AP_VARIANTS:
-            assert ap(labels, variant) == oracles.ap(curve, variant), variant
+        expected = [oracles.ap(curve, variant) for variant in AP_VARIANTS]
+        for variant, value in zip(AP_VARIANTS, expected):
+            assert oracles.same_bits(ap(labels, variant), value), variant
+        assert oracles.same_bits(ap_variants(labels), expected)
 
 
 class TestMapOverTaus:

@@ -29,9 +29,11 @@ from lrpeval import (
     track_stream,
 )
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
-from lrpeval.dataio import Dataset, export_curves, load_ground_truth, load_stream, save_stream
+from lrpeval.dataio import export_curves, load_ground_truth, load_stream, save_stream
 from oracles import same_bits
-from synth import StreamClassSpec, generate_stream, reference_detectors, save_ground_truth
+from synth import (
+    GtRecords, StreamClassSpec, generate_stream, records, reference_detectors, save_ground_truth,
+)
 from test_dataio import loader_documents
 from test_matching import grid_breakdowns
 
@@ -41,7 +43,7 @@ def write_fixture(tmp_path, name, gts, dets, categories=None):
     if categories is None:
         categories = sorted({g.class_id for g in gts} | {d.class_id for d in dets}, key=str)
     image_ids = sorted({g.image_id for g in gts} | {d.image_id for d in dets}, key=str)
-    ds = Dataset(
+    ds = GtRecords(
         dict.fromkeys(image_ids, (None, None)),
         {c: f"class-{c}" for c in categories},
         tuple(gts),
@@ -370,6 +372,20 @@ class TestLabelOnce:
 
     CLASSES = (1, 2, 3)
 
+    @staticmethod
+    def class_of_columns(monkeypatch):
+        """Columns carry no class id: a map from the id of each class's GT
+        columns to the class, filled as `cli.load_ground_truth` loads them."""
+        load, class_of = cli.load_ground_truth, {}
+
+        def loading(path):
+            dataset = load(path)
+            class_of.update((id(cols), cid) for cid, cols in dataset.gt_columns.items())
+            return dataset
+
+        monkeypatch.setattr(cli, "load_ground_truth", loading)
+        return class_of
+
     @pytest.mark.parametrize("argv, taus", [
         (["eval"], (0.5, *parse_tau_list(DEFAULT_TAU_RANGE))),
         (["eval", "--tau", "0.7", "--tau-list", "0.5,0.6"], (0.7, 0.5, 0.6)),
@@ -388,10 +404,11 @@ class TestLabelOnce:
         matching = sys.modules["lrpeval.matching"]
         build, label = matching.iou_table, matching.label_at_tau
         table_class, tables, calls = {}, Counter(), Counter()
+        class_of = self.class_of_columns(monkeypatch)
 
         def counting_table(gts, dets):
             table = build(gts, dets)
-            table_class[id(table)] = (gts or dets)[0].class_id
+            table_class[id(table)] = class_of[id(gts)]
             tables[table_class[id(table)]] += 1
             return table
 
@@ -410,19 +427,19 @@ class TestLabelOnce:
         # The raw, general and class-specific passes re-sort one table per
         # class; a `molrp` call would build more.
         stream_path, gt_path, thr_path = stream_fixture(tmp_path)
-        matching = sys.modules["lrpeval.matching"]
-        build, label = matching.iou_table, cli.label_at_tau
+        build, label = cli.iou_table, cli.label_at_tau
         tables, labeled = Counter(), Counter()
+        class_of = self.class_of_columns(monkeypatch)
 
         def counting_table(gts, dets):
-            tables[(gts or dets)[0].class_id] += 1
+            tables[class_of[id(gts)]] += 1
             return build(gts, dets)
 
         def counting_label(table, tau):
             labeled[tau] += 1
             return label(table, tau)
 
-        monkeypatch.setattr(matching, "iou_table", counting_table)
+        monkeypatch.setattr(cli, "iou_table", counting_table)
         monkeypatch.setattr(cli, "label_at_tau", counting_label)
         assert main(["stream", "--stream", stream_path, "--gt", gt_path,
                      "--thresholds-file", thr_path, "--output", str(tmp_path / "out")]) == 0
@@ -740,7 +757,7 @@ class TestExports:
         assert (counts["video.links"], counts["video.link_cost_cells"],
                 counts["video.severed_pairs"]) == (n_links, n_cells, n_severed)
 
-        dets = [d for d in cli.stream_to_detections(frames) if d.class_id == 1]
+        dets = [d for d in stream_to_detections(frames) if d.class_id == 1]
         class_gts = [g for g in gts if g.class_id == 1]
         labels = label_detections(class_gts, dets, 0.5)
         tracer._count_labels(counts, label_detections, (class_gts, dets, 0.5), {}, labels)
@@ -1106,7 +1123,7 @@ def stream_fixture(tmp_path):
     stream_path = tmp_path / "stream.json"
     save_stream(frames, stream_path)
     image_ids = sorted({g.image_id for g in gts})
-    ds = Dataset(
+    ds = GtRecords(
         dict.fromkeys(image_ids, (None, None)),
         {"high": "high", "low": "low"},
         tuple(gts),
@@ -1138,7 +1155,7 @@ class TestStreamCommand:
         ]
         stream_path = tmp_path / "s.json"
         save_stream(frames, stream_path)
-        ds = Dataset(
+        ds = GtRecords(
             {0: (None, None)}, {"a": "a"},
             (GroundTruth(0, "a", box_at(0)), GroundTruth(0, "a", box_at(1))),
         )
@@ -1275,7 +1292,7 @@ class TestStreamCommand:
         ]
         stream_path = tmp_path / "s.json"
         save_stream(frames, stream_path)
-        ds = Dataset(
+        ds = GtRecords(
             {0: (None, None), 1: (None, None)},
             {"a": "a", "b": "b"},
             (GroundTruth(0, "a", box_at(0)), GroundTruth(1, "b", box_at(0))),
@@ -1310,8 +1327,8 @@ def check_stream_passes(frames, gts, alpha, cutoff, default, thresholds):
     equal, bit for bit, `molrp` over the stream it evaluates: raw, emitted
     under --threshold alone, and emitted under the thresholds file. Returns
     the tracked stream."""
-    dataset = Dataset({f.frame_index: (None, None) for f in frames},
-                      {c: f"class-{c}" for c in _STREAM_CLASSES}, tuple(gts))
+    dataset = GtRecords({f.frame_index: (None, None) for f in frames},
+                        {c: f"class-{c}" for c in _STREAM_CLASSES}, tuple(gts))
     reports = []
 
     def recording(per_class):
@@ -1335,7 +1352,7 @@ def check_stream_passes(frames, gts, alpha, cutoff, default, thresholds):
         frames = load_stream(tmp / "stream.json", dataset)
     tracked = track_stream(frames, alpha, cutoff)
     streams = [frames] + [emit_stream(tracked, m, default).frames for m in ({}, thresholds)]
-    expected = [molrp(dataset.ground_truths, stream_to_detections(s), _STREAM_CLASSES, 0.5)
+    expected = [molrp(records(dataset.gt_columns), stream_to_detections(s), _STREAM_CLASSES, 0.5)
                 for s in streams]
     assert same_bits(reports, expected)
     return tracked

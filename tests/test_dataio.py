@@ -8,6 +8,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,15 +35,19 @@ from lrpeval import (
     sweep_class,
     threshold_rows,
 )
-from lrpeval.ap import curve_from_labels
+from lrpeval.ap import AP_VARIANTS, ap, curve_from_labels
 from lrpeval.dataio import Dataset, round_row
 from lrpeval.lrp import DasaParams, lrp_components
-from lrpeval.matching import MatchResult, iou_table, label_at_tau, label_detections, match_optimal
+from lrpeval.matching import (
+    MatchResult, iou_table, label_at_tau, label_detections, match_optimal, to_columns,
+)
 from lrpeval.sweep import aggregate_molrp, sweep_labels
 from lrpeval.video import FrameDetections, StreamDetection, track_stream
 import oracles
 from lrpeval import dataio
-from synth import reference_detectors, save_detections, save_ground_truth
+from synth import (
+    GtRecords, records, reference_detectors, report_inputs, save_detections, save_ground_truth,
+)
 from test_matching import grid_breakdowns
 
 
@@ -66,13 +71,13 @@ def minimal_gt(tmp_path, **overrides):
 class TestLoadGroundTruth:
     def test_minimal_file(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
-        assert len(ds.ground_truths) == 1
+        assert len(records(ds.gt_columns)) == 1
         assert ds.names == {3: "cat"}
         assert ds.images == {1: (640, 480)}
 
     def test_bbox_converted_to_corners(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
-        assert ds.ground_truths[0].box == BoundingBox(10, 20, 40, 60)
+        assert records(ds.gt_columns)[0].box == BoundingBox(10, 20, 40, 60)
 
     def test_missing_image_id_is_named(self, tmp_path):
         path = minimal_gt(
@@ -99,7 +104,7 @@ class TestLoadGroundTruth:
             ],
         )
         ds = load_ground_truth(path)
-        assert [g.ignore for g in ds.ground_truths] == [True, False]
+        assert [g.ignore for g in records(ds.gt_columns)] == [True, False]
 
     def test_duplicate_image_id_rejected(self, tmp_path):
         path = minimal_gt(tmp_path, images=[{"id": 1}, {"id": 1}])
@@ -133,7 +138,7 @@ class TestLoadGroundTruth:
             annotations=[{"id": 1, "image_id": 1, "category_id": 3, "bbox": [600, 0, 100, 50]}],
         )
         ds = load_ground_truth(path)
-        assert len(ds.ground_truths) == 1
+        assert len(records(ds.gt_columns)) == 1
         assert "outside image" in capsys.readouterr().err
 
     def test_round_trip(self, tmp_path):
@@ -145,9 +150,9 @@ class TestLoadGroundTruth:
         ))
         assert list(ds.names.items()) == [(3, "cat"), (1, "dog"), (2, "2")]
         out = tmp_path / "roundtrip.json"
-        save_ground_truth(ds, out)
+        save_ground_truth(GtRecords(ds.images, ds.names, tuple(records(ds.gt_columns))), out)
         again = load_ground_truth(out)
-        assert again.ground_truths == ds.ground_truths
+        assert again.gt_columns == ds.gt_columns
         assert list(again.images.items()) == [(1, (640, 480)), (0, (32.5, None))]
         assert list(again.names.items()) == list(ds.names.items())
 
@@ -156,7 +161,7 @@ class TestLoadDetections:
     def test_empty_array(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
         path = write_json(tmp_path / "det.json", [])
-        assert load_detections(path, ds) == []
+        assert records(load_detections(path, ds)) == []
 
     def test_score_out_of_range_names_record(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
@@ -202,13 +207,13 @@ class TestLoadDetections:
         path = tmp_path / "det.json"
         save_detections(dets, path)
         again = load_detections(path, ds)
-        assert again == dets
+        assert records(again) == dets
 
 
 def with_categories(*ids, frames=()):
     """A dataset that declares the given category ids, an image for each
     given frame index, and nothing else."""
-    return Dataset(dict.fromkeys(frames, (None, None)), {c: str(c) for c in ids}, ())
+    return report_inputs(dict.fromkeys(frames, (None, None)), {c: str(c) for c in ids}, ())[0]
 
 
 class TestStreamIO:
@@ -326,10 +331,11 @@ class TestSaveStreamProperty:
 
 
 def one_record_of_each_type():
-    """One record of each of the 16 record types, all named tuples."""
+    """One record of each of the 18 record types, all named tuples."""
     box = BoundingBox(0, 0, 1, 1)
     gt, det = GroundTruth(0, "a", box), Detection(0, "a", box, 0.5)
-    table = iou_table([gt], [det])
+    gt_cols, det_cols = to_columns([gt], [det], ["a"])
+    table = iou_table(gt_cols["a"], det_cols["a"])
     labels = label_at_tau(table, 0.5)
     sweep = sweep_labels(labels, "a")
     stream_det = StreamDetection("a", box, (1.0,))
@@ -340,7 +346,7 @@ def one_record_of_each_type():
         lrp_components(match_optimal([box], [box], 0.5), 0.5), DasaParams(),
         sweep, aggregate_molrp({"a": sweep}),
         curve_from_labels(labels, "a"), track_stream([frame]),
-        Dataset({0: (None, None)}, {"a": "a"}, (gt,)),
+        Dataset({0: (None, None)}, {"a": "a"}, gt_cols), gt_cols["a"], det_cols["a"],
     ]
 
 
@@ -361,7 +367,7 @@ class TestSlottedRecords:
 
 class TestRecordSemantics:
     def test_one_tuple_per_record_type(self):
-        assert len({type(r) for r in RECORDS}) == 16
+        assert len({type(r) for r in RECORDS}) == 18
         assert all(isinstance(r, tuple) for r in RECORDS)
 
     def test_every_named_tuple_type_has_a_record(self):
@@ -453,15 +459,14 @@ class TestThresholds:
 def trio_dataset():
     gts, dets = reference_detectors()["half_recall"]
     images = dict.fromkeys(sorted({g.image_id for g in gts}), (None, None))
-    ds = Dataset(images, {1: "obj"}, tuple(gts))
-    return ds, dets
+    return report_inputs(images, {1: "obj"}, gts, dets)
 
 
 class TestBuildAndExportReport:
     def test_perfect_fixture_summary(self):
         box = BoundingBox(0, 0, 10, 10)
-        ds = Dataset({0: (None, None)}, {1: "obj"}, (GroundTruth(0, 1, box),))
-        report = build_report(ds, [Detection(0, 1, box, 0.9)])
+        report = build_report(*report_inputs(
+            {0: (None, None)}, {1: "obj"}, [GroundTruth(0, 1, box)], [Detection(0, 1, box, 0.9)]))
         assert report["summary"]["molrp"] == 0.0
         assert report["summary"]["mean_ap"] == 1.0
         assert report["classes"][0]["ap_continuous"] == 1.0
@@ -561,35 +566,59 @@ class TestBuildAndExportReport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_ap_computed_once_per_class_and_tau(self, monkeypatch):
-        # At tau, the row's variant value also serves the tau-averaged mean.
-        real_ap, calls = dataio.ap, Counter()
+        # At tau, one precision pass gives the three variants, and the row's
+        # variant value also serves the tau-averaged mean.
+        real_ap, calls = dataio.ap_variants, Counter()
 
-        def counting_ap(labels, variant):
-            calls[(labels.tau, variant)] += 1
-            return real_ap(labels, variant)
+        def counting_ap(labels, variants=AP_VARIANTS):
+            for variant in variants:
+                calls[(labels.tau, variant)] += 1
+            calls[labels.tau, "passes"] += 1
+            return real_ap(labels, variants)
 
-        monkeypatch.setattr(dataio, "ap", counting_ap)
+        monkeypatch.setattr(dataio, "ap_variants", counting_ap)
         ds, dets = trio_dataset()
         report = build_report(ds, dets, tau=0.5, tau_list=(0.5, 0.6, 0.7), ap_variant="pascal11")
         assert calls == {
             (0.5, "continuous"): 1, (0.5, "pascal11"): 1, (0.5, "coco101"): 1,
             (0.6, "pascal11"): 1, (0.7, "pascal11"): 1,
+            (0.5, "passes"): 1, (0.6, "passes"): 1, (0.7, "passes"): 1,
         }
-        per_tau = label_classes(ds.ground_truths, dets, (1,), (0.5, 0.6, 0.7))
-        expected = [real_ap(labels, "pascal11") for _, labels in per_tau]
+        per_tau = label_classes(ds.gt_columns, dets, (1,), (0.5, 0.6, 0.7))
+        expected = [ap(labels, "pascal11") for _, labels in per_tau]
         assert report["summary"]["mean_ap"] == sum(expected) / 3
 
     def test_every_class_has_s_star_column(self):
         gts = [GroundTruth(0, 1, BoundingBox(0, 0, 10, 10)), GroundTruth(0, 2, BoundingBox(20, 0, 30, 10))]
-        ds = Dataset({0: (None, None)}, {1: "a", 2: "b"}, tuple(gts))
-        report = build_report(ds, [Detection(0, 1, BoundingBox(0, 0, 10, 10), 0.9)])
+        report = build_report(*report_inputs(
+            {0: (None, None)}, {1: "a", 2: "b"}, gts, [Detection(0, 1, BoundingBox(0, 0, 10, 10), 0.9)]))
         assert all("s_star" in row for row in report["classes"])
         assert len(report["classes"]) == 2
+
+    def test_class_whose_detections_a_crowd_region_absorbs_is_not_evaluable(self):
+        # Class 2's one ground truth is a crowd region, and it absorbs the
+        # class's one detection: N_TP + N_FP + N_FN = 0 at every threshold,
+        # though the class has a detection. Class 3 has nothing at all.
+        box = BoundingBox(0, 0, 10, 10)
+        gts = [GroundTruth(0, 1, box), GroundTruth(0, 2, box, ignore=True)]
+        dets = [Detection(0, 1, box, 0.9), Detection(0, 2, box, 0.8)]
+        report = build_report(*report_inputs(
+            {0: (None, None)}, {1: "a", 2: "b", 3: "c"}, gts, dets), tau_list=(0.5,))
+        unset = dict.fromkeys(("olrp", "olrp_iou", "olrp_fp", "olrp_fn", "s_star",
+                               "ap_continuous", "ap_pascal11", "ap_coco101"))
+        assert report["classes"][1:] == [
+            {"class_id": 2, "class_name": "b", "n_gt": 0, "n_det": 1, "evaluable": False,
+             **unset},
+            {"class_id": 3, "class_name": "c", "n_gt": 0, "n_det": 0, "evaluable": False,
+             **unset},
+        ]
+        assert report["classes"][0]["evaluable"] is True
+        assert report["summary"]["not_evaluable"] == ["2", "3"]
 
     def test_export_writes_the_document_with_only_reals_rounded(self, tmp_path):
         # Key for key and in order; the config's reals are written as given.
         gts, dets = reference_detectors()["tradeoff"]
-        ds = Dataset({0: (None, None)}, {1: "obj", 2: "none"}, tuple(gts))
+        ds, dets = report_inputs({0: (None, None)}, {1: "obj", 2: "none"}, gts, dets)
         report = build_report(ds, dets, tau=0.55555, tau_list=(0.5, 0.55555), grid_step=0.02)
         path = tmp_path / "report.json"
         export_report(report, path, "json")
@@ -610,7 +639,7 @@ class TestBuildAndExportReport:
     def test_export_refuses_a_non_finite_real(self, tmp_path, value):
         # Python's json would write NaN or Infinity, which no JSON reader accepts.
         gts, dets = reference_detectors()["tradeoff"]
-        report = build_report(Dataset({0: (None, None)}, {1: "obj"}, tuple(gts)), dets)
+        report = build_report(*report_inputs({0: (None, None)}, {1: "obj"}, gts, dets))
         report["summary"]["molrp"] = value
         with pytest.raises(ValueError, match="not JSON compliant"):
             export_report(report, tmp_path / "report.json", "json")
@@ -794,6 +823,16 @@ def loader_documents(draw, target, min_mutations=1):
     return docs
 
 
+# The oracle loaders, their records seen as the columns that `dataio`'s
+# loaders fill, through the API edge conversion.
+_ORACLE_COLUMNS = SimpleNamespace(
+    load_ground_truth=lambda path: report_inputs(*oracles.load_ground_truth(path))[0],
+    load_detections=lambda path, ds: report_inputs(
+        ds.images, ds.names, (), oracles.load_detections(path, ds))[1],
+    load_stream=oracles.load_stream,
+)
+
+
 def _load_all(loaders, paths):
     """What each loader of a module makes of the files: ("ok", repr of the
     result) or ("error", SchemaError message). Any other exception escapes."""
@@ -825,4 +864,63 @@ class TestLoaderProperty:
             for name, doc in docs.items():
                 paths[name] = Path(tmp) / f"{name}.json"
                 paths[name].write_text(json.dumps(doc))
-            assert _load_all(dataio, paths) == _load_all(oracles, paths)
+            assert _load_all(dataio, paths) == _load_all(_ORACLE_COLUMNS, paths)
+
+
+_NUMBER_OR_STRING_ID = st.one_of(st.integers(-3, 10 ** 20), st.floats(-1e6, 1e6),
+                                 st.text(alphabet="abé", max_size=3))
+_BOX_VALUE = st.one_of(st.integers(-50, 200), st.floats(-50.0, 200.0))
+_BOX_SIDE = st.one_of(st.integers(1, 200), st.floats(0.5, 200.0))
+
+
+@st.composite
+def evaluation_documents(draw):
+    """A valid annotation document and results array: number or string
+    image ids, category ids all numbers or all strings, integer and float
+    box values, crowd regions, and scores 0, 1 or a float."""
+    image_ids = draw(st.lists(_NUMBER_OR_STRING_ID, min_size=1, max_size=3, unique=True))
+    cat_id = st.integers(-3, 10 ** 20) if draw(st.booleans()) else st.text("xyz", max_size=2)
+    cat_ids = draw(st.lists(cat_id, min_size=1, max_size=3, unique=True))
+    bbox = st.lists(_BOX_VALUE, min_size=2, max_size=2).flatmap(
+        lambda xy: st.lists(_BOX_SIDE, min_size=2, max_size=2).map(lambda wh: xy + wh))
+    image, category = st.sampled_from(image_ids), st.sampled_from(cat_ids)
+    annotations = [
+        {"id": k, "image_id": draw(image), "category_id": draw(category), "bbox": draw(bbox),
+         "iscrowd": draw(st.sampled_from([0, 0, 1, False, True]))}
+        for k in range(draw(st.integers(0, 8)))
+    ]
+    results = [
+        {"image_id": draw(image), "category_id": draw(category), "bbox": draw(bbox),
+         "score": draw(st.one_of(st.sampled_from([0, 1]), st.floats(0.0, 1.0)))}
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    gt = {"images": [{"id": i} for i in image_ids], "annotations": annotations,
+          "categories": [{"id": c} for c in cat_ids]}
+    return gt, results
+
+
+class TestColumnsProperty:
+    """The loaders fill per-class columns without building records; they
+    must equal the edge conversion of the field-by-field reference's
+    records, and so must the IoU tables built from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(evaluation_documents())
+    def test_loader_columns_equal_converted_records(self, docs):
+        gt_doc, det_doc = docs
+        with tempfile.TemporaryDirectory() as tmp:
+            gt_path, det_path = Path(tmp) / "gt.json", Path(tmp) / "det.json"
+            gt_path.write_text(json.dumps(gt_doc))
+            det_path.write_text(json.dumps(det_doc))
+            dataset = load_ground_truth(gt_path)
+            dets = load_detections(det_path, dataset)
+            reference = oracles.load_ground_truth(gt_path)
+            ref_dets = oracles.load_detections(det_path, reference)
+        expected_dataset, expected_dets = report_inputs(*reference, ref_dets)
+        assert oracles.same_bits(dataset, expected_dataset)
+        assert oracles.same_bits(dets, expected_dets)
+        for cid in dataset.names:
+            assert oracles.same_bits(
+                iou_table(dataset.gt_columns[cid], dets[cid]),
+                iou_table(expected_dataset.gt_columns[cid], expected_dets[cid]),
+            )

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 import lrpeval
 from lrpeval import (
-    BoundingBox, Dataset, DasaParams, GroundTruth, StreamDetection, area, build_report, dasa,
+    BoundingBox, DasaParams, GroundTruth, StreamDetection, area, build_report, dasa,
     iou, iou_distance, match_optimal,
 )
 from lrpeval import ap as ap_module
+from lrpeval.ap import AP_VARIANTS
 from lrpeval import dataio, video
-from lrpeval.geometry import ordered_sum
+from lrpeval.geometry import corner_row, ordered_sum
 from lrpeval.matching import FP, TP, TauLabels
 from lrpeval.sweep import SweepResult, aggregate_molrp
-from oracles import box_corner_check, grid_area, grid_iou
+from oracles import box_corner_check, grid_area, grid_iou, same_bits
+from synth import report_inputs
 
 _CORNER = st.one_of(
     st.sampled_from([0, 1, 10, -3, 0.0, -0.0, 1.0, 10.5, 1e308, -1e308, math.nan, math.inf,
@@ -111,6 +113,21 @@ class TestBoundingBox:
             with pytest.raises(ValueError) as info:
                 BoundingBox(x_min, y_min, x_max, y_max)
             assert str(info.value) == str(expected)
+
+    @settings(max_examples=500, deadline=None)
+    @given(*[st.one_of(_EXTREME_CORNER.map(float), st.floats(-20, 20),
+                       st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))] * 4)
+    def test_corner_row_applies_the_box_rule_of_from_xywh(self, x, y, w, h):
+        # The loaders' rows skip the box; they must pass and fail where it
+        # does, with its message, and carry its corners and `area`.
+        try:
+            box = BoundingBox.from_xywh(x, y, w, h)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                corner_row(x, y, w, h)
+            assert str(info.value) == str(exc)
+        else:
+            assert same_bits(corner_row(x, y, w, h), (*box, area(box)))
 
     def test_xywh_round_trip(self):
         box = BoundingBox.from_xywh(10, 20, 30, 40)
@@ -266,15 +283,17 @@ class TestOrderedSum:
         values = self.differing((0.1, 0.2, 0.3))
         box = BoundingBox(0, 0, 1, 1)
         # One class at three taus: the mean over the taus.
-        monkeypatch.setattr(dataio, "ap", lambda labels, variant: values[round(labels.tau * 10) - 5])
-        one_class = Dataset({0: (None, None)}, {1: "a"}, (GroundTruth(0, 1, box),))
-        report = build_report(one_class, [], tau_list=(0.5, 0.6, 0.7))
+        monkeypatch.setattr(dataio, "ap_variants", lambda labels, variants=AP_VARIANTS:
+                            [values[round(labels.tau * 10) - 5]] * len(variants))
+        report = build_report(*report_inputs({0: (None, None)}, {1: "a"}, [GroundTruth(0, 1, box)]),
+                              tau_list=(0.5, 0.6, 0.7))
         assert report["summary"]["mean_ap"] == _loop_sum(values) / 3
         # Three classes at one tau: the mean over the classes; class c has c ground truths.
-        monkeypatch.setattr(dataio, "ap", lambda labels, variant: values[labels.n_real - 1])
+        monkeypatch.setattr(dataio, "ap_variants", lambda labels, variants=AP_VARIANTS:
+                            [values[labels.n_real - 1]] * len(variants))
         gts = tuple(GroundTruth(i, c, box) for c in (1, 2, 3) for i in range(c))
-        three = Dataset(dict.fromkeys(range(3), (None, None)), {1: "a", 2: "b", 3: "c"}, gts)
-        report = build_report(three, [], tau_list=(0.5,))
+        three = report_inputs(dict.fromkeys(range(3), (None, None)), {1: "a", 2: "b", 3: "c"}, gts)
+        report = build_report(*three, tau_list=(0.5,))
         assert report["summary"]["mean_ap"] == _loop_sum(values) / 3
 
     def test_dasa_tail(self):

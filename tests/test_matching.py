@@ -17,6 +17,7 @@ from lrpeval import (
     match_optimal,
     sweep_class,
     threshold_grid,
+    to_columns,
 )
 from lrpeval.geometry import _Corners, iou
 from lrpeval.lrp import breakdown_from_counts
@@ -129,6 +130,16 @@ def prefix_scenes(draw):
     return gts, dets, tau
 
 
+@st.composite
+def shuffled_scenes(draw):
+    """One class on one image with distinct scores, and a permutation of
+    its detections."""
+    gts = [GroundTruth(0, 1, b) for b in draw(st.lists(_IOU_BOXES, max_size=8))]
+    scores = draw(st.lists(st.integers(1, 99), unique=True, max_size=12))
+    dets = [Detection(0, 1, draw(_IOU_BOXES), s / 100) for s in scores]
+    return gts, dets, draw(st.permutations(range(len(dets))))
+
+
 def seed_13_scene():
     """Eight ground truths and fifteen distinct scores on one image at tau
     0.3, from seed 13."""
@@ -225,12 +236,14 @@ class TestMatchGreedy:
         dets = [det(0, 0.9), det(0, 0.8)]
         assert counts(gts, label_detections(gts, dets, tau=0.5)) == (0, 0, 0)
 
-    def test_monotonicity_in_s(self):
-        rng = random.Random(11)
-        gts = [GroundTruth(rng.randint(0, 2), 1, b) for b in random_boxes(rng, 12)]
-        dets = [
-            Detection(rng.randint(0, 2), 1, b, rng.random()) for b in random_boxes(rng, 20)
-        ]
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.builds(GroundTruth, st.integers(0, 2), st.just(1), _IOU_BOXES, st.just(False)),
+                 min_size=1, max_size=12),
+        st.lists(st.builds(Detection, st.integers(0, 2), st.just(1), _IOU_BOXES,
+                           st.floats(0.0, 1.0)), max_size=20),
+    )
+    def test_monotonicity_in_s(self, gts, dets):
         result = sweep_class(gts, dets, 1, tau=0.3)
         prev_tp = prev_fp = None
         for s in [i / 20 for i in range(21)]:
@@ -240,16 +253,13 @@ class TestMatchGreedy:
                 assert bd.n_fp <= prev_fp
             prev_tp, prev_fp = bd.n_tp, bd.n_fp
 
-    def test_deterministic_and_permutation_consistent(self):
-        rng = random.Random(12)
-        gts = [GroundTruth(0, 1, b) for b in random_boxes(rng, 6)]
-        scores = rng.sample(range(1, 100), 10)
-        dets = [Detection(0, 1, b, s / 100) for b, s in zip(random_boxes(rng, 10), scores)]
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_scenes())
+    def test_deterministic_and_permutation_consistent(self, scene):
+        gts, dets, perm = scene
         base = label_detections(gts, dets, tau=0.3)
         assert base == label_detections(gts, dets, tau=0.3)
 
-        perm = list(range(len(dets)))
-        rng.shuffle(perm)
         shuffled = [dets[i] for i in perm]
         labels = label_detections(gts, shuffled, tau=0.3)
         remapped = {(perm[di], gi, ov) for di, gi, ov in tp_pairs(labels)}
@@ -353,7 +363,7 @@ class TestLabelClassesProperty:
                 labels = oracles.label_detections(class_gts, class_dets, tau)
                 expected.append((tau, cid, *label_columns(labels), count_real(class_gts)))
         got = []
-        for cid, labels in label_classes(gts, dets, ("a", "b"), taus):
+        for cid, labels in label_classes(*to_columns(gts, dets, ("a", "b")), ("a", "b"), taus):
             assert isinstance(labels, TauLabels)
             got.append((labels.tau, cid, labels.order, labels.scores, labels.kinds,
                         labels.gt_index, labels.iou, labels.n_real))
@@ -372,7 +382,8 @@ class TestIouTableProperty:
     def test_every_iou_equals_geometry_iou(self, gt_specs, det_specs):
         gts = [GroundTruth(i, 1, box, crowd) for i, box, crowd in gt_specs]
         dets = [Detection(i, 1, box, 0.5) for i, box in det_specs]
-        table = iou_table(gts, dets)
+        gt_cols, det_cols = to_columns(gts, dets, (1,))
+        table = iou_table(gt_cols[1], det_cols[1])
         assert table.scores == [dets[di].score for di in table.order]
         for di, pairs, crowd_iou in zip(table.order, table.candidates, table.crowd_iou):
             det = dets[di]
@@ -481,12 +492,17 @@ class TestHungarian:
         assert hungarian(cost) == sorted(zip(rows.tolist(), cols.tolist()))
 
 
+def _box_sets(sizes):
+    """Two lists of boxes of one drawn size."""
+    return sizes.flatmap(lambda n: st.tuples(*[st.lists(_IOU_BOXES, min_size=n, max_size=n)] * 2))
+
+
 class TestMatchOptimal:
-    def test_identical_sets(self):
-        rng = random.Random(31)
-        boxes = random_boxes(rng, 5)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_IOU_BOXES, max_size=6))
+    def test_identical_sets(self, boxes):
         m = match_optimal(boxes, list(boxes), tau=0.5)
-        assert m.n_tp == 5 and m.n_fp == 0 and m.n_fn == 0
+        assert m.n_tp == len(boxes) and m.n_fp == 0 and m.n_fn == 0
         assert all(overlap == 1.0 for _, _, overlap in m.tp_pairs)
 
     def test_fully_disjoint_sets(self):
@@ -502,38 +518,36 @@ class TestMatchOptimal:
         m = match_optimal(boxes, [], tau=0.5)
         assert (m.n_tp, m.n_fp, m.n_fn) == (0, 0, 1)
 
-    def test_three_by_three_against_permutations(self):
-        rng = random.Random(32)
-        for _ in range(50):
-            xs, ys = random_boxes(rng, 3), random_boxes(rng, 3)
-            m = match_optimal(xs, ys, tau=0.0)
-            total = sum(1.0 - overlap for _, _, overlap in m.tp_pairs)
-            best = min(
-                sum(1.0 - _iou(xs[i], ys[p[i]]) for i in range(3))
-                for p in itertools.permutations(range(3))
-            )
-            assert total == pytest.approx(best, abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(_box_sets(st.just(3)))
+    def test_three_by_three_against_permutations(self, sets):
+        xs, ys = sets
+        m = match_optimal(xs, ys, tau=0.0)
+        total = sum(1.0 - overlap for _, _, overlap in m.tp_pairs)
+        best = min(
+            sum(1.0 - _iou(xs[i], ys[p[i]]) for i in range(3))
+            for p in itertools.permutations(range(3))
+        )
+        assert total == pytest.approx(best, abs=1e-12)
 
-    def test_matched_distance_no_worse_than_any_pairing(self):
-        rng = random.Random(33)
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            xs, ys = random_boxes(rng, n), random_boxes(rng, n)
-            m = match_optimal(xs, ys, tau=0.0)
-            total = sum(1.0 - overlap for _, _, overlap in m.tp_pairs)
-            for p in itertools.permutations(range(n)):
-                other = sum(1.0 - _iou(xs[i], ys[p[i]]) for i in range(n))
-                assert total <= other + 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(_box_sets(st.integers(1, 6)))
+    def test_matched_distance_no_worse_than_any_pairing(self, sets):
+        xs, ys = sets
+        n = len(xs)
+        m = match_optimal(xs, ys, tau=0.0)
+        total = sum(1.0 - overlap for _, _, overlap in m.tp_pairs)
+        for p in itertools.permutations(range(n)):
+            other = sum(1.0 - _iou(xs[i], ys[p[i]]) for i in range(n))
+            assert total <= other + 1e-12
 
-    def test_swap_symmetry(self):
-        rng = random.Random(34)
-        for _ in range(200):
-            xs = random_boxes(rng, rng.randint(0, 6))
-            ys = random_boxes(rng, rng.randint(0, 6))
-            a = match_optimal(xs, ys, tau=0.5)
-            b = match_optimal(ys, xs, tau=0.5)
-            assert (a.n_tp, a.n_fp, a.n_fn) == (b.n_tp, b.n_fn, b.n_fp)
-            assert sorted(ov for _, _, ov in a.tp_pairs) == sorted(ov for _, _, ov in b.tp_pairs)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_IOU_BOXES, max_size=6), st.lists(_IOU_BOXES, max_size=6))
+    def test_swap_symmetry(self, xs, ys):
+        a = match_optimal(xs, ys, tau=0.5)
+        b = match_optimal(ys, xs, tau=0.5)
+        assert (a.n_tp, a.n_fp, a.n_fn) == (b.n_tp, b.n_fn, b.n_fp)
+        assert sorted(ov for _, _, ov in a.tp_pairs) == sorted(ov for _, _, ov in b.tp_pairs)
 
     def test_ious_are_plain_floats(self):
         xs = [BoundingBox(0, 0, 10, 10), box_at(3)]

@@ -16,6 +16,7 @@ from lrpeval import (
     sweep_class,
     sweep_labels,
     threshold_grid,
+    to_columns,
 )
 from oracles import eager_sweep, rematch
 from synth import reference_detectors
@@ -198,7 +199,7 @@ class TestLazySamplesProperty:
     )
     def test_equals_eager_sweep_with_tie_rule(self, scene, taus, grid_step):
         gts, dets, _ = scene
-        for cid, labels in label_classes(gts, dets, ("a", "b"), taus):
+        for cid, labels in label_classes(*to_columns(gts, dets, ("a", "b")), ("a", "b"), taus):
             result = sweep_labels(labels, cid, grid_step)
             samples, evaluable, optimum = eager_sweep(labels, grid_step)
             assert result.evaluable == evaluable
