@@ -40,7 +40,6 @@ from .video import (
     emit_stream,
     link_frames,
     run_stream,
-    stream_to_detections,
     track_stream,
 )
 from .dataio import (
@@ -67,8 +66,7 @@ __all__ = [
     "MoLrpReport", "SweepResult", "molrp", "sweep_class", "sweep_labels", "threshold_grid",
     "RPCurve", "curve_from_labels", "rp_curve",
     "FrameDetections", "StreamDetection", "TrackedStream",
-    "bayes_update", "emit_stream", "link_frames", "run_stream", "stream_to_detections",
-    "track_stream",
+    "bayes_update", "emit_stream", "link_frames", "run_stream", "track_stream",
     "Dataset", "SchemaError",
     "build_report", "export_curves", "export_report",
     "load_detections", "load_ground_truth", "load_stream", "load_thresholds",

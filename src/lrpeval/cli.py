@@ -360,8 +360,9 @@ def cmd_stream(args) -> int:
     for name, thresholds in threshold_maps.items():
         keep = [k for mask in keep_masks(tracked, thresholds, args.threshold) for k in mask]
         reports[name] = evaluate([s if k else None for s, k in zip(emitted, keep)])
-    if args.filtered_output:  # the last map's stream: class-specific when given
-        save_stream(emit_stream(tracked, thresholds, args.threshold).frames, args.filtered_output)
+    if args.filtered_output:  # the class-specific stream when given, else the general one
+        kept = threshold_maps.get("class_specific", threshold_maps["general"])
+        save_stream(emit_stream(tracked, kept, args.threshold).frames, args.filtered_output)
 
     classes = [
         round_row({

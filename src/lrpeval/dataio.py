@@ -32,9 +32,9 @@ from math import inf, isfinite
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ap import AP_VARIANTS, RPCurve, ap_variants
-from .geometry import _NUMBER_TYPES, BoundingBox, corner_row, ordered_sum
+from .geometry import _NUMBER_TYPES, BoundingBox, CornerRow, corner_row, ordered_sum
 from .lrp import breakdown_from_counts
-from .matching import ClassId, CornerRow, DetColumns, GtColumns, label_classes
+from .matching import ClassId, DetColumns, GtColumns, label_classes
 from .sweep import DEFAULT_GRID_STEP, SweepResult, aggregate_molrp, sweep_labels
 from .video import FrameDetections, StreamDetection
 
@@ -306,7 +306,7 @@ def load_stream(path, dataset: Dataset) -> list[FrameDetections]:
         raise SchemaError("root: stream fixture must be an object with a 'frames' array")
     names = dataset.names
     frames = []
-    n_bins = None  # every class distribution has one bin per class
+    n_bins = None  # every class distribution has as many bins as the first
     for i, frame in enumerate(_array(data, "frames")):
         where = f"frames[{i}]"
         try:

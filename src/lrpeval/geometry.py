@@ -1,4 +1,6 @@
-"""Axis-aligned box geometry: areas, IoU, and the 1-IoU box distance."""
+"""Axis-aligned box geometry: areas, IoU, the 1-IoU box distance, and the
+corner-row kernel (`_corners`, `_ious`) that evaluation and linking run,
+bitwise equal to the scalar `area` and `iou`."""
 
 from __future__ import annotations
 
@@ -96,7 +98,12 @@ def _box_area(x_min, y_min, x_max, y_max):
     return area if x_max > x_min and y_max > y_min and 0 < area <= MAX_AREA else None
 
 
-def corner_row(x: float, y: float, w: float, h: float) -> tuple[float, float, float, float, float]:
+# A box as evaluation reads it: (x_min, y_min, x_max, y_max, area), the
+# area with `area`'s float steps.
+CornerRow = tuple[float, float, float, float, float]
+
+
+def corner_row(x: float, y: float, w: float, h: float) -> CornerRow:
     """The corners and area (x_min, y_min, x_max, y_max, area) of
     `BoundingBox.from_xywh(x, y, w, h)` for four floats, by the box rule of
     `_box_area`, without building the box; where the rule fails, the box is
@@ -125,6 +132,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = iw * ih
     union = area(a) + area(b) - inter
     return inter / union
+
+
+def _corners(box: BoundingBox) -> CornerRow:
+    """A box's corners and its area, with `area`'s float steps."""
+    x1, y1, x2, y2 = box
+    return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
+
+
+def _ious(x1, y1, x2, y2, a, gts) -> list[tuple[float, int]]:
+    """(IoU, GT index) of one box, given as corners and area, against
+    (GT index, corners, area) rows, with `iou`'s float steps: min - max
+    widths (min(p, q) is q if q < p else p), 0.0 unless both are > 0, then
+    inter / (area_a + area_b - inter)."""
+    out = []
+    for gi, gx1, gy1, gx2, gy2, g_area in gts:
+        iw = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
+        ih = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
+        if iw <= 0.0 or ih <= 0.0:
+            out.append((0.0, gi))
+        else:
+            inter = iw * ih
+            out.append((inter / (a + g_area - inter), gi))
+    return out
 
 
 def iou_distance(a: BoundingBox, b: BoundingBox) -> float:

@@ -19,8 +19,8 @@ from .matching import TAU_MAX, MatchResult, check_tau, match_optimal
 
 
 class UndefinedLrp(Exception):
-    """Raised when both the ground-truth and detection sets are empty:
-    there is nothing to evaluate."""
+    """Raised when there is nothing to evaluate: both the ground-truth and
+    detection sets are empty, or no class has anything to evaluate."""
 
 
 class LrpBreakdown(NamedTuple):

@@ -24,7 +24,9 @@ import math
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, iou_distance
+from .geometry import (
+    _NUMBER_TYPES, BoundingBox, CornerRow, _checked_make, _corners, _ious, iou_distance,
+)
 
 ClassId = Hashable
 ImageId = Hashable
@@ -88,11 +90,6 @@ class GroundTruth(_GroundTruthFields):
         if not isinstance(box, BoundingBox):
             raise ValueError(f"ground truth box must be a BoundingBox, got {box!r}")
         return tuple.__new__(cls, (image_id, class_id, box, ignore))
-
-
-# A box as evaluation reads it: (x_min, y_min, x_max, y_max, area), the
-# area with `geometry.area`'s float steps.
-CornerRow = tuple[float, float, float, float, float]
 
 
 class GtColumns(NamedTuple):
@@ -221,35 +218,12 @@ class IouTable(NamedTuple):
     crowd_iou: list[float]
 
 
-def _corners(box: BoundingBox) -> CornerRow:
-    """A box's corners and its area, with `geometry.area`'s float steps."""
-    x1, y1, x2, y2 = box
-    return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
-
-
-def _ious(x1, y1, x2, y2, a, gts) -> list[tuple[float, int]]:
-    """(IoU, GT index) of one box, given as corners and area, against
-    (GT index, corners, area) rows, with `geometry.iou`'s float steps:
-    min - max widths (min(p, q) is q if q < p else p), 0.0 unless both
-    are > 0, then inter / (area_a + area_b - inter)."""
-    out = []
-    for gi, gx1, gy1, gx2, gy2, g_area in gts:
-        iw = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
-        ih = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
-        if iw <= 0.0 or ih <= 0.0:
-            out.append((0.0, gi))
-        else:
-            inter = iw * ih
-            out.append((inter / (a + g_area - inter), gi))
-    return out
-
-
 def iou_table(gts: GtColumns, dets: DetColumns) -> IouTable:
     """Detection order and every same-image IoU of one class, computed once
     from its columns so that labeling at any number of taus reuses them.
 
     Boxes are read as the corner rows of the columns, and every entry
-    equals `iou` of the two boxes bitwise (see `_ious`). No record is
+    equals `iou` of the two boxes bitwise (see `geometry._ious`). No record is
     built or read.
     """
     real_by_image: dict[ImageId, list[tuple]] = {}
@@ -392,10 +366,9 @@ def hungarian(cost) -> list[tuple[int, int]]:
     one core of a 2-core Xeon VM, the link costs of two frames of 42
     boxes take 0.44 ms (SciPy 0.020 ms), of 88 boxes 2.7 ms (0.10 ms)
     and of 266 boxes 37 ms (0.98 ms). Large matrices lose; in exchange
-    no command imports NumPy or SciPy. A NumPy-vectorized port was slower
-    at 42 wide, from per-call overhead on short vectors, and barely
-    faster at 288. `video.link_frames` builds its matrices itself and
-    solves them with `_assign`, the step after these checks.
+    no command imports NumPy or SciPy. `video.link_frames` builds its
+    matrices itself and solves them with `_assign`, the step after these
+    checks.
     """
     try:
         rows = [list(map(float, row)) for row in cost]

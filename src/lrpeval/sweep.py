@@ -8,7 +8,7 @@ grid and thresholds sharing the same retained detection set produce
 bitwise-identical breakdowns. The sweep reads the columns of one
 `matching.TauLabels` record (prefix sums of its kind codes and of
 1 - IoU in match order); the same record gives the class's average
-precision (`ap.ap`): callers label each (class, tau) once with
+precision (`ap.ap_variants`): callers label each (class, tau) once with
 `matching.label_classes` and feed both consumers.
 
 At each grid point the sweep keeps only the counts and the total error

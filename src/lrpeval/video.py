@@ -38,8 +38,8 @@ from math import inf
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, ordered_sum
-from .matching import ClassId, Detection, _assign, _corners, _ious
+from .geometry import _NUMBER_TYPES, BoundingBox, _checked_make, _corners, _ious, ordered_sum
+from .matching import ClassId, _assign
 
 DEFAULT_ALPHA = 0.7
 DEFAULT_COST_CUTOFF = 0.7
@@ -354,12 +354,3 @@ def run_stream(
     threshold maps, track it once and emit once per map."""
     return emit_stream(track_stream(frames, alpha, cost_cutoff), thresholds, default_threshold)
 
-
-def stream_to_detections(frames: Sequence[FrameDetections]) -> list[Detection]:
-    """Flatten stream frames into detections (image id = frame index) so
-    the standard evaluation machinery applies."""
-    return [
-        Detection(frame.frame_index, det.class_id, det.box, det.score)
-        for frame in frames
-        for det in frame.detections
-    ]

@@ -10,9 +10,9 @@ computations.
 
 import itertools
 import json
-import logging
 import math
 import random
+import sys
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Mapping
@@ -27,8 +27,6 @@ from lrpeval.matching import IGNORED, TP, Detection, DetectionLabel, GroundTruth
 from lrpeval.sweep import DEFAULT_GRID_STEP, threshold_grid
 from lrpeval.video import FrameDetections, StreamDetection, bayes_update, link_frames
 from synth import GtRecords
-
-logger = logging.getLogger("lrpeval")
 
 
 def grid_area(box: BoundingBox, step: float) -> float:
@@ -531,17 +529,16 @@ def load_ground_truth(path) -> GtRecords:
         except SchemaError as exc:
             ann_id = ann.get("id", "?")
             raise SchemaError(f"{exc} (annotation id {ann_id})") from None
+        crowd = ann.get("iscrowd", 0)
+        if not isinstance(crowd, int) or crowd not in (0, 1):
+            raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
+        # Only a record that validates warns.
         width, height = sizes[img_id]
         if box.x_min < 0 or box.y_min < 0 or (
             width is not None and box.x_max > width
         ) or (height is not None and box.y_max > height):
-            logger.warning(
-                "annotation id %s extends outside image %s; kept as annotated",
-                ann.get("id", "?"), img_id,
-            )
-        crowd = ann.get("iscrowd", 0)
-        if not isinstance(crowd, int) or crowd not in (0, 1):
-            raise SchemaError(f"{where}.iscrowd: must be 0, 1, false or true, got {crowd!r}")
+            print(f"warning: annotation id {ann.get('id', '?')} extends outside image {img_id}; "
+                  "kept as annotated", file=sys.stderr)
         gts.append(GroundTruth(img_id, cat_id, box, ignore=bool(crowd)))
 
     return GtRecords(sizes, names, tuple(gts))

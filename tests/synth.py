@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from hypothesis import strategies as st
+
 from lrpeval.dataio import Dataset, write_json
 from lrpeval.geometry import BoundingBox
 from lrpeval.matching import (
@@ -38,9 +40,19 @@ def _scene(n_objects: int = 4, width: float = 100.0) -> list[BoundingBox]:
     ]
 
 
-def _shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
+def box_at(i: int, side: float = 10.0) -> BoundingBox:
+    """A side x side box at x = 100 * i: boxes of distinct i never overlap."""
+    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
+
+
+def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
     """A box nested in `box` sharing its left edge, with IoU == overlap."""
     return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
+
+
+# Boxes over the ranges of `oracles.random_box`.
+BOX = st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+                st.floats(0.5, 10.0), st.floats(0.5, 10.0))
 
 
 def _far_box(index: int) -> BoundingBox:
@@ -84,7 +96,7 @@ def tradeoff_detector() -> tuple[list[GroundTruth], list[Detection]]:
     dets = []
     for i, box in enumerate(boxes):
         dets.append(Detection(0, REFERENCE_CLASS, _far_box(i), scores[2 * i]))
-        dets.append(Detection(0, REFERENCE_CLASS, _shrunk(box, overlaps[i]), scores[2 * i + 1]))
+        dets.append(Detection(0, REFERENCE_CLASS, shrunk(box, overlaps[i]), scores[2 * i + 1]))
     return _gts(boxes), dets
 
 
@@ -251,6 +263,13 @@ def records(columns: Mapping[ClassId, GtColumns | DetColumns]) -> list:
         out += [make(image_id, cid, BoundingBox(*row[:4]), value)
                 for image_id, row, value in zip(*cols)]
     return out
+
+
+def stream_detections(frames: Iterable[FrameDetections]) -> list[Detection]:
+    """The detections of stream frames as evaluation sees them: image id =
+    frame index, score = the distribution's peak."""
+    return [Detection(frame.frame_index, det.class_id, det.box, det.score)
+            for frame in frames for det in frame.detections]
 
 
 def save_ground_truth(dataset: GtRecords, path) -> None:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from lrpeval import (
-    BoundingBox,
     Detection,
     GroundTruth,
     RPCurve,
@@ -21,15 +20,7 @@ from lrpeval import (
 from lrpeval.ap import AP_VARIANTS, ap, ap_variants
 from lrpeval.matching import FP, IGNORED, TP
 from oracles import integrate_rp_points, rematch_rp_points
-from synth import reference_detectors, report_inputs
-
-
-def box_at(i: int, side: float = 10.0) -> BoundingBox:
-    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
-
-
-def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
-    return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
+from synth import BOX, box_at, reference_detectors, report_inputs, shrunk
 
 
 def labels_at(gts, dets, tau):
@@ -38,19 +29,15 @@ def labels_at(gts, dets, tau):
     return labels
 
 
-_BOX = st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
-                 st.floats(0.5, 10.0), st.floats(0.5, 10.0))
-
-
 @st.composite
 def instances(draw, n_gt_max=8, n_det_max=25, images=3):
     """Single-class instance over a few images, with at least one ground
     truth and distinct detection scores."""
     image = st.integers(0, images - 1)
-    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), _BOX, ignore=st.just(False)),
+    gts = draw(st.lists(st.builds(GroundTruth, image, st.just(1), BOX, ignore=st.just(False)),
                         min_size=1, max_size=n_gt_max))
     scores = draw(st.lists(st.integers(1, 9999), unique=True, max_size=n_det_max))
-    dets = [Detection(draw(image), 1, draw(_BOX), s / 10000) for s in scores]
+    dets = [Detection(draw(image), 1, draw(BOX), s / 10000) for s in scores]
     return gts, dets
 
 

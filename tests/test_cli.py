@@ -25,14 +25,14 @@ from hypothesis import strategies as st
 import lrpeval
 from lrpeval import (
     BoundingBox, Detection, FrameDetections, GroundTruth, StreamDetection, cli, emit_stream,
-    label_detections, link_frames, molrp, rp_curve, run_stream, stream_to_detections, sweep_class,
-    track_stream,
+    label_detections, link_frames, molrp, rp_curve, run_stream, sweep_class, track_stream,
 )
 from lrpeval.cli import DEFAULT_TAU_RANGE, main, parse_tau_list
 from lrpeval.dataio import export_curves, load_ground_truth, load_stream, save_stream
 from oracles import same_bits
 from synth import (
-    GtRecords, StreamClassSpec, generate_stream, records, reference_detectors, save_ground_truth,
+    GtRecords, StreamClassSpec, box_at, generate_stream, records, reference_detectors,
+    save_ground_truth, shrunk, stream_detections,
 )
 from test_dataio import loader_documents
 from test_matching import grid_breakdowns
@@ -62,14 +62,6 @@ def write_fixture(tmp_path, name, gts, dets, categories=None):
     ]
     det_path.write_text(json.dumps(records))
     return str(gt_path), str(det_path)
-
-
-def box_at(i: int, side: float = 10.0) -> BoundingBox:
-    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
-
-
-def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
-    return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
 
 
 class TestParseTauList:
@@ -757,7 +749,7 @@ class TestExports:
         assert (counts["video.links"], counts["video.link_cost_cells"],
                 counts["video.severed_pairs"]) == (n_links, n_cells, n_severed)
 
-        dets = [d for d in stream_to_detections(frames) if d.class_id == 1]
+        dets = [d for d in stream_detections(frames) if d.class_id == 1]
         class_gts = [g for g in gts if g.class_id == 1]
         labels = label_detections(class_gts, dets, 0.5)
         tracer._count_labels(counts, label_detections, (class_gts, dets, 0.5), {}, labels)
@@ -1352,7 +1344,7 @@ def check_stream_passes(frames, gts, alpha, cutoff, default, thresholds):
         frames = load_stream(tmp / "stream.json", dataset)
     tracked = track_stream(frames, alpha, cutoff)
     streams = [frames] + [emit_stream(tracked, m, default).frames for m in ({}, thresholds)]
-    expected = [molrp(records(dataset.gt_columns), stream_to_detections(s), _STREAM_CLASSES, 0.5)
+    expected = [molrp(records(dataset.gt_columns), stream_detections(s), _STREAM_CLASSES, 0.5)
                 for s in streams]
     assert same_bits(reports, expected)
     return tracked

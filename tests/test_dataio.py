@@ -3,10 +3,9 @@ import importlib
 import io
 import json
 import pkgutil
-import random
 import tempfile
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -157,6 +156,12 @@ class TestLoadGroundTruth:
         assert list(again.names.items()) == list(ds.names.items())
 
 
+# Boxes with quarter-pixel x and y in [0, 500) and sides in (0, 100).
+_QUARTER = st.integers(0, 1999).map(lambda k: k / 4)
+_QUARTER_SIDE = st.integers(1, 399).map(lambda k: k / 4)
+_QUARTER_BOX = st.builds(BoundingBox.from_xywh, _QUARTER, _QUARTER, _QUARTER_SIDE, _QUARTER_SIDE)
+
+
 class TestLoadDetections:
     def test_empty_array(self, tmp_path):
         ds = load_ground_truth(minimal_gt(tmp_path))
@@ -193,20 +198,17 @@ class TestLoadDetections:
         with pytest.raises(SchemaError, match=r"detections\[1\].image_id"):
             load_detections(path, ds)
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        # dyadic coordinates survive the corner/xywh conversions exactly
-        ds = load_ground_truth(minimal_gt(tmp_path))
-        rng = random.Random(5)
-        dets = []
-        for _ in range(50):
-            x = rng.randrange(0, 2000) / 4
-            y = rng.randrange(0, 2000) / 4
-            w = rng.randrange(1, 400) / 4
-            h = rng.randrange(1, 400) / 4
-            dets.append(Detection(1, 3, BoundingBox.from_xywh(x, y, w, h), rng.random()))
-        path = tmp_path / "det.json"
-        save_detections(dets, path)
-        again = load_detections(path, ds)
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(_QUARTER_BOX, st.floats(0.0, 1.0)), min_size=1, max_size=50))
+    def test_round_trip_is_bit_exact(self, boxes):
+        # dyadic coordinates survive the corner/xywh conversions exactly;
+        # others drift in the last bits (the filtered-stream drift in CHANGES.md)
+        dets = [Detection(1, 3, box, score) for box, score in boxes]
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = load_ground_truth(minimal_gt(Path(tmp)))
+            path = Path(tmp) / "det.json"
+            save_detections(dets, path)
+            again = load_detections(path, ds)
         assert records(again) == dets
 
 
@@ -835,21 +837,23 @@ _ORACLE_COLUMNS = SimpleNamespace(
 
 def _load_all(loaders, paths):
     """What each loader of a module makes of the files: ("ok", repr of the
-    result) or ("error", SchemaError message). Any other exception escapes."""
-    try:
-        dataset = loaders.load_ground_truth(paths["gt"])
-    except SchemaError as exc:
-        return [("error", str(exc))]
-    # Dict equality ignores order, so the id maps are compared as item
-    # lists, in the order of the file.
-    outcomes = [("ok", repr(dataset), repr(list(dataset.images.items())),
-                 repr(list(dataset.names.items())))]
-    for load, name in ((loaders.load_detections, "det"), (loaders.load_stream, "stream")):
+    result) or ("error", SchemaError message), and all they printed to the
+    standard error. Any other exception escapes."""
+    with redirect_stderr(io.StringIO()) as err:
         try:
-            outcomes.append(("ok", repr(load(paths[name], dataset))))
+            dataset = loaders.load_ground_truth(paths["gt"])
         except SchemaError as exc:
-            outcomes.append(("error", str(exc)))
-    return outcomes
+            return [("error", str(exc))], err.getvalue()
+        # Dict equality ignores order, so the id maps are compared as item
+        # lists, in the order of the file.
+        outcomes = [("ok", repr(dataset), repr(list(dataset.images.items())),
+                     repr(list(dataset.names.items())))]
+        for load, name in ((loaders.load_detections, "det"), (loaders.load_stream, "stream")):
+            try:
+                outcomes.append(("ok", repr(load(paths[name], dataset))))
+            except SchemaError as exc:
+                outcomes.append(("error", str(exc)))
+    return outcomes, err.getvalue()
 
 
 class TestLoaderProperty:

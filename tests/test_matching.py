@@ -23,10 +23,7 @@ from lrpeval.geometry import _Corners, iou
 from lrpeval.lrp import breakdown_from_counts
 from lrpeval.matching import KINDS, TAU_MAX, TauLabels, iou_table, label_detections
 from oracles import brute_force_assignment_cost, count_real, random_boxes
-
-
-def box_at(i: int, side: float = 10.0) -> BoundingBox:
-    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
+from synth import box_at
 
 
 def gt(i, image_id=0, class_id=1, ignore=False):

@@ -19,21 +19,11 @@ from lrpeval import (
     to_columns,
 )
 from oracles import eager_sweep, rematch
-from synth import reference_detectors
+from synth import BOX, box_at, reference_detectors, shrunk
 from test_matching import grid_breakdowns, labeling_scenes
 
 
-def box_at(i: int, side: float = 10.0) -> BoundingBox:
-    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
-
-
-def shrunk(box: BoundingBox, overlap: float) -> BoundingBox:
-    return BoundingBox(box.x_min, box.y_min, box.x_min + overlap * (box.x_max - box.x_min), box.y_max)
-
-
-# Boxes over the ranges of `oracles.random_box`, and scores in whole percent.
-_BOX = st.builds(BoundingBox.from_xywh, st.floats(0.0, 20.0), st.floats(0.0, 20.0),
-                 st.floats(0.5, 10.0), st.floats(0.5, 10.0))
+# Scores in whole percent.
 _SCORE = st.integers(1, 99).map(lambda k: k / 100)
 
 
@@ -41,8 +31,8 @@ def class_one(max_gts, max_dets, images=1):
     """Ground truths and detections of class 1 on the first images."""
     image = st.integers(0, images - 1)
     return st.tuples(
-        st.lists(st.builds(GroundTruth, image, st.just(1), _BOX, st.just(False)), max_size=max_gts),
-        st.lists(st.builds(Detection, image, st.just(1), _BOX, _SCORE), max_size=max_dets),
+        st.lists(st.builds(GroundTruth, image, st.just(1), BOX, st.just(False)), max_size=max_gts),
+        st.lists(st.builds(Detection, image, st.just(1), BOX, _SCORE), max_size=max_dets),
     )
 
 
@@ -266,8 +256,8 @@ class TestMolrp:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(
-        st.tuples(st.lists(_BOX, min_size=1, max_size=5),
-                  st.lists(st.tuples(_BOX, _SCORE), min_size=1, max_size=8)),
+        st.tuples(st.lists(BOX, min_size=1, max_size=5),
+                  st.lists(st.tuples(BOX, _SCORE), min_size=1, max_size=8)),
         min_size=3, max_size=3,
     ))
     def test_equals_hand_average_of_class_sweeps(self, classes):

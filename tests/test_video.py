@@ -16,21 +16,16 @@ from lrpeval import (
     link_frames,
     molrp,
     run_stream,
-    stream_to_detections,
     track_stream,
 )
 from oracles import class_scores_check, link_cost, same_bits, track_reference
-from synth import StreamClassSpec, generate_stream
+from synth import StreamClassSpec, box_at, generate_stream, stream_detections
 
 
 def sd(class_id, box, score, n_slots=3, slot=0):
     rest = (1.0 - score) / (n_slots - 1)
     scores = tuple(score if i == slot else rest for i in range(n_slots))
     return StreamDetection(class_id, box, scores)
-
-
-def box_at(i: int, side: float = 10.0) -> BoundingBox:
-    return BoundingBox(i * 100.0, 0.0, i * 100.0 + side, side)
 
 
 _SCORE_BIN = st.one_of(
@@ -158,6 +153,24 @@ class TestLinkFrames:
         tracked = track_stream(frames)
         assert tracked.scores == ((0.8,), (0.8,))
         assert len(tracked.tubelets) == 2
+
+    def test_link_rule_assigns_then_severs(self):
+        """The link rule is assign-then-sever, as in SORT: the assignment
+        runs over every pair, and pairs that cost more than the cutoff or
+        do not overlap are severed after it. A gated assignment, as in
+        DeepSORT's `min_cost_matching`, removes those pairs before solving
+        and links P0 to C1 here instead. Changing the rule edits this test."""
+        prev = (StreamDetection(1, BoundingBox(0, 0, 10, 10), (0.5, 0.5)),
+                StreamDetection(1, BoundingBox(100, 100, 110, 110), (0.0, 1.0)))
+        curr = (StreamDetection(1, BoundingBox(0, 0, 10, 6), (1.0, 0.0)),  # IoU 0.6 with P0
+                StreamDetection(1, BoundingBox(0, 0, 10, 9), (0.0, 1.0)))  # IoU 0.9 with P0
+        cost = [[link_cost(p, c, 0.7) for c in curr] for p in prev]
+        assert same_bits(cost, [[0.43, 0.22], [1.0, 0.7]])
+        # (0, 0) + (1, 1) = 1.13 beats (0, 1) + (1, 0) = 1.22; (1, 1) does not overlap.
+        assert link_frames(FrameDetections(0, prev), FrameDetections(1, curr), 0.7, 0.7) == [(0, 0)]
+        gated = [[c if c <= 0.7 and iou(p.box, q.box) > 0.0 else 2.0 for c, q in zip(row, curr)]
+                 for row, p in zip(cost, prev)]
+        assert [(i, j) for i, j in hungarian(gated) if gated[i][j] <= 0.7] == [(0, 1)]
 
     def test_mismatched_class_score_lengths_raise(self):
         a = FrameDetections(0, (StreamDetection(1, box_at(0), (1.0, 0.0)),))
@@ -534,8 +547,8 @@ class TestClassSpecificThresholding:
         general = run_stream(frames, {}, default_threshold=0.5)
         specific = run_stream(frames, {"low": 0.3, "high": 0.8}, default_threshold=0.5)
 
-        general_eval = molrp(gts, stream_to_detections(general.frames), class_ids, 0.5)
-        specific_eval = molrp(gts, stream_to_detections(specific.frames), class_ids, 0.5)
+        general_eval = molrp(gts, stream_detections(general.frames), class_ids, 0.5)
+        specific_eval = molrp(gts, stream_detections(specific.frames), class_ids, 0.5)
 
         for cid in class_ids:
             assert (
